@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, tensor, I2
+from .linalg import dagger, I2
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def apply_on_qubit(ch: KrausChannel, rho: np.ndarray, qubit: int) -> np.ndarray:
     if qubit not in (0, 1):
         raise ValueError(f"qubit must be 0 or 1, got {qubit}")
     lifted = tuple(
-        tensor(op, I2) if qubit == 0 else tensor(I2, op) for op in ch.operators
+        np.kron(op, I2) if qubit == 0 else np.kron(I2, op) for op in ch.operators
     )
     return apply_channel(KrausChannel(lifted), rho)
 

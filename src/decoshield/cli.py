@@ -11,38 +11,24 @@ import argparse
 import csv
 import math
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import (
-    GadParams,
-    apply_channel,
-    apply_via_dilation,
-    check_trace_preserving,
-    gad_channel,
-)
+from .channels import GadParams
+from .checks import CHECKS, VERIFY_SEED
 from .entangle import (
     EntangledInput,
-    concurrence_lambda1,
     concurrence_lambda2,
-    channel_degraded_state,
-    lambda2_max,
     measured_coefficients,
     optimal_parameters,
     optimal_reversal,
-    pipeline_state,
     protected_state,
-    reversed_state,
 )
-from .linalg import equatorial_state, fidelity, wootters_concurrence
-from .optimize import SearchBox, grid_maximize, simplex_maximize, stationarity_check
 from .qubit import (
-    apply_protection,
     average_fidelity_six,
     baseline_fidelity,
     bb84_error_rate,
-    g_value,
     optimal_average,
     optimal_strengths,
     protect_equatorial,
@@ -66,6 +52,8 @@ def _range_type(text: str) -> np.ndarray:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"LO and HI must be finite, got {text!r}")
     if steps < 1:
         raise argparse.ArgumentTypeError(f"steps must be at least 1, got {steps}")
     if hi < lo:
@@ -261,174 +249,11 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_channel(rng: np.random.Generator) -> GadParams:
-    return GadParams(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.02, 0.95)))
-
-
-def _random_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = mat @ mat.conj().T
-    return rho / rho.trace()
-
-
-def _random_input(rng: np.random.Generator) -> EntangledInput:
-    alpha_sq = float(rng.uniform(0.05, 0.95))
-    phase_a, phase_b = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    return EntangledInput(
-        math.sqrt(alpha_sq) * complex(np.exp(1j * phase_a)),
-        math.sqrt(1.0 - alpha_sq) * complex(np.exp(1j * phase_b)),
-    )
-
-
-def _verification_checks() -> Iterator[tuple[str, bool, str]]:
-    rng = np.random.default_rng(716253)
-
-    defect = 0.0
-    for _ in range(60):
-        params = _random_channel(rng)
-        ch = gad_channel(params)
-        defect = max(defect, check_trace_preserving(ch))
-        thermal = np.diag([params.p, 1.0 - params.p]).astype(complex)
-        defect = max(defect, float(np.max(np.abs(apply_channel(ch, thermal) - thermal))))
-    yield "kraus-completeness", defect <= 1e-12, f"max defect {defect:.2e} (tol 1e-12)"
-
-    gap = 0.0
-    for _ in range(60):
-        params = _random_channel(rng)
-        rho = _random_density(rng)
-        via_kraus = apply_channel(gad_channel(params), rho)
-        via_env = apply_via_dilation(params, rho)
-        gap = max(gap, float(np.max(np.abs(via_kraus - via_env))))
-    yield "dilation-vs-kraus", gap <= 1e-12, f"max gap {gap:.2e} (tol 1e-12)"
-
-    gap = 0.0
-    for _ in range(300):
-        params = _random_channel(rng)
-        m, n = (float(v) for v in rng.uniform(0.05, 2.0, size=2))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        res = protect_equatorial(params, m, n, phi)
-        state, prob = apply_protection(params, m, n, equatorial_state(phi))
-        gap = max(gap, float(np.max(np.abs(res.output_state - state))))
-        gap = max(gap, abs(res.success_prob - prob))
-        gap = max(gap, abs(res.fidelity - fidelity(equatorial_state(phi), state)))
-    yield "qubit-closed-form-vs-pipeline", gap <= 1e-12, f"max gap {gap:.2e} (tol 1e-12)"
-
-    gap = 0.0
-    for _ in range(150):
-        ch1, ch2 = _random_channel(rng), _random_channel(rng)
-        inp = _random_input(rng)
-        m1, m2, n1, n2 = (float(v) for v in rng.uniform(0.05, 2.0, size=4))
-        coeffs, success = protected_state(inp, ch1, ch2, m1, m2, n1, n2)
-        closed, _ = reversed_state(coeffs, n1, n2)
-        generic, prob = pipeline_state(inp, ch1, ch2, m1, m2, n1, n2)
-        gap = max(gap, float(np.max(np.abs(closed - generic))))
-        gap = max(gap, abs(success - prob))
-    yield "entangle-closed-form-vs-pipeline", gap <= 1e-12, f"max gap {gap:.2e} (tol 1e-12)"
-
-    gap = 0.0
-    for _ in range(100):
-        ch1, ch2 = _random_channel(rng), _random_channel(rng)
-        inp = _random_input(rng)
-        base = channel_degraded_state(inp, ch1, ch2)
-        gap = max(
-            gap,
-            abs(max(0.0, concurrence_lambda1(base)) - wootters_concurrence(base.matrix())),
-        )
-        n1, n2 = (float(v) for v in rng.uniform(0.1, 1.5, size=2))
-        m1 = float(rng.uniform(0.1, 1.5))
-        coeffs = measured_coefficients(inp, ch1, ch2, m1, 1.0)
-        rho, _ = reversed_state(coeffs, n1, n2)
-        gap = max(
-            gap,
-            abs(max(0.0, concurrence_lambda2(coeffs, n1, n2)) - wootters_concurrence(rho)),
-        )
-    yield "xstate-vs-wootters", gap <= 1e-10, f"max gap {gap:.2e} (tol 1e-10)"
-
-    gap = 0.0
-    for _ in range(60):
-        params = _random_channel(rng)
-        m, n = (float(v) for v in rng.uniform(0.05, 2.0, size=2))
-        fid = protect_equatorial(params, m, n).fidelity
-        gap = max(gap, abs(bb84_error_rate(params, m, n) - (1.0 - fid)))
-    yield "qkd-error-complement", gap <= 1e-12, f"max gap {gap:.2e} (tol 1e-12)"
-
-    params = GadParams(0.8, 0.3)
-    best = optimal_strengths(params)
-
-    def qubit_objective(point: np.ndarray) -> float:
-        return protect_equatorial(params, float(point[0]), float(point[1])).fidelity
-
-    box = SearchBox.cube(1e-3, 2.0, 60, 2)
-    seed = grid_maximize(qubit_objective, box)
-    refined = simplex_maximize(qubit_objective, seed.argmax, box)
-    arg_gap = float(np.max(np.abs(refined.argmax - np.array([best.m, best.n]))))
-    val_gap = abs(refined.value - best.f_max)
-    ok = arg_gap <= 1e-3 and val_gap <= 1e-6
-    yield (
-        "qubit-optimum-oracle",
-        ok,
-        f"argmax gap {arg_gap:.2e} (tol 1e-3), value gap {val_gap:.2e} (tol 1e-6)",
-    )
-
-    ch1, ch2 = GadParams(0.9, 0.5), GadParams(0.95, 0.3)
-    inp = EntangledInput.from_alpha_sq(0.5)
-
-    def lam2_objective(point: np.ndarray) -> float:
-        coeffs = measured_coefficients(inp, ch1, ch2, float(point[0]), 1.0)
-        return concurrence_lambda2(coeffs, float(point[1]), float(point[2]))
-
-    box3 = SearchBox.cube(1e-3, 1.5, 21, 3)
-    seed3 = grid_maximize(lam2_objective, box3)
-    refined3 = simplex_maximize(lam2_objective, seed3.argmax, box3)
-    val_gap = abs(refined3.value - lambda2_max(ch1, ch2))
-    yield (
-        "entangle-optimum-oracle",
-        val_gap <= 1e-6,
-        f"value gap {val_gap:.2e} (tol 1e-6)",
-    )
-
-    def favg_objective(point: np.ndarray) -> float:
-        return average_fidelity_six(params, float(point[0]), float(point[1])).favg
-
-    grad = stationarity_check(favg_objective, np.array([best.m, best.n]), 1e-5)
-    yield "average-optimum-stationary", grad <= 1e-6, f"max slope {grad:.2e} (tol 1e-6)"
-
-    report = optimal_parameters(inp, ch1, ch2)
-    alphas = np.linspace(0.005, 0.995, 199)
-    probs = []
-    for a_sq in alphas:
-        rep = optimal_parameters(EntangledInput.from_alpha_sq(float(a_sq)), ch1, ch2)
-        probs.append(rep.success_prob)
-    peak = float(alphas[int(np.argmax(probs))])
-    step = float(alphas[1] - alphas[0])
-    peak_gap = abs(peak - report.alpha_sq_opt)
-    yield (
-        "success-peak-location",
-        peak_gap <= step,
-        f"scan peak {peak:.4f} vs 1/(1+h) {report.alpha_sq_opt:.4f} (tol {step:.4f})",
-    )
-
-    worst = 0.0
-    g_worst = 0.0
-    for p in np.linspace(0.05, 0.95, 20):
-        for r in np.linspace(0.02, 0.95, 20):
-            grid_params = GadParams(float(p), float(r))
-            worst = min(
-                worst,
-                optimal_strengths(grid_params).f_max - baseline_fidelity(grid_params),
-            )
-            g_worst = max(g_worst, g_value(grid_params) - 1.0)
-    ok = worst >= -1e-12 and g_worst <= 1e-12
-    yield (
-        "protection-never-hurts",
-        ok,
-        f"min fidelity gain {worst:.2e}, max penalty excess {g_worst:.2e}",
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(VERIFY_SEED)
     failures = 0
-    for name, ok, detail in _verification_checks():
+    for name, check, count in CHECKS:
+        ok, detail = check(rng, count)
         print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
         if not ok:
             failures += 1
@@ -511,10 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--sweep-m", type=_range_type, metavar="LO:HI:STEPS",
-        default=None, help="pre-measurement sweep (default 0:1:200)",
+        default="0:1:200", help="pre-measurement sweep (default 0:1:200)",
     )
     _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_entangle_with_default)
+    sp.set_defaults(handler=_cmd_entangle)
 
     sp = sub.add_parser(
         "optimal",
@@ -543,12 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_verify)
 
     return parser
-
-
-def _cmd_entangle_with_default(args: argparse.Namespace) -> int:
-    if args.sweep_m is None:
-        args.sweep_m = np.linspace(0.0, 1.0, 200)
-    return _cmd_entangle(args)
 
 
 def entry(argv: Sequence[str] | None = None) -> int:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import GadParams, apply_on_qubit, gad_channel
+from .qubit import g_value
 from .weakmeas import (
     MIN_POSTSELECT_PROB,
     PostSelectionError,
@@ -61,14 +62,10 @@ class EntangledInput:
 
 @dataclass(frozen=True)
 class XStateCoefficients:
-    """X-state entries and their per-component split.
+    """X-state entries.
 
     a, b, c, d are the diagonal weights on |00>, |01>, |10>, |11> at the
-    current pipeline stage; e is the coherence between |00> and |11>. The
-    split fields carry what each input component contributes before any
-    measurement scaling: x0 from the |00> piece (weight |alpha|^2), x1 from
-    the |11> piece (weight |beta|^2), so that after a pre-measurement of
-    total strength m the diagonal reads x = x0 + x1 m^2 (with m = m1 m2).
+    current pipeline stage; e is the coherence between |00> and |11>.
     """
 
     a: float
@@ -76,14 +73,6 @@ class XStateCoefficients:
     c: float
     d: float
     e: complex
-    a0: float
-    a1: float
-    b0: float
-    b1: float
-    c0: float
-    c1: float
-    d0: float
-    d1: float
 
     @property
     def trace(self) -> float:
@@ -164,29 +153,15 @@ def measured_coefficients(
     """
     if m1 < 0.0 or m2 < 0.0:
         raise ValueError(f"strengths must be non-negative, got m1={m1}, m2={m2}")
-    (a0u, b0u, c0u, d0u), (a1u, b1u, c1u, d1u) = component_coefficients(ch1, ch2)
+    lo, hi = component_coefficients(ch1, ch2)
     wa = abs(inp.alpha) ** 2
     wb = abs(inp.beta) ** 2
     mm = (m1 * m2) ** 2
-    a0, b0, c0, d0 = a0u * wa, b0u * wa, c0u * wa, d0u * wa
-    a1, b1, c1, d1 = a1u * wb, b1u * wb, c1u * wb, d1u * wb
+    # each diagonal entry is x0 + x1 m^2: x0 from the |00> piece, x1 from |11>
+    a, b, c, d = (x0 * wa + x1 * wb * mm for x0, x1 in zip(lo, hi))
     keep = math.sqrt((1.0 - ch1.r) * (1.0 - ch2.r))
     e = inp.alpha * np.conj(inp.beta) * m1 * m2 * keep
-    return XStateCoefficients(
-        a=a0 + a1 * mm,
-        b=b0 + b1 * mm,
-        c=c0 + c1 * mm,
-        d=d0 + d1 * mm,
-        e=complex(e),
-        a0=a0,
-        a1=a1,
-        b0=b0,
-        b1=b1,
-        c0=c0,
-        c1=c1,
-        d0=d0,
-        d1=d1,
-    )
+    return XStateCoefficients(a=a, b=b, c=c, d=d, e=complex(e))
 
 
 def channel_degraded_state(
@@ -299,13 +274,7 @@ def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:
     keep = math.sqrt((1.0 - r1) * (1.0 - r2))
     leak1 = r1 * math.sqrt(p1 * (1.0 - p1) * (1.0 - r2 * p2) * (1.0 - r2 + r2 * p2))
     leak2 = r2 * math.sqrt(p2 * (1.0 - p2) * (1.0 - r1 * p1) * (1.0 - r1 + r1 * p1))
-    den1 = r1 * math.sqrt(p1 * (1.0 - p1)) + math.sqrt(
-        (1.0 - r1 * p1) * (1.0 - r1 + r1 * p1)
-    )
-    den2 = r2 * math.sqrt(p2 * (1.0 - p2)) + math.sqrt(
-        (1.0 - r2 * p2) * (1.0 - r2 + r2 * p2)
-    )
-    return (keep - leak1 - leak2) / (den1 * den2)
+    return (keep - leak1 - leak2) / (g_value(ch1) * g_value(ch2))
 
 
 def pipeline_state(

@@ -58,19 +58,6 @@ def ket_density(ket: np.ndarray) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def conjugate_by(op: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalized K rho K^dag together with its trace weight."""
-    if op.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: op {op.shape} vs rho {rho.shape}")
-    out = op @ rho @ dagger(op)
-    return out, float(out.trace().real)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, used to lift single-qubit operators to two qubits."""
-    return np.kron(a, b)
-
-
 def validate_density(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is Hermitian, unit-trace and positive."""
     rho = np.asarray(rho)
@@ -85,15 +72,6 @@ def validate_density(rho: np.ndarray) -> None:
     w = np.linalg.eigvalsh(rho)
     if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {w.min():.3e}")
-
-
-def is_density(rho: np.ndarray) -> bool:
-    """True when validate_density accepts rho."""
-    try:
-        validate_density(rho)
-    except ValueError:
-        return False
-    return True
 
 
 def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import GadParams, apply_channel, gad_channel
-from .linalg import equatorial_state, fidelity, ket_density
+from .linalg import equatorial_state, fidelity
 from .weakmeas import WeakMeasurement, apply_postselected
 
 
@@ -25,7 +25,6 @@ class ProtectionResult:
     fidelity: float
     success_prob: float
     output_state: np.ndarray
-    normalization: float
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def protect_equatorial(
     ) / t
     fid = 0.5 + m * n * kd / t
     success = 0.5 * t * min(1.0, 1.0 / (m * m)) * min(1.0, 1.0 / (n * n))
-    return ProtectionResult(fid, success, state, t)
+    return ProtectionResult(fid, success, state)
 
 
 def optimal_strengths(params: GadParams) -> OptimalStrengths:
@@ -180,13 +179,3 @@ def optimal_average(params: GadParams) -> OptimalStrengths:
         return OptimalStrengths(0.0, 0.0, 1.0, projective=True)
     favg = average_fidelity_six(params, best.m, best.n).favg
     return OptimalStrengths(best.m, best.n, favg)
-
-
-SIX_STATES: tuple[np.ndarray, ...] = (
-    ket_density(np.array([1.0, 0.0])),
-    ket_density(np.array([0.0, 1.0])),
-    equatorial_state(0.0),
-    equatorial_state(math.pi),
-    equatorial_state(0.5 * math.pi),
-    equatorial_state(1.5 * math.pi),
-)

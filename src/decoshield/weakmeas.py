@@ -48,10 +48,6 @@ class WeakMeasurement:
             diag = np.kron(diag, np.array([strength, 1.0]))
         return cls(tuple(diag))
 
-    @property
-    def qubit_count(self) -> int:
-        return 1 if len(self.strengths) == 2 else 2
-
     def operator(self) -> np.ndarray:
         """Raw (possibly unphysical) diagonal operator."""
         return np.diag(np.asarray(self.strengths, dtype=complex))

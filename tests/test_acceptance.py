@@ -1,55 +1,33 @@
 """Acceptance gate: eight end-to-end criteria with stated tolerances.
 
-Each test prints one summary line with the measured values and its runtime;
-pytest -v adds the per-criterion pass/fail verdict. The reference numbers
-are frozen from the independent grid + simplex oracles in this package.
+Criteria 2-7 run the cross-check families of decoshield.checks, the same
+battery `decoshield verify` runs, at gate-sized samples and with their own
+seeds. Each test prints one summary line with the measured values and its
+runtime; pytest -v adds the per-criterion pass/fail verdict. The reference
+numbers are frozen from the independent grid + simplex oracles in this
+package.
 """
 
-import math
 import time
 
 import numpy as np
 
-from decoshield.channels import (
-    GadParams,
-    apply_channel,
-    apply_via_dilation,
-    check_trace_preserving,
-    gad_channel,
-)
+from decoshield import checks
+from decoshield.channels import GadParams
 from decoshield.entangle import (
     EntangledInput,
     channel_degraded_state,
     component_coefficients,
-    concurrence_lambda1,
-    concurrence_lambda2,
-    lambda2_max,
     measured_coefficients,
     optimal_parameters,
     pipeline_state,
     protected_state,
     reversed_state,
 )
-from decoshield.linalg import (
-    conjugate_by,
-    equatorial_state,
-    fidelity,
-    validate_density,
-    wootters_concurrence,
-)
-from decoshield.optimize import SearchBox, grid_maximize, simplex_maximize
-from decoshield.qubit import (
-    apply_protection,
-    baseline_fidelity,
-    bb84_error_rate,
-    g_value,
-    optimal_strengths,
-    protect_equatorial,
-)
+from decoshield.linalg import wootters_concurrence
 
-BELL = EntangledInput.from_alpha_sq(0.5)
-REF_CH1 = GadParams(0.9, 0.5)
-REF_CH2 = GadParams(0.95, 0.3)
+BELL = checks.BELL
+REF_CH1, REF_CH2 = checks.REF_PAIR
 ESD_CH = GadParams(0.7, 0.61)
 
 
@@ -60,14 +38,15 @@ def _done(num: int, detail: str, t0: float, budget: float | None = None) -> None
     print(f"PASS criterion {num}: {detail} [{elapsed:.2f} s]")
 
 
-def _random_channel(rng, boundary_every=0, index=0):
-    p = float(rng.uniform(0.02, 0.98))
-    r = float(rng.uniform(0.02, 0.98))
-    if boundary_every and index % boundary_every == 0:
-        r = float(rng.choice([0.0, 1.0]))
-    if boundary_every and index % boundary_every == boundary_every // 2:
-        p = float(rng.choice([0.0, 1.0]))
-    return GadParams(p, r)
+def _passes(rng, *runs) -> str:
+    """Run each (family, count) on the one generator, require every family
+    to pass, and return their details joined."""
+    details = []
+    for family, count in runs:
+        ok, detail = family(rng, count)
+        assert ok, f"{family.__name__}: {detail}"
+        details.append(f"{family.__name__} {detail}")
+    return "; ".join(details)
 
 
 def test_criterion_1_reference_concurrence_optimum():
@@ -95,19 +74,12 @@ def test_criterion_2_sudden_death_circumvention():
     assert rep.lambda1 < 0.0
     assert max(0.0, rep.lambda1) == 0.0
     assert rep.lambda2_max > 0.0
-
-    def objective(pt):
-        coeffs = measured_coefficients(BELL, ESD_CH, ESD_CH, float(pt[0]), 1.0)
-        return concurrence_lambda2(coeffs, float(pt[1]), float(pt[2]))
-
-    box = SearchBox.cube(1e-3, 1.5, 21, 3)
-    seed = grid_maximize(objective, box)
-    oracle = simplex_maximize(objective, seed.argmax, box)
-    assert abs(oracle.value - rep.lambda2_max) <= 1e-4
+    ok, detail = checks.entangle_optimum_oracle(None, 1, pairs=((ESD_CH, ESD_CH),))
+    assert ok, detail
     _done(
         2,
         f"lambda1 {rep.lambda1:.6f} < 0, lambda2_max {rep.lambda2_max:.6f} > 0, "
-        f"simplex oracle {oracle.value:.6f}",
+        f"simplex oracle {detail}",
         t0,
         budget=5.0,
     )
@@ -115,227 +87,49 @@ def test_criterion_2_sudden_death_circumvention():
 
 def test_criterion_3_single_qubit_optimum_matches_oracle():
     t0 = time.perf_counter()
-    box = SearchBox.cube(1e-3, 4.0, 33, 2)
-    worst_arg = 0.0
-    worst_val = 0.0
-    for p in np.linspace(0.05, 0.95, 10):
-        for r in np.linspace(0.05, 0.95, 10):
-            params = GadParams(float(p), float(r))
-            best = optimal_strengths(params)
-
-            def objective(pt):
-                return protect_equatorial(params, float(pt[0]), float(pt[1])).fidelity
-
-            seed = grid_maximize(objective, box)
-            refined = simplex_maximize(objective, seed.argmax, box)
-            worst_arg = max(
-                worst_arg, float(np.max(np.abs(refined.argmax - [best.m, best.n])))
-            )
-            worst_val = max(worst_val, abs(refined.value - best.f_max))
-    assert worst_arg <= 1e-3
-    assert worst_val <= 1e-6
-    _done(
-        3,
-        f"100 channel points: worst argmax gap {worst_arg:.2e}, "
-        f"worst value gap {worst_val:.2e}",
-        t0,
-        budget=60.0,
-    )
+    detail = _passes(None, (checks.qubit_optimum_oracle, 10))
+    _done(3, f"10x10 channel points: {detail}", t0, budget=60.0)
 
 
 def test_criterion_4_two_qubit_bound_never_exceeded():
     t0 = time.perf_counter()
-    sets = (
-        (0.9, 0.5, 0.95, 0.3),
-        (0.7, 0.61, 0.7, 0.61),
-        (0.8, 0.3, 0.6, 0.45),
-        (0.55, 0.75, 0.85, 0.2),
-        (0.35, 0.5, 0.45, 0.65),
-    )
-    box = SearchBox.cube(1e-3, 2.0, 17, 3)
-    worst_excess = -math.inf
-    worst_short = math.inf
-    for p1, r1, p2, r2 in sets:
-        ch1, ch2 = GadParams(p1, r1), GadParams(p2, r2)
-        bound = lambda2_max(ch1, ch2)
-
-        def objective(pt):
-            coeffs = measured_coefficients(BELL, ch1, ch2, float(pt[0]), 1.0)
-            return concurrence_lambda2(coeffs, float(pt[1]), float(pt[2]))
-
-        seed = grid_maximize(objective, box)
-        oracle = simplex_maximize(objective, seed.argmax, box)
-        worst_excess = max(worst_excess, oracle.value - bound)
-        worst_short = min(worst_short, oracle.value - bound)
-    assert worst_excess <= 1e-6
-    # the bound is tight, not just safe: the search also reaches it
-    assert worst_short >= -1e-6
-    _done(
-        4,
-        f"5 channel sets: max oracle excess {worst_excess:.2e}, "
-        f"max shortfall {-worst_short:.2e}",
-        t0,
-        budget=120.0,
-    )
+    # the bound is tight, not just safe: the search reaches it from below
+    detail = _passes(None, (checks.entangle_optimum_oracle, 5))
+    _done(4, f"5 channel sets: {detail}", t0, budget=120.0)
 
 
 def test_criterion_5_closed_forms_equal_pipeline():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(224488)
-    gap = 0.0
-    for i in range(5000):
-        params = _random_channel(rng, boundary_every=25, index=i)
-        m, n = (float(v) for v in rng.uniform(0.05, 2.0, size=2))
-        if i % 17 == 0:
-            m = 1.0
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        res = protect_equatorial(params, m, n, phi)
-        state, prob = apply_protection(params, m, n, equatorial_state(phi))
-        gap = max(gap, float(np.max(np.abs(res.output_state - state))))
-        gap = max(gap, abs(res.success_prob - prob))
-        gap = max(gap, abs(res.fidelity - fidelity(equatorial_state(phi), state)))
-    for i in range(5000):
-        ch1 = _random_channel(rng, boundary_every=25, index=i)
-        ch2 = _random_channel(rng, boundary_every=25, index=i + 7)
-        alpha_sq = float(rng.uniform(0.05, 0.95))
-        phase = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-        inp = EntangledInput(
-            math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * phase
-        )
-        m1, m2, n1, n2 = (float(v) for v in rng.uniform(0.05, 2.0, size=4))
-        if i % 13 == 0:
-            n1 = n2 = 1.0
-        coeffs, success = protected_state(inp, ch1, ch2, m1, m2, n1, n2)
-        closed, _ = reversed_state(coeffs, n1, n2)
-        generic, prob = pipeline_state(inp, ch1, ch2, m1, m2, n1, n2)
-        gap = max(gap, float(np.max(np.abs(closed - generic))))
-        gap = max(gap, abs(success - prob))
-    assert gap <= 1e-12
-    _done(5, f"10^4 draws, max closed-form/pipeline gap {gap:.2e}", t0)
+    detail = _passes(
+        np.random.default_rng(224488),
+        (checks.qubit_closed_form_vs_pipeline, 5000),
+        (checks.entangle_closed_form_vs_pipeline, 5000),
+    )
+    _done(5, f"10^4 draws: {detail}", t0)
 
 
 def test_criterion_6_independent_oracles_agree():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(995511)
-
-    dil_gap = 0.0
-    for i in range(500):
-        params = _random_channel(rng, boundary_every=50, index=i)
-        mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = mat @ mat.conj().T
-        rho = rho / rho.trace()
-        via_kraus = apply_channel(gad_channel(params), rho)
-        via_env = apply_via_dilation(params, rho)
-        dil_gap = max(dil_gap, float(np.max(np.abs(via_kraus - via_env))))
-    assert dil_gap <= 1e-12
-
-    woo_gap = 0.0
-    for _ in range(500):
-        ch1 = _random_channel(rng)
-        ch2 = _random_channel(rng)
-        alpha_sq = float(rng.uniform(0.05, 0.95))
-        inp = EntangledInput.from_alpha_sq(alpha_sq)
-        base = channel_degraded_state(inp, ch1, ch2)
-        woo_gap = max(
-            woo_gap,
-            abs(
-                max(0.0, concurrence_lambda1(base))
-                - wootters_concurrence(base.matrix())
-            ),
-        )
-        m1, n1, n2 = (float(v) for v in rng.uniform(0.1, 1.6, size=3))
-        coeffs = measured_coefficients(inp, ch1, ch2, m1, 1.0)
-        rho, _ = reversed_state(coeffs, n1, n2)
-        woo_gap = max(
-            woo_gap,
-            abs(
-                max(0.0, concurrence_lambda2(coeffs, n1, n2))
-                - wootters_concurrence(rho)
-            ),
-        )
-    assert woo_gap <= 1e-10
-
-    err_gap = 0.0
-    for _ in range(200):
-        params = _random_channel(rng)
-        m, n = (float(v) for v in rng.uniform(0.05, 2.0, size=2))
-        err = bb84_error_rate(params, m, n)
-        fid = protect_equatorial(params, m, n).fidelity
-        err_gap = max(err_gap, abs(err - (1.0 - fid)))
-    assert err_gap <= 1e-12
-
-    _done(
-        6,
-        f"dilation gap {dil_gap:.2e}, eigenvalue-concurrence gap {woo_gap:.2e}, "
-        f"error-rate gap {err_gap:.2e}",
-        t0,
+    detail = _passes(
+        np.random.default_rng(995511),
+        (checks.dilation_vs_kraus, 500),
+        (checks.xstate_vs_wootters, 500),
+        (checks.qkd_error_complement, 200),
     )
+    _done(6, detail, t0)
 
 
 def test_criterion_7_invariants():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(337799)
-
-    cptp = 0.0
-    corners = [GadParams(p, r) for p in (0.0, 1.0) for r in (0.0, 1.0)]
-    channels = corners + [_random_channel(rng) for _ in range(200)]
-    for params in channels:
-        cptp = max(cptp, check_trace_preserving(gad_channel(params)))
-    assert cptp <= 1e-12
-
-    for _ in range(50):
-        params = _random_channel(rng)
-        m, n = (float(v) for v in rng.uniform(0.05, 2.0, size=2))
-        res = protect_equatorial(params, m, n, float(rng.uniform(0, 2 * math.pi)))
-        validate_density(res.output_state)
-        assert 0.0 < res.success_prob <= 1.0 + 1e-12
-        inp = EntangledInput.from_alpha_sq(float(rng.uniform(0.05, 0.95)))
-        ch2 = _random_channel(rng)
-        n2 = float(rng.uniform(0.05, 2.0))
-        coeffs, success = protected_state(inp, params, ch2, m, 1.0, n, n2)
-        rho, _ = reversed_state(coeffs, n, n2)
-        validate_density(rho)
-        assert 0.0 < success <= 1.0 + 1e-12
-
-    min_gain = math.inf
-    max_g = -math.inf
-    for p in np.linspace(0.02, 0.98, 50):
-        for r in np.linspace(0.0, 0.98, 50):
-            params = GadParams(float(p), float(r))
-            min_gain = min(
-                min_gain, optimal_strengths(params).f_max - baseline_fidelity(params)
-            )
-            max_g = max(max_g, g_value(params))
-    assert min_gain >= -1e-12
-    assert max_g <= 1.0 + 1e-12
-
-    reports = [
-        optimal_parameters(EntangledInput.from_alpha_sq(a), REF_CH1, REF_CH2)
-        for a in (0.1, 0.3, 0.5, 0.7, 0.9)
-    ]
-    alpha_spread = max(
-        max(abs(rep.lambda2_max - reports[0].lambda2_max) for rep in reports),
-        max(abs(rep.n1_opt - reports[0].n1_opt) for rep in reports),
-        max(abs(rep.n2_opt - reports[0].n2_opt) for rep in reports),
+    detail = _passes(
+        np.random.default_rng(337799),
+        (checks.kraus_completeness, 200),
+        (checks.output_density_validity, 50),
+        (checks.protection_never_hurts, 50),
+        (checks.alpha_weight_independence, 5),
+        (checks.success_peak_location, 99),
     )
-    assert alpha_spread <= 1e-10
-
-    alphas = np.linspace(0.01, 0.99, 99)
-    probs = [
-        optimal_parameters(EntangledInput.from_alpha_sq(float(a)), REF_CH1, REF_CH2).success_prob
-        for a in alphas
-    ]
-    peak = float(alphas[int(np.argmax(probs))])
-    step = float(alphas[1] - alphas[0])
-    assert abs(peak - reports[0].alpha_sq_opt) <= step
-
-    _done(
-        7,
-        f"CPTP defect {cptp:.2e}, min fidelity gain {min_gain:.2e}, "
-        f"max penalty {max_g:.12f}, weight-independence spread {alpha_spread:.2e}, "
-        f"success peak at {peak:.2f}",
-        t0,
-    )
+    _done(7, detail, t0)
 
 
 def test_criterion_8_typo_regressions():
@@ -350,8 +144,8 @@ def test_criterion_8_typo_regressions():
     generic, _ = pipeline_state(BELL, REF_CH1, REF_CH2, m1, m2, n1, n2)
     assert float(np.max(np.abs(good - generic))) <= 1e-12
     broken_op = np.diag([n1 * n2, 0.0, 0.0, 0.0]).astype(complex)
-    broken_raw, broken_trace = conjugate_by(broken_op, coeffs.matrix())
-    broken = broken_raw / broken_trace
+    broken_raw = broken_op @ coeffs.matrix() @ broken_op.conj().T
+    broken = broken_raw / broken_raw.trace().real
     assert float(np.max(np.abs(broken - generic))) > 1e-3
     assert wootters_concurrence(broken) < 1e-10
     assert wootters_concurrence(good) > 0.5

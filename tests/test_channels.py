@@ -10,7 +10,7 @@ from decoshield.channels import (
     check_trace_preserving,
     gad_channel,
 )
-from decoshield.linalg import tensor, validate_density
+from decoshield.linalg import validate_density
 
 RNG = np.random.default_rng(77103)
 
@@ -123,7 +123,7 @@ def test_apply_on_qubit_matches_kron_lift():
         got = apply_on_qubit(ch, rho, qubit)
         want = np.zeros_like(rho)
         for op in ch.operators:
-            lifted = tensor(op, np.eye(2)) if qubit == 0 else tensor(np.eye(2), op)
+            lifted = np.kron(op, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), op)
             want += lifted @ rho @ lifted.conj().T
         assert np.max(np.abs(got - want)) < 1e-14
 
@@ -132,9 +132,9 @@ def test_apply_on_qubit_leaves_other_factor_alone():
     params = GadParams(0.8, 0.6)
     other = random_density(RNG)
     target = random_density(RNG)
-    joint = tensor(target, other)
+    joint = np.kron(target, other)
     out = apply_on_qubit(gad_channel(params), joint, 0)
-    want = tensor(apply_channel(gad_channel(params), target), other)
+    want = np.kron(apply_channel(gad_channel(params), target), other)
     assert np.max(np.abs(out - want)) < 1e-14
     with pytest.raises(ValueError, match="qubit"):
         apply_on_qubit(gad_channel(params), joint, 2)

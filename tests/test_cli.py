@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from decoshield.channels import GadParams
+from decoshield.checks import CHECKS
 from decoshield.cli import entry
 from decoshield.entangle import (
     EntangledInput,
@@ -246,16 +247,12 @@ def test_entangle_reports_dead_sweep_points(capsys):
     assert "--sweep-m: at m=0" in capsys.readouterr().err
 
 
-def test_malformed_range_exits_with_usage():
-    with pytest.raises(SystemExit) as exc:
-        entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--m-range", "0.1-1-5"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--m-range", "1:0:5"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--m-range", "0.1:1:0"])
-    assert exc.value.code == 2
+def test_malformed_range_exits_with_usage(capsys):
+    for bad in ("0.1-1-5", "1:0:5", "0.1:1:0", "nan:1:2", "1:inf:2"):
+        with pytest.raises(SystemExit) as exc:
+            entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--m-range", bad])
+        assert exc.value.code == 2
+        assert "--m-range" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_with_usage():
@@ -266,7 +263,8 @@ def test_unknown_subcommand_exits_with_usage():
 
 def test_verify_command_passes(capsys):
     assert entry(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "[FAIL]" not in out
-    assert out.count("[ok]") >= 10
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all checks passed"
+    assert [line.split(":", 1)[0] for line in lines[:-1]] == [
+        f"[ok] {name}" for name, _, _ in CHECKS
+    ]

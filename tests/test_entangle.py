@@ -98,15 +98,9 @@ def test_component_split_consistency():
         lo, hi = component_coefficients(ch1, ch2)
         mm = (m1 * m2) ** 2
         wa, wb = abs(inp.alpha) ** 2, abs(inp.beta) ** 2
-        for unit0, unit1, x0, x1, total in (
-            (lo[0], hi[0], coeffs.a0, coeffs.a1, coeffs.a),
-            (lo[1], hi[1], coeffs.b0, coeffs.b1, coeffs.b),
-            (lo[2], hi[2], coeffs.c0, coeffs.c1, coeffs.c),
-            (lo[3], hi[3], coeffs.d0, coeffs.d1, coeffs.d),
-        ):
-            assert abs(x0 - unit0 * wa) < 1e-14
-            assert abs(x1 - unit1 * wb) < 1e-14
-            assert abs(total - (x0 + x1 * mm)) < 1e-13
+        totals = (coeffs.a, coeffs.b, coeffs.c, coeffs.d)
+        for unit0, unit1, total in zip(lo, hi, totals):
+            assert abs(total - (unit0 * wa + unit1 * wb * mm)) < 1e-13
 
 
 def test_only_strength_product_matters_for_state():
@@ -219,7 +213,7 @@ def test_optimal_reversal_is_stationary():
 
 
 def test_optimal_reversal_degenerate_coefficients():
-    flat = XStateCoefficients(0.0, 0.2, 0.2, 0.6, 0.1, 0, 0, 0, 0.2, 0, 0.2, 0, 0.6)
+    flat = XStateCoefficients(0.0, 0.2, 0.2, 0.6, 0.1)
     with pytest.raises(ValueError, match="degenerate"):
         optimal_reversal(flat)
 
@@ -270,11 +264,10 @@ def test_amgm_equality_only_at_optimal_strength():
         inp = random_input()
         ch1, ch2 = random_channel(), random_channel()
         rep = optimal_parameters(inp, ch1, ch2)
-        co = measured_coefficients(inp, ch1, ch2, rep.m_opt, 1.0)
-        for x0, x1, y0, y1 in (
-            (co.b0, co.b1, co.c0, co.c1),
-            (co.a0, co.a1, co.d0, co.d1),
-        ):
+        lo, hi = component_coefficients(ch1, ch2)
+        wa, wb = abs(inp.alpha) ** 2, abs(inp.beta) ** 2
+        for x, y in ((1, 2), (0, 3)):
+            x0, x1, y0, y1 = lo[x] * wa, hi[x] * wb, lo[y] * wa, hi[y] * wb
             bound = math.sqrt(x0 * y1) + math.sqrt(x1 * y0)
 
             def chain(m):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from decoshield.channels import GadParams
-from decoshield.linalg import equatorial_state, fidelity, validate_density
+from decoshield.linalg import equatorial_state, fidelity, ket_density, validate_density
 from decoshield.qubit import (
-    SIX_STATES,
     apply_protection,
     average_fidelity_six,
     baseline_fidelity,
@@ -18,6 +17,8 @@ from decoshield.qubit import (
 )
 
 RNG = np.random.default_rng(41177)
+
+POLES = (ket_density(np.array([1.0, 0.0])), ket_density(np.array([0.0, 1.0])))
 
 # optimum for p = 0.8, r = 0.3, cross-checked against the grid + simplex
 # oracle in the verify suite
@@ -148,7 +149,7 @@ def test_pole_fidelities_match_pipeline():
         params = random_params()
         m, n = RNG.uniform(0.05, 2.0, size=2)
         rep = average_fidelity_six(params, float(m), float(n))
-        for target, expect in ((SIX_STATES[0], rep.f0), (SIX_STATES[1], rep.f1)):
+        for target, expect in ((POLES[0], rep.f0), (POLES[1], rep.f1)):
             out, _ = apply_protection(params, float(m), float(n), target)
             assert abs(fidelity(target, out) - expect) < 1e-12
         assert abs(rep.favg - (rep.f0 + rep.f1 + 4 * rep.fe) / 6.0) < 1e-15
@@ -176,6 +177,6 @@ def test_average_optimum():
 
 
 def test_six_states_are_valid():
-    assert len(SIX_STATES) == 6
-    for state in SIX_STATES:
+    equator = [equatorial_state(k * 0.5 * math.pi) for k in range(4)]
+    for state in (*POLES, *equator):
         validate_density(state)

@@ -18,7 +18,7 @@ def test_pre_measurement_diagonal_layout():
     wm2 = WeakMeasurement.pre(0.3, 0.7)
     # left strength belongs to the left tensor factor
     assert np.allclose(wm2.operator(), np.diag([1.0, 0.7, 0.3, 0.21]))
-    assert wm.qubit_count == 1 and wm2.qubit_count == 2
+    assert len(wm.strengths) == 2 and len(wm2.strengths) == 4
 
 
 def test_reversal_diagonal_layout():

@@ -8,13 +8,13 @@ Exit codes: 0 success, 1 verification failure, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ._elementwise import check_strength
 from .channels import GadParams
 from .checks import CHECKS, VERIFY_SEED
 from .entangle import (
@@ -29,7 +29,6 @@ from .qubit import (
     average_fidelity_six,
     baseline_fidelity,
     bb84_error_rate,
-    optimal_average,
     optimal_strengths,
     protect_equatorial,
 )
@@ -38,6 +37,8 @@ from .weakmeas import PostSelectionError
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+# rows rendered per write: bounds the text held in memory at once
+CSV_CHUNK_ROWS = 4096
 
 
 class CliError(Exception):
@@ -61,8 +62,11 @@ def _range_type(text: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _config_tokens(path: str) -> list[str]:
+def _config_tokens(path: str) -> tuple[list[str], dict[str, tuple[str, str]]]:
+    """Flag tokens from a key=value file, and for each flag the FILE:LINE
+    and key it came from."""
     tokens: list[str] = []
+    origins: dict[str, tuple[str, str]] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -73,13 +77,16 @@ def _config_tokens(path: str) -> list[str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
                 raise CliError(f"{path}:{lineno}: empty key or value")
-            tokens.extend(["--" + key.replace("_", "-"), value])
-    return tokens
+            flag = "--" + key.replace("_", "-")
+            tokens.extend([flag, value])
+            origins.setdefault(flag, (f"{path}:{lineno}", key))
+    return tokens, origins
 
 
-def _inject_config(argv: list[str]) -> list[str]:
+def _inject_config(argv: list[str]) -> tuple[list[str], dict[str, tuple[str, str]]]:
     """Expand --config FILE into flag tokens placed right after the
-    subcommand, so explicitly passed flags (parsed later) win."""
+    subcommand, so explicitly passed flags (parsed later) win. Also returns
+    where each config flag came from."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -87,8 +94,9 @@ def _inject_config(argv: list[str]) -> list[str]:
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
     if path is None or not argv:
-        return argv
-    return [argv[0], *_config_tokens(path), *argv[1:]]
+        return argv, {}
+    tokens, origins = _config_tokens(path)
+    return [argv[0], *tokens, *argv[1:]], origins
 
 
 def _gad(p: float, r: float, label: str) -> GadParams:
@@ -98,20 +106,17 @@ def _gad(p: float, r: float, label: str) -> GadParams:
         raise CliError(f"{label}: {exc}") from None
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-size float columns as CSV rows, in C order, each value at
+    12 significant digits, rendering CSV_CHUNK_ROWS rows at a time."""
+    table = np.column_stack([np.ravel(col) for col in columns])
+    row = ",".join(["%.12g"] * len(header)) + "\n"
 
-
-def _write_csv(
-    path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
-) -> None:
     def dump(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[start:start + CSV_CHUNK_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
     if path == "-":
         dump(sys.stdout)
@@ -126,47 +131,59 @@ def _strength_axis(args: argparse.Namespace, flag: str) -> np.ndarray:
         if args.grid < 2:
             raise CliError(f"--grid: need at least 2 points, got {args.grid}")
         axis = np.linspace(1.0 / args.grid, 1.0, args.grid)
-    if float(axis[0]) <= 0.0:
-        raise CliError(f"{flag}: strengths must be positive")
+    try:
+        check_strength("strengths", axis)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
     return axis
+
+
+def _strength_grid(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) sweep grid: m outer, n inner in C order."""
+    ms = _strength_axis(args, "--m-range")
+    ns = _strength_axis(args, "--n-range")
+    return np.meshgrid(ms, ns, indexing="ij")
 
 
 def _cmd_qubit_fidelity(args: argparse.Namespace) -> int:
     params = _gad(args.p, args.r, "--p/--r")
-    ms = _strength_axis(args, "--m-range")
-    ns = _strength_axis(args, "--n-range")
-    rows = []
-    for m in ms:
-        for n in ns:
-            res = protect_equatorial(params, float(m), float(n))
-            rows.append((float(m), float(n), res.fidelity, res.success_prob))
-    _write_csv(args.out, ("m", "n", "fidelity", "success_prob"), rows)
+    m, n = _strength_grid(args)
+    res = protect_equatorial(params, m, n)
+    _write_csv(
+        args.out, ("m", "n", "fidelity", "success_prob"),
+        (m, n, res.fidelity, res.success_prob),
+    )
     return EXIT_OK
 
 
 def _cmd_qubit_average(args: argparse.Namespace) -> int:
     params = _gad(args.p, args.r, "--p/--r")
-    ms = _strength_axis(args, "--m-range")
-    ns = _strength_axis(args, "--n-range")
-    rows = []
-    for m in ms:
-        for n in ns:
-            rep = average_fidelity_six(params, float(m), float(n))
-            rows.append((float(m), float(n), rep.f0, rep.f1, rep.fe, rep.favg))
-    _write_csv(args.out, ("m", "n", "f0", "f1", "fe", "favg"), rows)
+    m, n = _strength_grid(args)
+    rep = average_fidelity_six(params, m, n)
+    _write_csv(
+        args.out, ("m", "n", "f0", "f1", "fe", "favg"),
+        (m, n, rep.f0, rep.f1, rep.fe, rep.favg),
+    )
     return EXIT_OK
 
 
 def _cmd_qkd_error(args: argparse.Namespace) -> int:
     params = _gad(args.p, args.r, "--p/--r")
-    ms = _strength_axis(args, "--m-range")
-    ns = _strength_axis(args, "--n-range")
-    rows = []
-    for m in ms:
-        for n in ns:
-            rows.append((float(m), float(n), bb84_error_rate(params, float(m), float(n))))
-    _write_csv(args.out, ("m", "n", "error_rate"), rows)
+    m, n = _strength_grid(args)
+    points = zip(m.ravel().tolist(), n.ravel().tolist())
+    error = [bb84_error_rate(params, mi, ni) for mi, ni in points]
+    _write_csv(args.out, ("m", "n", "error_rate"), (m, n, np.array(error)))
     return EXIT_OK
+
+
+def _entangle_chain(inp: EntangledInput, ch1: GadParams, ch2: GadParams, m):
+    """n1, n2, lambda2 and success probability at pre-measurement strength(s)
+    m, with the reversal re-optimized at each m; scalar or array."""
+    coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
+    n1, n2 = optimal_reversal(coeffs)
+    lam2 = concurrence_lambda2(coeffs, n1, n2)
+    _, success = protected_state(inp, ch1, ch2, m, 1.0, n1, n2)
+    return n1, n2, lam2, success
 
 
 def _cmd_entangle(args: argparse.Namespace) -> int:
@@ -175,19 +192,22 @@ def _cmd_entangle(args: argparse.Namespace) -> int:
     if not 0.0 <= args.alpha_sq <= 1.0:
         raise CliError(f"--alpha-sq: must lie in [0, 1], got {args.alpha_sq}")
     inp = EntangledInput.from_alpha_sq(args.alpha_sq)
-    rows = []
-    for m in args.sweep_m:
-        m = float(m)
-        try:
-            coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
-            n1, n2 = optimal_reversal(coeffs)
-            lam2 = concurrence_lambda2(coeffs, n1, n2)
-            _, success = protected_state(inp, ch1, ch2, m, 1.0, n1, n2)
-        except (ValueError, PostSelectionError) as exc:
-            raise CliError(f"--sweep-m: at m={m:g}: {exc}") from None
-        rows.append((m, n1, n2, lam2, max(0.0, lam2), success))
+    ms = args.sweep_m
+    try:
+        n1, n2, lam2, success = _entangle_chain(inp, ch1, ch2, ms)
+    except (ValueError, PostSelectionError) as exc:
+        # the array call fails when any point does; the first failing point,
+        # run alone, names its m and gives that point's own message
+        for m in ms.tolist():
+            try:
+                _entangle_chain(inp, ch1, ch2, m)
+            except (ValueError, PostSelectionError) as point_exc:
+                raise CliError(f"--sweep-m: at m={m:g}: {point_exc}") from None
+        raise CliError(f"--sweep-m: {exc}") from None
+    concurrence = np.where(lam2 > 0.0, lam2, 0.0)  # max(0.0, lambda2) at each point
     _write_csv(
-        args.out, ("m", "n1", "n2", "lambda2", "concurrence", "success_prob"), rows
+        args.out, ("m", "n1", "n2", "lambda2", "concurrence", "success_prob"),
+        (ms, n1, n2, lam2, concurrence, success),
     )
     return EXIT_OK
 
@@ -204,19 +224,20 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         params = _gad(args.p, args.r, "--p/--r")
         try:
             best = optimal_strengths(params)
-            avg = optimal_average(params)
         except ValueError as exc:
             raise CliError(f"--p/--r: {exc}") from None
         if best.projective:
-            success = 0.0
+            # m, n -> 0 pushes every one of the six fidelities to 1
+            favg, success = 1.0, 0.0
         else:
+            favg = average_fidelity_six(params, best.m, best.n).favg
             success = protect_equatorial(params, best.m, best.n).success_prob
         lines = [
             ("m_opt", best.m),
             ("n_opt", best.n),
             ("fidelity_max", best.f_max),
             ("fidelity_baseline", baseline_fidelity(params)),
-            ("favg_max", avg.f_max),
+            ("favg_max", favg),
             ("qkd_error_min", 1.0 - best.f_max),
             ("success_prob", success),
             ("projective", best.projective),
@@ -374,8 +395,14 @@ def entry(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _inject_config(argv)
-        args = parser.parse_args(argv)
+        argv, origins = _inject_config(argv)
+        args, extras = parser.parse_known_args(argv)
+        for token in extras:
+            if token in origins:
+                where, key = origins[token]
+                raise CliError(f"{where}: unknown key {key!r}")
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

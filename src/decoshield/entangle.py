@@ -11,11 +11,13 @@ for cross-checking.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import ARRAY, SCALAR, check_strength, first_failure
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
 from .weakmeas import (
@@ -40,7 +42,10 @@ class EntangledInput:
 
     def __post_init__(self) -> None:
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
+            for name, amp in (("alpha", self.alpha), ("beta", self.beta)):
+                if not cmath.isfinite(amp):
+                    raise ValueError(f"{name} must be finite, got {amp!r}")
             raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1")
 
     @classmethod
@@ -126,21 +131,9 @@ def component_coefficients(
 
     First tuple: image of |00><00|. Second: image of |11><11|.
     """
-    t1 = population_transfer(ch1)
-    t2 = population_transfer(ch2)
-    lo = (
-        float(t1[0, 0] * t2[0, 0]),
-        float(t1[0, 0] * t2[0, 1]),
-        float(t1[0, 1] * t2[0, 0]),
-        float(t1[0, 1] * t2[0, 1]),
-    )
-    hi = (
-        float(t1[1, 0] * t2[1, 0]),
-        float(t1[1, 0] * t2[1, 1]),
-        float(t1[1, 1] * t2[1, 0]),
-        float(t1[1, 1] * t2[1, 1]),
-    )
-    return lo, hi
+    (s1, u1), (v1, w1) = population_transfer(ch1).tolist()
+    (s2, u2), (v2, w2) = population_transfer(ch2).tolist()
+    return (s1 * s2, s1 * u2, u1 * s2, u1 * u2), (v1 * v2, v1 * w2, w1 * v2, w1 * w2)
 
 
 def measured_coefficients(
@@ -151,17 +144,19 @@ def measured_coefficients(
     The pre-measurement scales the |11> component by m1 m2 before the
     channels act; the reversal is not applied here.
     """
-    if m1 < 0.0 or m2 < 0.0:
-        raise ValueError(f"strengths must be non-negative, got m1={m1}, m2={m2}")
+    check_strength("m1", m1, zero_ok=True)
+    check_strength("m2", m2, zero_ok=True)
+    xp = ARRAY if isinstance(m1, np.ndarray) or isinstance(m2, np.ndarray) else SCALAR
     lo, hi = component_coefficients(ch1, ch2)
     wa = abs(inp.alpha) ** 2
     wb = abs(inp.beta) ** 2
-    mm = (m1 * m2) ** 2
+    mm = xp.pow(m1 * m2, 2)
     # each diagonal entry is x0 + x1 m^2: x0 from the |00> piece, x1 from |11>
     a, b, c, d = (x0 * wa + x1 * wb * mm for x0, x1 in zip(lo, hi))
     keep = math.sqrt((1.0 - ch1.r) * (1.0 - ch2.r))
-    e = inp.alpha * np.conj(inp.beta) * m1 * m2 * keep
-    return XStateCoefficients(a=a, b=b, c=c, d=d, e=complex(e))
+    w = complex(inp.alpha * np.conj(inp.beta))
+    e = xp.complex(w.real * m1 * m2 * keep, w.imag * m1 * m2 * keep)
+    return XStateCoefficients(a=a, b=b, c=c, d=d, e=e)
 
 
 def channel_degraded_state(
@@ -192,17 +187,18 @@ def protected_state(
     Zero strengths are allowed (projective limits); negatives are not.
     """
     for name, val in (("m1", m1), ("m2", m2), ("n1", n1), ("n2", n2)):
-        if val < 0.0:
-            raise ValueError(f"{name} must be non-negative, got {val}")
+        check_strength(name, val, zero_ok=True)
     coeffs = measured_coefficients(inp, ch1, ch2, m1, m2)
     prob = _reversed_trace(coeffs, n1, n2)
+    xp = ARRAY if isinstance(prob, np.ndarray) else SCALAR
+    # strengths above one get rescaled into physical operators, which costs
+    # probability quadratically; smaller ones cost nothing extra
     for strength in (m1, m2, n1, n2):
-        # strengths above one get rescaled into physical operators, which
-        # costs probability quadratically; smaller ones cost nothing extra
-        if strength > 1.0:
-            prob /= strength * strength
-    if prob < MIN_POSTSELECT_PROB:
-        raise PostSelectionError(f"success probability {prob} below cutoff")
+        prob = prob / xp.maximum(1.0, strength * strength)
+    ok = prob >= MIN_POSTSELECT_PROB
+    if not xp.all(ok):
+        failed = first_failure(prob, ok)
+        raise PostSelectionError(f"success probability {failed} below cutoff")
     return coeffs, prob
 
 
@@ -247,20 +243,22 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     reduces to the unprotected value at unit strengths.
     """
     raw = _reversed_trace(coeffs, n1, n2)
-    if raw < MIN_POSTSELECT_PROB:
-        raise PostSelectionError(f"reversal retains trace {raw}, below cutoff")
-    return 2.0 * n1 * n2 * (abs(coeffs.e) - math.sqrt(coeffs.b * coeffs.c)) / raw
+    xp = ARRAY if isinstance(raw, np.ndarray) else SCALAR
+    ok = raw >= MIN_POSTSELECT_PROB
+    if not xp.all(ok):
+        failed = first_failure(raw, ok)
+        raise PostSelectionError(f"reversal retains trace {failed}, below cutoff")
+    return 2.0 * n1 * n2 * (xp.modulus(coeffs.e) - xp.sqrt(coeffs.b * coeffs.c)) / raw
 
 
 def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     """Reversal strengths (CD/AB)^(1/4), (BD/AC)^(1/4) maximizing the
     concurrence of the reversed state at fixed pre-measurement."""
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    if a * b <= 0.0 or a * c <= 0.0:
+    xp = ARRAY if isinstance(a, np.ndarray) else SCALAR
+    if not xp.all((a * b > 0.0) & (a * c > 0.0)):
         raise ValueError("degenerate coefficients, reversal optimum undefined")
-    n1 = (c * d / (a * b)) ** 0.25
-    n2 = (b * d / (a * c)) ** 0.25
-    return n1, n2
+    return xp.pow(c * d / (a * b), 0.25), xp.pow(b * d / (a * c), 0.25)
 
 
 def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:

@@ -8,11 +8,13 @@ the generic channel/measurement pipeline for cross-checking.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import ARRAY, SCALAR, check_strength
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
 from .weakmeas import WeakMeasurement, apply_postselected
@@ -75,22 +77,37 @@ def protect_equatorial(
     The output density matrix, its fidelity against the input and the
     success probability (T/2 suppressed by 1/c^2 for every strength c > 1)
     are all evaluated from the analytic expressions.
+
+    Scalar in, float out; array in, array out: m and n may be numpy arrays
+    that broadcast together (phi stays a scalar), and then every field is
+    an array of their shape, with output_state of shape (..., 2, 2). Each
+    entry equals the scalar call at that point bit for bit.
     """
-    if m <= 0 or n <= 0:
-        raise ValueError(f"strengths must be positive, got m={m}, n={n}")
+    array = isinstance(m, np.ndarray) or isinstance(n, np.ndarray)
+    # scalar fast path of the checks that check_strength spells out
+    if array or not (0.0 < m < math.inf and 0.0 < n < math.inf and m * m > 0.0 < n * n):
+        check_strength("m", m)
+        check_strength("n", n)
     p, r = params.p, params.r
     kd = math.sqrt(1.0 - r)
+    xp = ARRAY if array else SCALAR
     t = _normalization(p, r, m, n)
-    off = m * n * kd * np.exp(-1j * phi)
-    state = np.array(
-        [
-            [n * n * (p * r * m * m + p * r - r + 1.0), off],
-            [np.conj(off), m * m * (1.0 - p * r) + (1.0 - p) * r],
-        ],
-        dtype=complex,
-    ) / t
-    fid = 0.5 + m * n * kd / t
-    success = 0.5 * t * min(1.0, 1.0 / (m * m)) * min(1.0, 1.0 / (n * n))
+    coherence = m * n * kd
+    rot = cmath.exp(-1j * phi)
+    off = xp.complex(coherence * rot.real, coherence * rot.imag)
+    diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
+    diag1 = m * m * (1.0 - p * r) + (1.0 - p) * r
+    if array:
+        state = np.empty(np.shape(off) + (2, 2), dtype=complex)
+        state[..., 0, 0] = diag0
+        state[..., 0, 1] = off
+        state[..., 1, 0] = off.conjugate()
+        state[..., 1, 1] = diag1
+        state /= t[..., None, None]
+    else:
+        state = np.array([[diag0, off], [off.conjugate(), diag1]], dtype=complex) / t
+    fid = 0.5 + coherence / t
+    success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
     return ProtectionResult(fid, success, state)
 
 
@@ -134,8 +151,8 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     pipeline; the error term of a state is the overlap leaking into its
     conjugate partner (azimuth shifted by pi), normalized per pair.
     """
-    if m <= 0 or n <= 0:
-        raise ValueError(f"strengths must be positive, got m={m}, n={n}")
+    check_strength("m", m)
+    check_strength("n", n)
     phis = (0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi)
     outputs = {
         phi: apply_protection(params, m, n, equatorial_state(phi))[0] for phi in phis
@@ -154,28 +171,14 @@ def average_fidelity_six(params: GadParams, m: float, n: float) -> AverageFideli
     """Fidelities of the six symmetric states |0>, |1> and the four equatorials.
 
     f0 and f1 are the pole-state fidelities after protection, fe the common
-    equatorial one; favg weights the equator four-fold.
+    equatorial one; favg weights the equator four-fold. Takes scalars or
+    broadcasting arrays like protect_equatorial, which validates m and n.
     """
-    if m <= 0 or n <= 0:
-        raise ValueError(f"strengths must be positive, got m={m}, n={n}")
+    fe = protect_equatorial(params, m, n).fidelity
+    if isinstance(fe, np.ndarray):
+        m, n = np.broadcast_arrays(m, n)  # f0 and f1 depend on n alone
     p, r = params.p, params.r
     stay0 = 1.0 - r + r * p
     f0 = n * n * stay0 / (r - r * p + n * n * stay0)
     f1 = (1.0 - r * p) / (1.0 - r * p + n * n * r * p)
-    fe = protect_equatorial(params, m, n).fidelity
     return AverageFidelityReport(f0, f1, fe, (f0 + f1 + 4.0 * fe) / 6.0)
-
-
-def optimal_average(params: GadParams) -> OptimalStrengths:
-    """Strengths maximizing the six-state average fidelity.
-
-    The equatorial optimum maximizes the average as well; the attained
-    value is evaluated directly from the average-fidelity expression
-    rather than from any separate bound.
-    """
-    best = optimal_strengths(params)
-    if best.projective:
-        # m, n -> 0 pushes every one of the six fidelities to 1
-        return OptimalStrengths(0.0, 0.0, 1.0, projective=True)
-    favg = average_fidelity_six(params, best.m, best.n).favg
-    return OptimalStrengths(best.m, best.n, favg)

@@ -7,6 +7,7 @@ Two-qubit variants are tensor products of the single-qubit forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class WeakMeasurement:
     def __post_init__(self) -> None:
         if len(self.strengths) not in (2, 4):
             raise ValueError("expected 2 or 4 diagonal entries")
-        if any(s < 0 for s in self.strengths):
-            raise ValueError(f"strengths must be non-negative, got {self.strengths}")
+        if not all(0.0 <= s < math.inf for s in self.strengths):
+            raise ValueError(
+                f"strengths must be finite and non-negative, got {self.strengths}"
+            )
 
     @classmethod
     def pre(cls, *m: float) -> "WeakMeasurement":

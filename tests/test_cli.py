@@ -69,13 +69,69 @@ def test_default_axis_spans_grid(tmp_path):
     assert np.allclose(ms, [0.25, 0.5, 0.75, 1.0])
 
 
+def scalar_csv(header, rows):
+    """CSV bytes built point by point, without the CLI's writer."""
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def entangle_rows(inp, ch1, ch2, ms):
+    rows = []
+    for m in ms.tolist():
+        coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
+        n1, n2 = optimal_reversal(coeffs)
+        lam2 = concurrence_lambda2(coeffs, n1, n2)
+        _, success = protected_state(inp, ch1, ch2, m, 1.0, n1, n2)
+        rows.append((m, n1, n2, lam2, max(0.0, lam2), success))
+    return rows
+
+
 def test_output_is_byte_stable(tmp_path):
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in paths:
-        entry(
-            ["qubit-average", "--p", "0.7", "--r", "0.4", "--grid", "5", "--out", str(path)]
-        )
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # every sweep's bytes equal rows built from scalar library calls
+    params = GadParams(0.7, 0.4)
+    grid = [(m, n) for m in np.linspace(0.05, 3.5, 23).tolist()
+            for n in np.linspace(0.1, 2.7, 19).tolist()]
+    small = [(m, n) for m in np.linspace(0.25, 1.0, 4).tolist()
+             for n in np.linspace(0.25, 1.0, 4).tolist()]
+    qubit = ["--p", "0.7", "--r", "0.4"]
+    ranges = ["--m-range", "0.05:3.5:23", "--n-range", "0.1:2.7:19"]
+    pair = ["--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"]
+    ch1, ch2 = GadParams(0.9, 0.5), GadParams(0.95, 0.3)
+    cases = [
+        (
+            ["qubit-fidelity", *qubit, *ranges],
+            ("m", "n", "fidelity", "success_prob"),
+            [(m, n, res.fidelity, res.success_prob)
+             for m, n in grid for res in [protect_equatorial(params, m, n)]],
+        ),
+        (
+            ["qubit-average", *qubit, *ranges],
+            ("m", "n", "f0", "f1", "fe", "favg"),
+            [(m, n, rep.f0, rep.f1, rep.fe, rep.favg)
+             for m, n in grid for rep in [average_fidelity_six(params, m, n)]],
+        ),
+        (
+            ["qkd-error", *qubit, "--grid", "4"],
+            ("m", "n", "error_rate"),
+            [(m, n, bb84_error_rate(params, m, n)) for m, n in small],
+        ),
+        (
+            ["entangle", *pair],
+            ("m", "n1", "n2", "lambda2", "concurrence", "success_prob"),
+            entangle_rows(EntangledInput.from_alpha_sq(0.5), ch1, ch2,
+                          np.linspace(0.0, 1.0, 200)),
+        ),
+        (
+            ["entangle", *pair, "--sweep-m", "0:5:3001", "--alpha-sq", "0.8"],
+            ("m", "n1", "n2", "lambda2", "concurrence", "success_prob"),
+            entangle_rows(EntangledInput.from_alpha_sq(0.8), ch1, ch2,
+                          np.linspace(0.0, 5.0, 3001)),
+        ),
+    ]
+    for argv, header, rows in cases:
+        out = tmp_path / "out.csv"
+        assert entry([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == scalar_csv(header, rows), argv
 
 
 def test_qubit_average_csv(tmp_path):
@@ -166,6 +222,11 @@ def test_optimal_single_qubit(capsys):
     )
     assert float(report["success_prob"]) == pytest.approx(0.48261093218230866, abs=1e-15)
     assert report["projective"] == "False"
+    # p = 1: the projective limit, where every six-state fidelity reaches 1
+    assert entry(["optimal", "--p", "1", "--r", "0.6"]) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert report["favg_max"] == "1.0" and report["success_prob"] == "0.0"
+    assert report["projective"] == "True"
 
 
 def test_optimal_two_qubit(capsys):
@@ -221,6 +282,9 @@ def test_config_errors(tmp_path, capsys):
     assert entry(["optimal", "--config", str(bad)]) == 2
     assert "bad.cfg:2" in capsys.readouterr().err
     assert entry(["optimal", "--config", str(tmp_path / "missing.cfg")]) == 2
+    bad.write_text("p = 0.8\nr = 0.3\nbogus = 1\n")
+    assert entry(["optimal", "--config", str(bad)]) == 2
+    assert f"{bad}:3: unknown key 'bogus'" in capsys.readouterr().err
 
 
 def test_out_of_range_parameters(capsys):
@@ -245,6 +309,16 @@ def test_entangle_reports_dead_sweep_points(capsys):
          "--alpha-sq", "0", "--sweep-m", "0:1:3"]
     ) == 2
     assert "--sweep-m: at m=0" in capsys.readouterr().err
+    # a failure past the first point names that point: here 1/m^2 pushes
+    # the success probability below the cutoff from the second m on
+    assert entry(
+        ["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3",
+         "--alpha-sq", "1", "--sweep-m", "0:1e8:5"]
+    ) == 2
+    assert capsys.readouterr().err == (
+        "error: --sweep-m: at m=2.5e+07: success probability "
+        "4.800000000000003e-18 below cutoff\n"
+    )
 
 
 def test_malformed_range_exits_with_usage(capsys):

@@ -1,0 +1,110 @@
+"""Array calls of the closed forms equal scalar calls bit for bit.
+
+Each property evaluates a closed form once on numpy arrays and once per
+point on Python floats. Where every point succeeds, each array entry must
+have the bits of the scalar result at that point, and every scalar result
+must be a plain Python float or complex; where some point raises, the
+array call must raise one of the same error types.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decoshield.channels import GadParams
+from decoshield.entangle import (
+    EntangledInput,
+    concurrence_lambda2,
+    measured_coefficients,
+    optimal_reversal,
+    protected_state,
+)
+from decoshield.qubit import average_fidelity_six, protect_equatorial
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+unit = st.floats(0.0, 1.0)
+channels = st.builds(GadParams, unit, unit)
+strength = st.floats(0.0, 50.0, exclude_min=True)
+strengths = st.lists(strength, min_size=1, max_size=6)
+phases = st.floats(0.0, 2.0 * math.pi)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # PostSelectionError included
+        return exc
+
+
+def agree(array_result, point_results, *fields):
+    """Check one call; True when every point succeeded."""
+    errors = {type(r) for r in point_results if isinstance(r, Exception)}
+    if errors:
+        assert type(array_result) in errors
+        return False
+    assert not isinstance(array_result, Exception), array_result
+    for field in fields:
+        want = [field(r) for r in point_results]
+        assert all(type(v) in (float, complex) for v in want), want
+        want = np.array(want)
+        got = np.asarray(field(array_result)).ravel().astype(want.dtype)
+        assert got.tobytes() == want.tobytes()
+    return True
+
+
+def fields(*names):
+    return [lambda r, k=k: getattr(r, k) for k in names]
+
+
+@PROPERTY
+@given(channels, strengths, strengths, phases)
+def test_qubit_closed_forms(params, ms, ns, phi):
+    m, n = np.array(ms)[:, None], np.array(ns)[None, :]
+    points = [(mi, ni) for mi in ms for ni in ns]
+
+    each = [outcome(protect_equatorial, params, mi, ni, phi) for mi, ni in points]
+    res = outcome(protect_equatorial, params, m, n, phi)
+    if agree(res, each, *fields("fidelity", "success_prob")):
+        want = np.array([r.output_state for r in each])
+        assert res.output_state.reshape(want.shape).tobytes() == want.tobytes()
+
+    each = [outcome(average_fidelity_six, params, mi, ni) for mi, ni in points]
+    agree(outcome(average_fidelity_six, params, m, n), each,
+          *fields("f0", "f1", "fe", "favg"))
+
+
+@PROPERTY
+@given(channels, channels, unit, phases, strengths, strength)
+def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
+    inp = EntangledInput(
+        math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * cmath.exp(1j * phase)
+    )
+    m1 = np.array(ms)
+    xstate = fields("a", "b", "c", "d", "e")
+
+    coeffs = outcome(measured_coefficients, inp, ch1, ch2, m1, m2)
+    each_coeffs = [outcome(measured_coefficients, inp, ch1, ch2, m, m2) for m in ms]
+    if not agree(coeffs, each_coeffs, *xstate):
+        return
+
+    reversal = outcome(optimal_reversal, coeffs)
+    each_reversal = [outcome(optimal_reversal, c) for c in each_coeffs]
+    if not agree(reversal, each_reversal, lambda nn: nn[0], lambda nn: nn[1]):
+        return
+
+    agree(
+        outcome(concurrence_lambda2, coeffs, *reversal),
+        [outcome(concurrence_lambda2, c, *nn) for c, nn in zip(each_coeffs, each_reversal)],
+        lambda lam2: lam2,
+    )
+    agree(
+        outcome(protected_state, inp, ch1, ch2, m1, m2, *reversal),
+        [outcome(protected_state, inp, ch1, ch2, m, m2, *nn)
+         for m, nn in zip(ms, each_reversal)],
+        lambda res: res[1],
+        *(lambda res, f=f: f(res[0]) for f in xstate),
+    )

@@ -47,6 +47,10 @@ def test_input_validation():
         EntangledInput(0.9, 0.9)
     with pytest.raises(ValueError, match="alpha_sq"):
         EntangledInput.from_alpha_sq(1.2)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        EntangledInput(math.nan, 0.0)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        EntangledInput(1.0, complex(0.0, math.inf))
     vec = BELL.ket()
     assert vec[0] == vec[3] and vec[1] == vec[2] == 0
     rho = BELL.density()
@@ -185,6 +189,15 @@ def test_negative_strengths_rejected():
         measured_coefficients(BELL, REF1, REF2, -0.5, 1.0)
     with pytest.raises(ValueError, match="n2"):
         protected_state(BELL, REF1, REF2, 0.5, 1.0, 0.5, -0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="m1 must be finite"):
+            measured_coefficients(BELL, REF1, REF2, bad, 1.0)
+        with pytest.raises(ValueError, match="m2 must be finite"):
+            measured_coefficients(BELL, REF1, REF2, np.array([0.5, 1.0]), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="n2 must be finite"):
+            protected_state(BELL, REF1, REF2, 0.5, 1.0, 0.5, bad)
+        with pytest.raises(ValueError, match="n1 must be finite"):
+            protected_state(BELL, REF1, REF2, np.array([0.5, 0.7]), 1.0, np.array([bad, 0.5]), 0.5)
 
 
 def test_optimal_reversal_is_stationary():

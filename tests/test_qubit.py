@@ -11,7 +11,6 @@ from decoshield.qubit import (
     baseline_fidelity,
     bb84_error_rate,
     g_value,
-    optimal_average,
     optimal_strengths,
     protect_equatorial,
 )
@@ -70,6 +69,18 @@ def test_strength_validation():
         bb84_error_rate(REF, 0.0, 0.5)
     with pytest.raises(ValueError, match="positive"):
         average_fidelity_six(REF, 0.5, 0.0)
+    # non-finite strengths, and ones whose square underflows to zero, are
+    # rejected by name, for scalars and arrays alike
+    half = GadParams(0.5, 0.5)
+    for bad in (math.nan, math.inf, 1e-200):
+        with pytest.raises(ValueError, match="m must be finite"):
+            protect_equatorial(half, bad, 1.0)
+        with pytest.raises(ValueError, match="m must be finite"):
+            average_fidelity_six(half, bad, 1.0)
+        with pytest.raises(ValueError, match="n must be finite"):
+            protect_equatorial(half, np.array([0.5, 1.0]), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="m must be finite"):
+            average_fidelity_six(half, np.array([[0.5], [bad]]), np.array([1.0, 2.0]))
 
 
 def test_reference_optimum_values():
@@ -116,8 +127,10 @@ def test_projective_limit():
     assert best.projective
     assert best.m == 0.0 and best.n == 0.0
     assert best.f_max == 1.0
-    avg = optimal_average(GadParams(1.0, 0.6))
-    assert avg.projective and avg.f_max == 1.0
+    # approaching p = 1 along the optimum, all six fidelities tend to 1
+    near = GadParams(1.0 - 1e-12, 0.6)
+    best = optimal_strengths(near)
+    assert average_fidelity_six(near, best.m, best.n).favg > 1.0 - 1e-5
 
 
 def test_protection_never_hurts():
@@ -165,15 +178,15 @@ def test_pole_fidelities_balance_at_optimal_reversal():
 
 
 def test_average_optimum():
-    avg = optimal_average(REF)
-    assert abs(avg.m - REF_M) < 1e-12
-    assert abs(avg.n - REF_N) < 1e-12
-    assert abs(avg.f_max - REF_FAVG) < 1e-12
+    # the equatorial optimum maximizes the six-state average as well
+    best = optimal_strengths(REF)
+    favg = average_fidelity_six(REF, best.m, best.n).favg
+    assert abs(favg - REF_FAVG) < 1e-12
     # small perturbations around the optimum never push the average higher
     for _ in range(50):
         dm, dn = RNG.uniform(-0.03, 0.03, size=2)
-        trial = average_fidelity_six(REF, avg.m + dm, avg.n + dn).favg
-        assert trial <= avg.f_max + 1e-9
+        trial = average_fidelity_six(REF, best.m + dm, best.n + dn).favg
+        assert trial <= favg + 1e-9
 
 
 def test_six_states_are_valid():

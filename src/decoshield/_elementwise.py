@@ -18,6 +18,7 @@ product can differ from Python's in the sign of a zero part.
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,18 +67,20 @@ def first_failure(values, ok):
     return None if ok else values
 
 
+# the closed forms square every strength: a strength in [SQUARE_MIN,
+# SQUARE_MAX] has a square that is finite and nonzero, and no wider range does
+SQUARE_MIN = 1.5717277847026288e-162
+SQUARE_MAX = math.sqrt(sys.float_info.max)
+
+
 def check_strength(name: str, value, zero_ok: bool = False) -> None:
-    """Raise ValueError naming the strength unless every entry is finite and
-    positive, or non-negative when zero_ok. A positive strength must also
-    have a nonzero square: the closed forms divide by quantities that
-    vanish with it."""
-    if zero_ok:
-        ok = (0.0 <= value) & (value < math.inf)
-    else:
-        ok = (0.0 < value) & (value < math.inf) & (0.0 < value * value)
+    """Raise ValueError naming the strength unless every entry is positive,
+    or non-negative when zero_ok, with a finite square that is nonzero for
+    a positive entry. Compares only, so no entry can raise a numpy warning."""
+    ok = ((0.0 <= value) if zero_ok else (SQUARE_MIN <= value)) & (value <= SQUARE_MAX)
     if ok is True:  # a valid Python float, without the call below
         return
     failed = first_failure(value, ok)
     if failed is not None:
-        kind = "non-negative" if zero_ok else "positive with a nonzero square"
-        raise ValueError(f"{name} must be finite and {kind}, got {failed!r}")
+        kind = "non-negative with a finite" if zero_ok else "positive with a finite nonzero"
+        raise ValueError(f"{name} must be finite and {kind} square, got {failed!r}")

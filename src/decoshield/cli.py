@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -17,14 +18,7 @@ import numpy as np
 from ._elementwise import check_strength
 from .channels import GadParams
 from .checks import CHECKS, VERIFY_SEED
-from .entangle import (
-    EntangledInput,
-    concurrence_lambda2,
-    measured_coefficients,
-    optimal_parameters,
-    optimal_reversal,
-    protected_state,
-)
+from .entangle import EntangledInput, optimal_parameters, optimized_protection
 from .qubit import (
     average_fidelity_six,
     baseline_fidelity,
@@ -32,7 +26,6 @@ from .qubit import (
     optimal_strengths,
     protect_equatorial,
 )
-from .weakmeas import PostSelectionError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -99,11 +92,13 @@ def _inject_config(argv: list[str]) -> tuple[list[str], dict[str, tuple[str, str
     return [argv[0], *tokens, *argv[1:]], origins
 
 
-def _gad(p: float, r: float, label: str) -> GadParams:
+def _call(flag: str, fn, *args):
+    """fn(*args), with a library ValueError (PostSelectionError included)
+    reported against flag: exit 2 with `error: <flag>: <message>`."""
     try:
-        return GadParams(p, r)
+        return fn(*args)
     except ValueError as exc:
-        raise CliError(f"{label}: {exc}") from None
+        raise CliError(f"{flag}: {exc}") from None
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -131,78 +126,50 @@ def _strength_axis(args: argparse.Namespace, flag: str) -> np.ndarray:
         if args.grid < 2:
             raise CliError(f"--grid: need at least 2 points, got {args.grid}")
         axis = np.linspace(1.0 / args.grid, 1.0, args.grid)
-    try:
-        check_strength("strengths", axis)
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
+    _call(flag, check_strength, "strengths", axis)
     return axis
 
 
-def _strength_grid(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, n) sweep grid: m outer, n inner in C order."""
-    ms = _strength_axis(args, "--m-range")
-    ns = _strength_axis(args, "--n-range")
-    return np.meshgrid(ms, ns, indexing="ij")
-
-
-def _cmd_qubit_fidelity(args: argparse.Namespace) -> int:
-    params = _gad(args.p, args.r, "--p/--r")
-    m, n = _strength_grid(args)
-    res = protect_equatorial(params, m, n)
-    _write_csv(
-        args.out, ("m", "n", "fidelity", "success_prob"),
-        (m, n, res.fidelity, res.success_prob),
-    )
-    return EXIT_OK
-
-
-def _cmd_qubit_average(args: argparse.Namespace) -> int:
-    params = _gad(args.p, args.r, "--p/--r")
-    m, n = _strength_grid(args)
-    rep = average_fidelity_six(params, m, n)
-    _write_csv(
-        args.out, ("m", "n", "f0", "f1", "fe", "favg"),
-        (m, n, rep.f0, rep.f1, rep.fe, rep.favg),
-    )
-    return EXIT_OK
-
-
-def _cmd_qkd_error(args: argparse.Namespace) -> int:
-    params = _gad(args.p, args.r, "--p/--r")
-    m, n = _strength_grid(args)
+def _qkd_error_rates(params: GadParams, m: np.ndarray, n: np.ndarray) -> dict:
     points = zip(m.ravel().tolist(), n.ravel().tolist())
-    error = [bb84_error_rate(params, mi, ni) for mi, ni in points]
-    _write_csv(args.out, ("m", "n", "error_rate"), (m, n, np.array(error)))
+    return {"error_rate": np.array([bb84_error_rate(params, mi, ni) for mi, ni in points])}
+
+
+# the qubit sweeps: subcommand, help, the CSV columns after m and n, and the
+# function of (params, m grid, n grid) giving a mapping that holds them
+QUBIT_SWEEPS = (
+    ("qubit-fidelity", "sweep equatorial-state fidelity over strengths",
+     ("fidelity", "success_prob"), lambda *a: vars(protect_equatorial(*a))),
+    ("qubit-average", "sweep the six-state average fidelity over strengths",
+     ("f0", "f1", "fe", "favg"), lambda *a: vars(average_fidelity_six(*a))),
+    ("qkd-error", "sweep the four-state key-distribution error rate",
+     ("error_rate",), _qkd_error_rates),
+)
+
+
+def _cmd_qubit_sweep(args: argparse.Namespace) -> int:
+    params = _call("--p/--r", GadParams, args.p, args.r)
+    # the (m, n) grid: m outer, n inner in C order
+    m, n = np.meshgrid(
+        _strength_axis(args, "--m-range"), _strength_axis(args, "--n-range"), indexing="ij"
+    )
+    values = _call("--m-range/--n-range", args.evaluate, params, m, n)
+    _write_csv(args.out, ("m", "n", *args.columns), (m, n, *(values[c] for c in args.columns)))
     return EXIT_OK
-
-
-def _entangle_chain(inp: EntangledInput, ch1: GadParams, ch2: GadParams, m):
-    """n1, n2, lambda2 and success probability at pre-measurement strength(s)
-    m, with the reversal re-optimized at each m; scalar or array."""
-    coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
-    n1, n2 = optimal_reversal(coeffs)
-    lam2 = concurrence_lambda2(coeffs, n1, n2)
-    _, success = protected_state(inp, ch1, ch2, m, 1.0, n1, n2)
-    return n1, n2, lam2, success
 
 
 def _cmd_entangle(args: argparse.Namespace) -> int:
-    ch1 = _gad(args.p1, args.r1, "--p1/--r1")
-    ch2 = _gad(args.p2, args.r2, "--p2/--r2")
-    if not 0.0 <= args.alpha_sq <= 1.0:
-        raise CliError(f"--alpha-sq: must lie in [0, 1], got {args.alpha_sq}")
-    inp = EntangledInput.from_alpha_sq(args.alpha_sq)
+    ch1 = _call("--p1/--r1", GadParams, args.p1, args.r1)
+    ch2 = _call("--p2/--r2", GadParams, args.p2, args.r2)
+    inp = _call("--alpha-sq", EntangledInput.from_alpha_sq, args.alpha_sq)
     ms = args.sweep_m
     try:
-        n1, n2, lam2, success = _entangle_chain(inp, ch1, ch2, ms)
-    except (ValueError, PostSelectionError) as exc:
+        n1, n2, lam2, success = optimized_protection(inp, ch1, ch2, ms)
+    except ValueError as exc:
         # the array call fails when any point does; the first failing point,
         # run alone, names its m and gives that point's own message
         for m in ms.tolist():
-            try:
-                _entangle_chain(inp, ch1, ch2, m)
-            except (ValueError, PostSelectionError) as point_exc:
-                raise CliError(f"--sweep-m: at m={m:g}: {point_exc}") from None
+            _call(f"--sweep-m: at m={m:g}", optimized_protection, inp, ch1, ch2, m)
         raise CliError(f"--sweep-m: {exc}") from None
     concurrence = np.where(lam2 > 0.0, lam2, 0.0)  # max(0.0, lambda2) at each point
     _write_csv(
@@ -221,17 +188,14 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     if single:
         if args.p is None or args.r is None:
             raise CliError("--p and --r are both required for the one-qubit query")
-        params = _gad(args.p, args.r, "--p/--r")
-        try:
-            best = optimal_strengths(params)
-        except ValueError as exc:
-            raise CliError(f"--p/--r: {exc}") from None
+        params = _call("--p/--r", GadParams, args.p, args.r)
+        best = _call("--p/--r", optimal_strengths, params)
         if best.projective:
             # m, n -> 0 pushes every one of the six fidelities to 1
             favg, success = 1.0, 0.0
         else:
+            success = _call("--p/--r", protect_equatorial, params, best.m, best.n).success_prob
             favg = average_fidelity_six(params, best.m, best.n).favg
-            success = protect_equatorial(params, best.m, best.n).success_prob
         lines = [
             ("m_opt", best.m),
             ("n_opt", best.n),
@@ -247,11 +211,10 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
                             ("--p2", args.p2), ("--r2", args.r2)):
             if value is None:
                 raise CliError(f"{flag} is required for the two-qubit query")
-        ch1 = _gad(args.p1, args.r1, "--p1/--r1")
-        ch2 = _gad(args.p2, args.r2, "--p2/--r2")
-        if not 0.0 <= args.alpha_sq <= 1.0:
-            raise CliError(f"--alpha-sq: must lie in [0, 1], got {args.alpha_sq}")
-        report = optimal_parameters(EntangledInput.from_alpha_sq(args.alpha_sq), ch1, ch2)
+        ch1 = _call("--p1/--r1", GadParams, args.p1, args.r1)
+        ch2 = _call("--p2/--r2", GadParams, args.p2, args.r2)
+        inp = _call("--alpha-sq", EntangledInput.from_alpha_sq, args.alpha_sq)
+        report = _call("--alpha-sq", optimal_parameters, inp, ch1, ch2)
         lines = [
             ("lambda1", report.lambda1),
             ("concurrence_unprotected", max(0.0, report.lambda1)),
@@ -309,37 +272,27 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flags must be spelled out: a prefix of a flag is not that flag, so an
+    # abbreviated --config key is reported as unknown
     parser = argparse.ArgumentParser(
         prog="decoshield",
         description="Weak-measurement protection against finite-temperature damping.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "qubit-fidelity",
-        help="sweep equatorial-state fidelity over strengths",
-        description="CSV columns: m,n,fidelity,success_prob (row order: m outer, n inner).",
+    add_parser = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False
     )
-    _add_sweep_flags(sp)
-    sp.set_defaults(handler=_cmd_qubit_fidelity)
 
-    sp = sub.add_parser(
-        "qubit-average",
-        help="sweep the six-state average fidelity over strengths",
-        description="CSV columns: m,n,f0,f1,fe,favg (row order: m outer, n inner).",
-    )
-    _add_sweep_flags(sp)
-    sp.set_defaults(handler=_cmd_qubit_average)
+    for command, summary, columns, evaluate in QUBIT_SWEEPS:
+        sp = add_parser(
+            command, help=summary,
+            description=f"CSV columns: {','.join(('m', 'n', *columns))} "
+                        "(row order: m outer, n inner).",
+        )
+        _add_sweep_flags(sp)
+        sp.set_defaults(handler=_cmd_qubit_sweep, columns=columns, evaluate=evaluate)
 
-    sp = sub.add_parser(
-        "qkd-error",
-        help="sweep the four-state key-distribution error rate",
-        description="CSV columns: m,n,error_rate (row order: m outer, n inner).",
-    )
-    _add_sweep_flags(sp)
-    sp.set_defaults(handler=_cmd_qkd_error)
-
-    sp = sub.add_parser(
+    sp = add_parser(
         "entangle",
         help="sweep protected concurrence over the pre-measurement strength",
         description=(
@@ -362,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_entangle)
 
-    sp = sub.add_parser(
+    sp = add_parser(
         "optimal",
         help="print the optimal strengths and what they attain",
         description=(
@@ -380,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", help="key=value defaults file; explicit flags win")
     sp.set_defaults(handler=_cmd_optimal)
 
-    sp = sub.add_parser(
+    sp = add_parser(
         "verify",
         help="cross-check closed forms against pipelines and search oracles",
         description="Prints one [ok]/[FAIL] line per check; exit 1 on any failure.",

@@ -17,15 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, SCALAR, check_strength, first_failure
+from ._elementwise import ARRAY, SCALAR, check_strength
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
-from .weakmeas import (
-    MIN_POSTSELECT_PROB,
-    PostSelectionError,
-    WeakMeasurement,
-    apply_postselected,
-)
+from .weakmeas import WeakMeasurement, apply_postselected, require_postselection
 
 NORM_ATOL = 1e-12
 # unit coefficients are products of channel weights; they vanish only at
@@ -118,12 +113,6 @@ class ConcurrenceReport:
     degenerate: str | None = None
 
 
-def population_transfer(ch: GadParams) -> np.ndarray:
-    """Row-stochastic matrix T[i, j]: population moved from |i><i| to |j><j|."""
-    p, r = ch.p, ch.r
-    return np.array([[1.0 - r + p * r, (1.0 - p) * r], [p * r, 1.0 - p * r]])
-
-
 def component_coefficients(
     ch1: GadParams, ch2: GadParams
 ) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
@@ -131,8 +120,12 @@ def component_coefficients(
 
     First tuple: image of |00><00|. Second: image of |11><11|.
     """
-    (s1, u1), (v1, w1) = population_transfer(ch1).tolist()
-    (s2, u2), (v2, w2) = population_transfer(ch2).tolist()
+    # each channel's row-stochastic transfer T = [[s, u], [v, w]], where
+    # T[i, j] is the population moved from |i><i| to |j><j|
+    (s1, u1, v1, w1), (s2, u2, v2, w2) = (
+        (1.0 - ch.r + ch.p * ch.r, (1.0 - ch.p) * ch.r, ch.p * ch.r, 1.0 - ch.p * ch.r)
+        for ch in (ch1, ch2)
+    )
     return (s1 * s2, s1 * u2, u1 * s2, u1 * u2), (v1 * v2, v1 * w2, w1 * v2, w1 * w2)
 
 
@@ -189,17 +182,17 @@ def protected_state(
     for name, val in (("m1", m1), ("m2", m2), ("n1", n1), ("n2", n2)):
         check_strength(name, val, zero_ok=True)
     coeffs = measured_coefficients(inp, ch1, ch2, m1, m2)
+    return coeffs, _success_probability(coeffs, m1, m2, n1, n2)
+
+
+def _success_probability(coeffs: XStateCoefficients, m1, m2, n1, n2):
     prob = _reversed_trace(coeffs, n1, n2)
     xp = ARRAY if isinstance(prob, np.ndarray) else SCALAR
     # strengths above one get rescaled into physical operators, which costs
     # probability quadratically; smaller ones cost nothing extra
     for strength in (m1, m2, n1, n2):
         prob = prob / xp.maximum(1.0, strength * strength)
-    ok = prob >= MIN_POSTSELECT_PROB
-    if not xp.all(ok):
-        failed = first_failure(prob, ok)
-        raise PostSelectionError(f"success probability {failed} below cutoff")
-    return coeffs, prob
+    return require_postselection(prob)
 
 
 def _reversed_trace(coeffs: XStateCoefficients, n1: float, n2: float) -> float:
@@ -215,17 +208,12 @@ def reversed_state(
     coeffs: XStateCoefficients, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Final normalized 4x4 state after the reversal, with its raw trace."""
-    raw = _reversed_trace(coeffs, n1, n2)
-    if raw < MIN_POSTSELECT_PROB:
-        raise PostSelectionError(f"reversal retains trace {raw}, below cutoff")
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = n1 * n1 * n2 * n2 * coeffs.a
-    rho[1, 1] = n1 * n1 * coeffs.b
-    rho[2, 2] = n2 * n2 * coeffs.c
-    rho[3, 3] = coeffs.d
-    rho[0, 3] = n1 * n2 * coeffs.e
-    rho[3, 0] = np.conj(rho[0, 3])
-    return rho / raw, raw
+    reversed_coeffs = XStateCoefficients(
+        n1 * n1 * n2 * n2 * coeffs.a, n1 * n1 * coeffs.b, n2 * n2 * coeffs.c, coeffs.d,
+        n1 * n2 * coeffs.e,
+    )
+    raw = require_postselection(reversed_coeffs.trace)
+    return reversed_coeffs.matrix() / raw, raw
 
 
 def concurrence_lambda1(coeffs: XStateCoefficients) -> float:
@@ -242,12 +230,8 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     Equals 2 n1 n2 (|e| - sqrt(bc)) divided by the reversed trace, so it
     reduces to the unprotected value at unit strengths.
     """
-    raw = _reversed_trace(coeffs, n1, n2)
+    raw = require_postselection(_reversed_trace(coeffs, n1, n2))
     xp = ARRAY if isinstance(raw, np.ndarray) else SCALAR
-    ok = raw >= MIN_POSTSELECT_PROB
-    if not xp.all(ok):
-        failed = first_failure(raw, ok)
-        raise PostSelectionError(f"reversal retains trace {failed}, below cutoff")
     return 2.0 * n1 * n2 * (xp.modulus(coeffs.e) - xp.sqrt(coeffs.b * coeffs.c)) / raw
 
 
@@ -259,6 +243,15 @@ def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     if not xp.all((a * b > 0.0) & (a * c > 0.0)):
         raise ValueError("degenerate coefficients, reversal optimum undefined")
     return xp.pow(c * d / (a * b), 0.25), xp.pow(b * d / (a * c), 0.25)
+
+
+def optimized_protection(inp: EntangledInput, ch1: GadParams, ch2: GadParams, m):
+    """n1, n2, lambda2 and success probability at pre-measurement strength(s)
+    m = m1 (m2 = 1), with the reversal optimized at each m; scalar or array."""
+    coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
+    n1, n2 = optimal_reversal(coeffs)
+    lam2 = concurrence_lambda2(coeffs, n1, n2)
+    return n1, n2, lam2, _success_probability(coeffs, m, 1.0, n1, n2)
 
 
 def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:
@@ -290,7 +283,7 @@ def pipeline_state(
     state = apply_on_qubit(gad_channel(ch1), state, 0)
     state = apply_on_qubit(gad_channel(ch2), state, 1)
     state, prob_post = apply_postselected(WeakMeasurement.post(n1, n2), state)
-    return state, prob_pre * prob_post
+    return state, require_postselection(prob_pre * prob_post)
 
 
 def optimal_parameters(
@@ -347,10 +340,7 @@ def optimal_parameters(
 
     h = math.sqrt(bc0 / bc1)
     m_opt = math.sqrt(h) * abs(inp.alpha) / abs(inp.beta)
-    coeffs = measured_coefficients(inp, ch1, ch2, m_opt, 1.0)
-    n1, n2 = optimal_reversal(coeffs)
-    lam2 = concurrence_lambda2(coeffs, n1, n2)
-    _, success = protected_state(inp, ch1, ch2, m_opt, 1.0, n1, n2)
+    n1, n2, lam2, success = optimized_protection(inp, ch1, ch2, m_opt)
     return ConcurrenceReport(
         lambda1=lam1,
         lambda2=lam2,

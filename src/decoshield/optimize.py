@@ -73,27 +73,18 @@ def _safe_value(objective: Callable[[np.ndarray], float], point: np.ndarray) -> 
 
 
 def grid_maximize(
-    objective: Callable[[np.ndarray], float],
-    box: SearchBox,
-    vectorized: bool = False,
+    objective: Callable[[np.ndarray], float], box: SearchBox
 ) -> SearchResult:
     """Evaluate every lattice point and return the best.
 
     Ties break to the lexicographically smallest argmax (first hit in
-    C-order). With vectorized=True the objective receives the whole
-    (N, dim) lattice at once and must return N values.
+    C-order).
     """
     mesh = np.meshgrid(*box.axes(), indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    if vectorized:
-        values = np.asarray(objective(points), dtype=float).ravel()
-        if values.shape != (len(points),):
-            raise ValueError("vectorized objective returned a wrong-shaped result")
-        values = np.where(np.isnan(values), -math.inf, values)
-    else:
-        values = np.fromiter(
-            (_safe_value(objective, pt) for pt in points), dtype=float, count=len(points)
-        )
+    values = np.fromiter(
+        (_safe_value(objective, pt) for pt in points), dtype=float, count=len(points)
+    )
     best = int(np.argmax(values))
     return SearchResult(points[best].copy(), float(values[best]), len(points))
 

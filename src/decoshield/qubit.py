@@ -17,7 +17,7 @@ import numpy as np
 from ._elementwise import ARRAY, SCALAR, check_strength
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
-from .weakmeas import WeakMeasurement, apply_postselected
+from .weakmeas import WeakMeasurement, apply_postselected, require_postselection
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ def baseline_fidelity(params: GadParams) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 - params.r))
 
 
-def _normalization(p: float, r: float, m: float, n: float) -> float:
-    return n * n * (p * r * m * m + p * r - r + 1.0) + m * m * (1.0 - p * r) + (1.0 - p) * r
-
-
 def apply_protection(
     params: GadParams, m: float, n: float, rho: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -66,7 +62,7 @@ def apply_protection(
     state, prob_pre = apply_postselected(WeakMeasurement.pre(m), rho)
     state = apply_channel(gad_channel(params), state)
     state, prob_post = apply_postselected(WeakMeasurement.post(n), state)
-    return state, prob_pre * prob_post
+    return state, require_postselection(prob_pre * prob_post)
 
 
 def protect_equatorial(
@@ -76,7 +72,8 @@ def protect_equatorial(
 
     The output density matrix, its fidelity against the input and the
     success probability (T/2 suppressed by 1/c^2 for every strength c > 1)
-    are all evaluated from the analytic expressions.
+    are all evaluated from the analytic expressions; a success probability
+    below the cutoff raises PostSelectionError, as the pipeline does.
 
     Scalar in, float out; array in, array out: m and n may be numpy arrays
     that broadcast together (phi stays a scalar), and then every field is
@@ -85,18 +82,22 @@ def protect_equatorial(
     """
     array = isinstance(m, np.ndarray) or isinstance(n, np.ndarray)
     # scalar fast path of the checks that check_strength spells out
-    if array or not (0.0 < m < math.inf and 0.0 < n < math.inf and m * m > 0.0 < n * n):
+    if array or not (0.0 < m * m < math.inf and 0.0 < n * n < math.inf and m > 0.0 < n):
         check_strength("m", m)
         check_strength("n", n)
     p, r = params.p, params.r
     kd = math.sqrt(1.0 - r)
     xp = ARRAY if array else SCALAR
-    t = _normalization(p, r, m, n)
+    diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
+    lost = m * m * (1.0 - p * r)
+    leak = (1.0 - p) * r
+    t = diag0 + lost + leak
+    success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
+    require_postselection(success)
     coherence = m * n * kd
     rot = cmath.exp(-1j * phi)
     off = xp.complex(coherence * rot.real, coherence * rot.imag)
-    diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
-    diag1 = m * m * (1.0 - p * r) + (1.0 - p) * r
+    diag1 = lost + leak
     if array:
         state = np.empty(np.shape(off) + (2, 2), dtype=complex)
         state[..., 0, 0] = diag0
@@ -106,9 +107,7 @@ def protect_equatorial(
         state /= t[..., None, None]
     else:
         state = np.array([[diag0, off], [off.conjugate(), diag1]], dtype=complex) / t
-    fid = 0.5 + coherence / t
-    success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
-    return ProtectionResult(fid, success, state)
+    return ProtectionResult(0.5 + coherence / t, success, state)
 
 
 def optimal_strengths(params: GadParams) -> OptimalStrengths:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import first_failure
 from .linalg import dagger
 
 MIN_POSTSELECT_PROB = 1e-14
@@ -19,6 +20,23 @@ MIN_POSTSELECT_PROB = 1e-14
 
 class PostSelectionError(ValueError):
     """Raised when the post-selected outcome has (numerically) zero probability."""
+
+
+def require_postselection(prob):
+    """The success probability prob, scalar or array, once every entry
+    reaches MIN_POSTSELECT_PROB; otherwise PostSelectionError names the
+    first entry that does not (NaN included).
+
+    The one post-selection rule of the package: every route applies it to
+    the joint probability of both outcomes, or to a probability that can
+    only be larger, such as one stage's or an unrescaled trace.
+    """
+    ok = prob >= MIN_POSTSELECT_PROB
+    if ok is not True:  # a passing Python float skips the call below
+        failed = first_failure(prob, ok)
+        if failed is not None:
+            raise PostSelectionError(f"success probability {failed} below cutoff")
+    return prob
 
 
 @dataclass(frozen=True)
@@ -79,7 +97,5 @@ def apply_postselected(
     if op.shape != rho.shape:
         raise ValueError(f"dimension mismatch: op {op.shape} vs rho {rho.shape}")
     raw = op @ rho @ dagger(op)
-    prob = float(raw.trace().real)
-    if prob < MIN_POSTSELECT_PROB:
-        raise PostSelectionError(f"post-selection probability {prob:.3e} is zero")
+    prob = require_postselection(float(raw.trace().real))
     return raw / prob, prob

@@ -285,6 +285,10 @@ def test_config_errors(tmp_path, capsys):
     bad.write_text("p = 0.8\nr = 0.3\nbogus = 1\n")
     assert entry(["optimal", "--config", str(bad)]) == 2
     assert f"{bad}:3: unknown key 'bogus'" in capsys.readouterr().err
+    # a prefix of a flag is not that flag
+    bad.write_text("alpha = 0.2\np1 = 0.9\nr1 = 0.5\np2 = 0.95\nr2 = 0.3\n")
+    assert entry(["optimal", "--config", str(bad)]) == 2
+    assert f"{bad}:1: unknown key 'alpha'" in capsys.readouterr().err
 
 
 def test_out_of_range_parameters(capsys):
@@ -292,6 +296,7 @@ def test_out_of_range_parameters(capsys):
     assert "--p/--r" in capsys.readouterr().err
     assert entry(["entangle", "--p1", "0.9", "--r1", "0.5",
                   "--p2", "0.95", "--r2", "0.3", "--alpha-sq", "1.5"]) == 2
+    assert "error: --alpha-sq: alpha_sq must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_zero_strengths_rejected_in_qubit_sweeps(capsys):
@@ -319,6 +324,28 @@ def test_entangle_reports_dead_sweep_points(capsys):
         "error: --sweep-m: at m=2.5e+07: success probability "
         "4.800000000000003e-18 below cutoff\n"
     )
+
+
+def test_library_errors_exit_with_usage(capsys):
+    # a library ValueError, PostSelectionError included, is one error line
+    # naming the flag: no traceback, no rows
+    still = ["--p", "1", "--r", "0", "--m-range", "1e-8:1e-8:1", "--n-range", "1e-8:1e-8:1"]
+    huge = ["--p", "0.8", "--r", "0.3", "--m-range", "1:1e160:2"]
+    pair = ["--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"]
+    cases = [
+        (["qubit-fidelity", *still], "--m-range/--n-range: success probability"),
+        (["qkd-error", *still], "--m-range/--n-range: success probability"),
+        (["optimal", *pair, "--alpha-sq", "1e-300"], "--alpha-sq: degenerate coefficients"),
+        (["optimal", "--p", "0.9999999999999999", "--r", "1"], "--p/--r: success probability"),
+        (["qubit-fidelity", *huge], "--m-range: strengths must be finite"),
+        (["qubit-average", *huge], "--m-range: strengths must be finite"),
+        (["entangle", *pair, "--sweep-m", "1:1e160:2"], "--sweep-m: at m=1e+160: m1 must be"),
+    ]
+    for argv, start in cases:
+        assert entry(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {start}"), (argv, err)
+        assert err.count("\n") == 1, err
 
 
 def test_malformed_range_exits_with_usage(capsys):

@@ -189,7 +189,7 @@ def test_negative_strengths_rejected():
         measured_coefficients(BELL, REF1, REF2, -0.5, 1.0)
     with pytest.raises(ValueError, match="n2"):
         protected_state(BELL, REF1, REF2, 0.5, 1.0, 0.5, -0.1)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 1e160):  # 1e160 squares past the float range
         with pytest.raises(ValueError, match="m1 must be finite"):
             measured_coefficients(BELL, REF1, REF2, bad, 1.0)
         with pytest.raises(ValueError, match="m2 must be finite"):

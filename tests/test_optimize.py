@@ -60,27 +60,6 @@ def test_grid_survives_erroring_objective():
     assert abs(res.argmax[0] - 0.9) < 1e-12
 
 
-def test_vectorized_grid_matches_scalar():
-    box = SearchBox.cube(-1.0, 1.0, 21, 2)
-
-    def scalar(x):
-        return math.sin(3 * x[0]) + math.cos(2 * x[1])
-
-    def batch(pts):
-        return np.sin(3 * pts[:, 0]) + np.cos(2 * pts[:, 1])
-
-    a = grid_maximize(scalar, box)
-    b = grid_maximize(batch, box, vectorized=True)
-    assert np.allclose(a.argmax, b.argmax)
-    assert abs(a.value - b.value) < 1e-14
-
-
-def test_vectorized_shape_is_checked():
-    box = SearchBox((0.0,), (1.0,), (4,))
-    with pytest.raises(ValueError, match="wrong-shaped"):
-        grid_maximize(lambda pts: np.zeros(3), box, vectorized=True)
-
-
 def test_grid_locates_fidelity_optimum():
     params = GadParams(0.8, 0.3)
     best = optimal_strengths(params)

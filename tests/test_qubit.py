@@ -69,10 +69,10 @@ def test_strength_validation():
         bb84_error_rate(REF, 0.0, 0.5)
     with pytest.raises(ValueError, match="positive"):
         average_fidelity_six(REF, 0.5, 0.0)
-    # non-finite strengths, and ones whose square underflows to zero, are
-    # rejected by name, for scalars and arrays alike
+    # non-finite strengths, and ones whose square underflows to zero or
+    # overflows, are rejected by name, for scalars and arrays alike
     half = GadParams(0.5, 0.5)
-    for bad in (math.nan, math.inf, 1e-200):
+    for bad in (math.nan, math.inf, 1e-200, 1e160):
         with pytest.raises(ValueError, match="m must be finite"):
             protect_equatorial(half, bad, 1.0)
         with pytest.raises(ValueError, match="m must be finite"):
@@ -81,6 +81,8 @@ def test_strength_validation():
             protect_equatorial(half, np.array([0.5, 1.0]), np.array([1.0, bad]))
         with pytest.raises(ValueError, match="m must be finite"):
             average_fidelity_six(half, np.array([[0.5], [bad]]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="n must be finite"):
+            bb84_error_rate(half, 0.5, bad)
 
 
 def test_reference_optimum_values():

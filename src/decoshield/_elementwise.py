@@ -71,6 +71,7 @@ def first_failure(values, ok):
 # SQUARE_MAX] has a square that is finite and nonzero, and no wider range does
 SQUARE_MIN = 1.5717277847026288e-162
 SQUARE_MAX = math.sqrt(sys.float_info.max)
+FLOAT_MAX = sys.float_info.max
 
 
 def check_strength(name: str, value, zero_ok: bool = False) -> None:
@@ -84,3 +85,23 @@ def check_strength(name: str, value, zero_ok: bool = False) -> None:
     if failed is not None:
         kind = "non-negative with a finite" if zero_ok else "positive with a finite nonzero"
         raise ValueError(f"{name} must be finite and {kind} square, got {failed!r}")
+
+
+def check_finite(value, names: str, *strengths):
+    """value, once every entry is finite; otherwise ValueError giving the
+    strengths `names` at the first entry that is not, where the closed form
+    built from them overflowed. value is non-negative; compares only."""
+    ok = value <= FLOAT_MAX
+    if ok is True or (ok is not False and ok.all()):
+        return value
+    at = np.argmin(ok)  # the first failing entry, in C order
+    point = ", ".join(repr(float(np.broadcast_to(v, np.shape(ok)).flat[at])) for v in strengths)
+    raise ValueError(f"strengths {names} = {point} overflow the float range")
+
+
+def quietly(fn, *args):
+    """fn(*args) with numpy's overflow and invalid-value warnings off. Array
+    calls of the closed forms run through here, so an entry that overflows
+    turns inf or NaN without a warning, for check_finite to name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)

@@ -184,7 +184,6 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     pair = any(v is not None for v in (args.p1, args.r1, args.p2, args.r2))
     if single == pair:
         raise CliError("give either --p/--r (one qubit) or --p1/--r1/--p2/--r2")
-    lines: list[tuple[str, object]] = []
     if single:
         if args.p is None or args.r is None:
             raise CliError("--p and --r are both required for the one-qubit query")
@@ -338,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cross-check closed forms against pipelines and search oracles",
         description="Prints one [ok]/[FAIL] line per check; exit 1 on any failure.",
     )
-    sp.add_argument("--config", help="accepted for symmetry; no keys are read")
     sp.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -357,10 +355,7 @@ def entry(argv: Sequence[str] | None = None) -> int:
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

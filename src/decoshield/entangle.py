@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, SCALAR, check_strength
+from ._elementwise import ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, quietly
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
 from .weakmeas import WeakMeasurement, apply_postselected, require_postselection
@@ -73,10 +73,6 @@ class XStateCoefficients:
     c: float
     d: float
     e: complex
-
-    @property
-    def trace(self) -> float:
-        return self.a + self.b + self.c + self.d
 
     def matrix(self) -> np.ndarray:
         """Assemble the 4x4 X-state (unnormalized when trace != 1)."""
@@ -143,7 +139,10 @@ def measured_coefficients(
     lo, hi = component_coefficients(ch1, ch2)
     wa = abs(inp.alpha) ** 2
     wb = abs(inp.beta) ** 2
-    mm = xp.pow(m1 * m2, 2)
+    try:
+        mm = xp.pow(m1 * m2, 2)
+    except OverflowError:  # libm's pow: the square of m1 m2 leaves the float range
+        mm = check_finite(quietly(np.square, m1 * m2), "m1, m2", m1, m2)
     # each diagonal entry is x0 + x1 m^2: x0 from the |00> piece, x1 from |11>
     a, b, c, d = (x0 * wa + x1 * wb * mm for x0, x1 in zip(lo, hi))
     keep = math.sqrt((1.0 - ch1.r) * (1.0 - ch2.r))
@@ -164,13 +163,7 @@ def channel_degraded_state(
 
 
 def protected_state(
-    inp: EntangledInput,
-    ch1: GadParams,
-    ch2: GadParams,
-    m1: float,
-    m2: float,
-    n1: float,
-    n2: float,
+    inp: EntangledInput, ch1: GadParams, ch2: GadParams, m1: float, m2: float, n1: float, n2: float
 ) -> tuple[XStateCoefficients, float]:
     """Coefficients after pre-measurement (m1, m2) and channels, plus the
     success probability once the reversal (n1, n2) is post-selected.
@@ -179,8 +172,6 @@ def protected_state(
     rescales rows, which reversed_state and concurrence_lambda2 handle.
     Zero strengths are allowed (projective limits); negatives are not.
     """
-    for name, val in (("m1", m1), ("m2", m2), ("n1", n1), ("n2", n2)):
-        check_strength(name, val, zero_ok=True)
     coeffs = measured_coefficients(inp, ch1, ch2, m1, m2)
     return coeffs, _success_probability(coeffs, m1, m2, n1, n2)
 
@@ -195,24 +186,33 @@ def _success_probability(coeffs: XStateCoefficients, m1, m2, n1, n2):
     return require_postselection(prob)
 
 
-def _reversed_trace(coeffs: XStateCoefficients, n1: float, n2: float) -> float:
-    return (
-        n1 * n1 * n2 * n2 * coeffs.a
-        + n1 * n1 * coeffs.b
-        + n2 * n2 * coeffs.c
-        + coeffs.d
-    )
+def _reversed_trace(coeffs: XStateCoefficients, n1, n2):
+    """Unnormalized trace after the reversal (n1, n2): where the reversal
+    strengths enter the chain, so where they and their trace are checked."""
+    check_strength("n1", n1, zero_ok=True)
+    check_strength("n2", n2, zero_ok=True)
+    if type(n1) is type(n2) is type(coeffs.a) is float:  # plain floats never warn
+        trace = _reversed_sum(coeffs, n1, n2)
+        if trace <= FLOAT_MAX:
+            return trace
+    else:
+        trace = quietly(_reversed_sum, coeffs, n1, n2)
+    return check_finite(trace, "n1, n2", n1, n2)
+
+
+def _reversed_sum(coeffs: XStateCoefficients, n1, n2):
+    return n1 * n1 * n2 * n2 * coeffs.a + n1 * n1 * coeffs.b + n2 * n2 * coeffs.c + coeffs.d
 
 
 def reversed_state(
     coeffs: XStateCoefficients, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Final normalized 4x4 state after the reversal, with its raw trace."""
+    raw = require_postselection(_reversed_trace(coeffs, n1, n2))
     reversed_coeffs = XStateCoefficients(
         n1 * n1 * n2 * n2 * coeffs.a, n1 * n1 * coeffs.b, n2 * n2 * coeffs.c, coeffs.d,
         n1 * n2 * coeffs.e,
     )
-    raw = require_postselection(reversed_coeffs.trace)
     return reversed_coeffs.matrix() / raw, raw
 
 
@@ -238,8 +238,13 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
 def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     """Reversal strengths (CD/AB)^(1/4), (BD/AC)^(1/4) maximizing the
     concurrence of the reversed state at fixed pre-measurement."""
+    if isinstance(coeffs.a, np.ndarray):
+        return quietly(_optimal_reversal, coeffs, ARRAY)
+    return _optimal_reversal(coeffs, SCALAR)
+
+
+def _optimal_reversal(coeffs: XStateCoefficients, xp) -> tuple[float, float]:
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    xp = ARRAY if isinstance(a, np.ndarray) else SCALAR
     if not xp.all((a * b > 0.0) & (a * c > 0.0)):
         raise ValueError("degenerate coefficients, reversal optimum undefined")
     return xp.pow(c * d / (a * b), 0.25), xp.pow(b * d / (a * c), 0.25)
@@ -265,17 +270,15 @@ def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:
     keep = math.sqrt((1.0 - r1) * (1.0 - r2))
     leak1 = r1 * math.sqrt(p1 * (1.0 - p1) * (1.0 - r2 * p2) * (1.0 - r2 + r2 * p2))
     leak2 = r2 * math.sqrt(p2 * (1.0 - p2) * (1.0 - r1 * p1) * (1.0 - r1 + r1 * p1))
-    return (keep - leak1 - leak2) / (g_value(ch1) * g_value(ch2))
+    penalty = g_value(ch1) * g_value(ch2)
+    # the product is 0 for a channel that resets its qubit (r = 1, p in {0, 1}),
+    # where every strength gives lambda2 = 0 exactly, so the supremum is 0; it
+    # also underflows, with the numerator, for two r = 1 channels with tiny p
+    return (keep - leak1 - leak2) / penalty if penalty else 0.0
 
 
 def pipeline_state(
-    inp: EntangledInput,
-    ch1: GadParams,
-    ch2: GadParams,
-    m1: float,
-    m2: float,
-    n1: float,
-    n2: float,
+    inp: EntangledInput, ch1: GadParams, ch2: GadParams, m1: float, m2: float, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Generic route: local pre-measurements, one Kraus channel per qubit,
     local reversals. Returns the final state and joint success probability."""
@@ -297,58 +300,29 @@ def optimal_parameters(
     argument lambda2_max does not depend on the input weights; the success
     probability does, peaking at |alpha|^2 = 1/(1 + h).
     """
-    base = channel_degraded_state(inp, ch1, ch2)
-    lam1 = concurrence_lambda1(base)
+    lam1 = concurrence_lambda1(channel_degraded_state(inp, ch1, ch2))
     lam2_bar = lambda2_max(ch1, ch2)
     lo, hi = component_coefficients(ch1, ch2)
     bc0 = lo[1] * lo[2]
     bc1 = hi[1] * hi[2]
-
+    n1 = n2 = success = 0.0
+    degenerate = None
     if abs(inp.alpha) == 0.0 or abs(inp.beta) == 0.0:
         # local filtering cannot create entanglement from a product state
         h = math.sqrt(bc0 / bc1) if bc1 > _DEGENERATE_FLOOR else math.inf
         m_opt = 0.0 if abs(inp.alpha) == 0.0 else math.inf
-        return ConcurrenceReport(
-            lambda1=lam1,
-            lambda2=0.0,
-            lambda2_max=lam2_bar,
-            m_opt=m_opt,
-            n1_opt=0.0,
-            n2_opt=0.0,
-            h=h,
-            alpha_sq_opt=1.0 / (1.0 + h),
-            success_prob=0.0,
-            degenerate="no-entanglement",
-        )
-
-    if bc0 <= _DEGENERATE_FLOOR or bc1 <= _DEGENERATE_FLOOR:
+        lam2, degenerate = 0.0, "no-entanglement"
+    elif bc0 <= _DEGENERATE_FLOOR or bc1 <= _DEGENERATE_FLOOR:
         # a boundary parameter (p or r at 0/1) zeroes a leak product; the
         # optimum runs off to vanishing strengths with vanishing probability
         h = 0.0 if bc0 <= _DEGENERATE_FLOOR else math.inf
-        return ConcurrenceReport(
-            lambda1=lam1,
-            lambda2=lam2_bar,
-            lambda2_max=lam2_bar,
-            m_opt=0.0,
-            n1_opt=0.0,
-            n2_opt=0.0,
-            h=h,
-            alpha_sq_opt=1.0 / (1.0 + h),
-            success_prob=0.0,
-            degenerate="projective-limit",
-        )
-
-    h = math.sqrt(bc0 / bc1)
-    m_opt = math.sqrt(h) * abs(inp.alpha) / abs(inp.beta)
-    n1, n2, lam2, success = optimized_protection(inp, ch1, ch2, m_opt)
+        m_opt, lam2, degenerate = 0.0, lam2_bar, "projective-limit"
+    else:
+        h = math.sqrt(bc0 / bc1)
+        m_opt = math.sqrt(h) * abs(inp.alpha) / abs(inp.beta)
+        n1, n2, lam2, success = optimized_protection(inp, ch1, ch2, m_opt)
     return ConcurrenceReport(
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda2_max=lam2_bar,
-        m_opt=m_opt,
-        n1_opt=n1,
-        n2_opt=n2,
-        h=h,
-        alpha_sq_opt=1.0 / (1.0 + h),
-        success_prob=success,
+        lambda1=lam1, lambda2=lam2, lambda2_max=lam2_bar, m_opt=m_opt, n1_opt=n1,
+        n2_opt=n2, h=h, alpha_sq_opt=1.0 / (1.0 + h), success_prob=success,
+        degenerate=degenerate,
     )

@@ -13,7 +13,6 @@ EIGENVALUE_FLOOR = -1e-10
 PURITY_ATOL = 1e-10
 
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

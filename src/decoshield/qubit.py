@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, SCALAR, check_strength
+from ._elementwise import ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, quietly
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
 from .weakmeas import WeakMeasurement, apply_postselected, require_postselection
@@ -85,20 +85,27 @@ def protect_equatorial(
     if array or not (0.0 < m * m < math.inf and 0.0 < n * n < math.inf and m > 0.0 < n):
         check_strength("m", m)
         check_strength("n", n)
+    if array:
+        return quietly(_protected_equatorial, params, m, n, phi, ARRAY)
+    return _protected_equatorial(params, m, n, phi, SCALAR)
+
+
+def _protected_equatorial(params, m, n, phi, xp) -> ProtectionResult:
     p, r = params.p, params.r
     kd = math.sqrt(1.0 - r)
-    xp = ARRAY if array else SCALAR
     diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
     lost = m * m * (1.0 - p * r)
     leak = (1.0 - p) * r
     t = diag0 + lost + leak
+    if xp is ARRAY or not t <= FLOAT_MAX:  # a finite float skips the call
+        check_finite(t, "m, n", m, n)
     success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
     require_postselection(success)
     coherence = m * n * kd
     rot = cmath.exp(-1j * phi)
     off = xp.complex(coherence * rot.real, coherence * rot.imag)
     diag1 = lost + leak
-    if array:
+    if xp is ARRAY:
         state = np.empty(np.shape(off) + (2, 2), dtype=complex)
         state[..., 0, 0] = diag0
         state[..., 0, 1] = off
@@ -118,7 +125,8 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
 
     At p = 1 both collapse to zero (projective limit, flagged) and the
     maximal fidelity is exactly 1. p = 0 is rejected: m diverges and the
-    channel becomes pure excitation, outside this scheme.
+    channel becomes pure excitation, outside this scheme. So is a p so small
+    that p (1 - r + pr) underflows to zero, where n overflows.
     """
     p, r = params.p, params.r
     if p == 0.0:
@@ -127,6 +135,8 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
         raise ValueError("p = 1 with r = 1: optimum is degenerate")
     stay0 = 1.0 - r + p * r
     stay1 = 1.0 - p * r
+    if p * stay0 == 0.0:  # a tiny p underflows it, e.g. p^2 at r = 1
+        raise ValueError(f"p = {p!r} with r = {r!r}: optimal reversal strength overflows")
     m = ((1.0 - p) * stay0 / (p * stay1)) ** 0.25
     n = ((1.0 - p) * stay1 / (p * stay0)) ** 0.25
     f_max = 0.5 * (1.0 + math.sqrt(1.0 - r) / g_value(params))

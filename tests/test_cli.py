@@ -241,6 +241,11 @@ def test_optimal_two_qubit(capsys):
     assert float(report["lambda2_max"]) == pytest.approx(0.5299918639561245, abs=1e-15)
     assert float(report["success_prob"]) == pytest.approx(0.06037974781746659, abs=1e-15)
     assert report["degenerate"] == "None"
+    # a channel that resets its qubit: no entanglement survives, at any strength
+    assert entry(["optimal", "--p1", "0", "--r1", "1", "--p2", "0.3", "--r2", "0.4"]) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert report["lambda2_max"] == "0.0"
+    assert report["degenerate"] == "'projective-limit'"
 
 
 def test_optimal_mode_selection_is_exclusive(capsys):
@@ -289,6 +294,12 @@ def test_config_errors(tmp_path, capsys):
     bad.write_text("alpha = 0.2\np1 = 0.9\nr1 = 0.5\np2 = 0.95\nr2 = 0.3\n")
     assert entry(["optimal", "--config", str(bad)]) == 2
     assert f"{bad}:1: unknown key 'alpha'" in capsys.readouterr().err
+    # verify reads no keys, so it takes no --config
+    bad.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        entry(["verify", "--config", str(bad)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_out_of_range_parameters(capsys):
@@ -331,6 +342,8 @@ def test_library_errors_exit_with_usage(capsys):
     # naming the flag: no traceback, no rows
     still = ["--p", "1", "--r", "0", "--m-range", "1e-8:1e-8:1", "--n-range", "1e-8:1e-8:1"]
     huge = ["--p", "0.8", "--r", "0.3", "--m-range", "1:1e160:2"]
+    overflow = ["--p", "0.8", "--r", "0.3", "--m-range", "1e100:1e100:1",
+                "--n-range", "1e100:1e100:1"]
     pair = ["--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"]
     cases = [
         (["qubit-fidelity", *still], "--m-range/--n-range: success probability"),
@@ -340,6 +353,9 @@ def test_library_errors_exit_with_usage(capsys):
         (["qubit-fidelity", *huge], "--m-range: strengths must be finite"),
         (["qubit-average", *huge], "--m-range: strengths must be finite"),
         (["entangle", *pair, "--sweep-m", "1:1e160:2"], "--sweep-m: at m=1e+160: m1 must be"),
+        (["qubit-fidelity", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
+        (["qubit-average", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
+        (["optimal", "--p", "1e-200", "--r", "1"], "--p/--r: p = 1e-200 with r = 1.0"),
     ]
     for argv, start in cases:
         assert entry(argv) == 2, argv

@@ -24,7 +24,7 @@ from decoshield.entangle import (
 )
 from decoshield.qubit import average_fidelity_six, protect_equatorial
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=300)
 
 unit = st.floats(0.0, 1.0)
 channels = st.builds(GadParams, unit, unit)

@@ -71,7 +71,7 @@ def test_identity_channels_pass_through():
 def test_degraded_state_has_unit_trace():
     for _ in range(40):
         coeffs = channel_degraded_state(random_input(), random_channel(), random_channel())
-        assert abs(coeffs.trace - 1.0) < 1e-12
+        assert abs(coeffs.a + coeffs.b + coeffs.c + coeffs.d - 1.0) < 1e-12
         validate_density(coeffs.matrix())
 
 
@@ -198,6 +198,23 @@ def test_negative_strengths_rejected():
             protected_state(BELL, REF1, REF2, 0.5, 1.0, 0.5, bad)
         with pytest.raises(ValueError, match="n1 must be finite"):
             protected_state(BELL, REF1, REF2, np.array([0.5, 0.7]), 1.0, np.array([bad, 0.5]), 0.5)
+    # the reversal strengths are checked where the reversal enters, on every path
+    coeffs = measured_coefficients(BELL, REF1, REF2, 0.5, 1.0)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n1 must be finite"):
+            concurrence_lambda2(coeffs, bad, 0.44)
+        with pytest.raises(ValueError, match="n2 must be finite"):
+            reversed_state(coeffs, 0.44, bad)
+    # so are strengths whose products overflow; the pipeline still takes them
+    with pytest.raises(ValueError, match="strengths m1, m2 = 1e.100, 1e.100 overflow"):
+        measured_coefficients(BELL, REF1, REF2, 1e100, 1e100)
+    with pytest.raises(ValueError, match="strengths m1, m2 = 1e.100, 1e.100 overflow"):
+        measured_coefficients(BELL, REF1, REF2, np.array([0.5, 1e100]), np.array([1.0, 1e100]))
+    with pytest.raises(ValueError, match="strengths n1, n2 = 1e.100, 1e.100 overflow"):
+        protected_state(BELL, REF1, REF2, 1.0, 1.0, 1e100, 1e100)
+    with pytest.raises(ValueError, match="strengths n1, n2 = 1e.100, 1e.100 overflow"):
+        concurrence_lambda2(coeffs, np.array([0.5, 1e100]), 1e100)
+    assert pipeline_state(BELL, REF1, REF2, 1.0, 1.0, 1e100, 1e100)[1] > 0.0
 
 
 def test_optimal_reversal_is_stationary():
@@ -315,6 +332,15 @@ def test_boundary_channels_are_flagged():
     assert rep.m_opt == 0.0 and rep.n1_opt == 0.0 and rep.n2_opt == 0.0
     ident = GadParams(0.5, 0.0)
     assert optimal_parameters(BELL, ident, ident).degenerate == "projective-limit"
+    # a channel that resets its qubit keeps no entanglement at any strength
+    other = GadParams(0.3, 0.4)
+    for reset in (GadParams(0.0, 1.0), GadParams(1.0, 1.0)):
+        assert lambda2_max(reset, other) == lambda2_max(other, reset) == 0.0
+        rep = optimal_parameters(BELL, reset, other)
+        assert rep.lambda2_max == rep.lambda2 == 0.0
+        assert rep.degenerate == "projective-limit"
+        coeffs = measured_coefficients(BELL, reset, other, 0.7, 1.3)
+        assert concurrence_lambda2(coeffs, 0.4, 2.0) == 0.0
 
 
 def test_esd_is_circumvented():

@@ -19,7 +19,7 @@ from decoshield.linalg import equatorial_state
 from decoshield.qubit import apply_protection, average_fidelity_six, protect_equatorial
 from decoshield.weakmeas import MIN_POSTSELECT_PROB, PostSelectionError, require_postselection
 
-PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=400)
 
 unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 channels = st.builds(GadParams, unit, unit)

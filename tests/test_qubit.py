@@ -83,6 +83,14 @@ def test_strength_validation():
             average_fidelity_six(half, np.array([[0.5], [bad]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="n must be finite"):
             bb84_error_rate(half, 0.5, bad)
+    # strengths whose products overflow are rejected by name as well; the
+    # pipeline rescales its operators, so it still takes them
+    overflow = r"strengths m, n = 1e\+100, 1e\+100 overflow the float range"
+    with pytest.raises(ValueError, match=overflow):
+        protect_equatorial(REF, 1e100, 1e100)
+    with pytest.raises(ValueError, match=overflow):
+        average_fidelity_six(REF, np.array([[1.0], [1e100]]), np.array([1.0, 1e100]))
+    assert bb84_error_rate(REF, 1e100, 1e100) == 0.5
 
 
 def test_reference_optimum_values():
@@ -122,6 +130,9 @@ def test_degenerate_parameter_rejection():
         optimal_strengths(GadParams(0.0, 0.4))
     with pytest.raises(ValueError, match="degenerate"):
         optimal_strengths(GadParams(1.0, 1.0))
+    # p (1 - r + p r) = p^2 underflows to zero here
+    with pytest.raises(ValueError, match="p = 1e-200 with r = 1.0"):
+        optimal_strengths(GadParams(1e-200, 1.0))
 
 
 def test_projective_limit():

@@ -13,11 +13,16 @@ pow and hypot in the last ulp on some inputs, so ARRAY routes those two
 through libm as well. Complex values are assembled from real and
 imaginary parts computed in real arithmetic, because numpy's complex
 product can differ from Python's in the sign of a zero part.
+
+The Kraus pipeline runs on stacks of matrices instead; the stack helpers
+here give each matrix of a stack the bits it gets on its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from types import SimpleNamespace
 
@@ -57,6 +62,33 @@ ARRAY = SimpleNamespace(
     pow=_libm_pow,
     complex=_complex_array,
 )
+
+
+def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of (..., d, d) stacks that broadcast together.
+
+    Each entry is the sum over the inner index, in index order, of
+    elementwise products, so a matrix gets the same bits in a stack of any
+    shape, and in any memory layout, as on its own; matmul picks BLAS or
+    its own loop from the strides of its operands.
+    """
+    return ordered_sum(a[..., :, j, None] * b[..., None, j, :] for j in range(a.shape[-1]))
+
+
+def ordered_sum(terms):
+    """terms[0] + terms[1] + ..., added left to right: numpy's reductions
+    pick their summation order from the layout of the array."""
+    return functools.reduce(operator.add, terms)
+
+
+def real_trace(x: np.ndarray):
+    """Real part of the trace of each matrix in a (..., d, d) stack, d a
+    power of two. The diagonal is added in pairs, then pairs of pairs, as
+    numpy's trace adds the diagonal of a lone 2x2 or 4x4 matrix."""
+    diag = x.diagonal(axis1=-2, axis2=-1).real
+    while diag.shape[-1] > 1:
+        diag = diag[..., 0::2] + diag[..., 1::2]
+    return diag[..., 0]
 
 
 def first_failure(values, ok):

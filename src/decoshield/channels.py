@@ -7,11 +7,13 @@ Its fixed point is diag(p, 1 - p); p = 1 recovers plain amplitude damping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, I2
+from ._elementwise import ordered_sum, stack_matmul
+from .linalg import dagger
 
 
 @dataclass(frozen=True)
@@ -28,66 +30,73 @@ class GadParams:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """Ordered Kraus operators; complete sets satisfy sum E^dag E = I."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        dims = {op.shape for op in self.operators}
-        if len(dims) != 1:
-            raise ValueError(f"mixed operator shapes: {dims}")
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
+# for each qubit, the order of the (a, b, a', b') axes of a two-qubit state
+# that puts the other qubit's pair first and this qubit's pair last, and the
+# order that undoes it
+_BLOCK_ORDER = (((1, 3, 0, 2), (2, 0, 3, 1)), ((0, 2, 1, 3), (0, 2, 1, 3)))
 
 
-def gad_channel(params: GadParams) -> KrausChannel:
-    """Four Kraus operators of the generalized amplitude-damping channel.
+def gad_channel(params: GadParams) -> np.ndarray:
+    """The four Kraus operators of the generalized amplitude-damping
+    channel, as one (4, 2, 2) stack in operator order.
 
     With p = 1 the two excitation operators vanish and the set reduces to
     the zero-temperature amplitude-damping pair.
     """
     p, r = params.p, params.r
-    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
-    kr, kd = np.sqrt(r), np.sqrt(1.0 - r)
-    e0 = sp * np.array([[1, 0], [0, kd]], dtype=complex)
-    e1 = sp * np.array([[0, kr], [0, 0]], dtype=complex)
-    e2 = sq * np.array([[kd, 0], [0, 1]], dtype=complex)
-    e3 = sq * np.array([[0, 0], [kr, 0]], dtype=complex)
-    return KrausChannel((e0, e1, e2, e3))
+    sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
+    kr, kd = math.sqrt(r), math.sqrt(1.0 - r)
+    return np.array(
+        [
+            [[sp, 0.0], [0.0, sp * kd]],
+            [[0.0, sp * kr], [0.0, 0.0]],
+            [[sq * kd, 0.0], [0.0, sq]],
+            [[0.0, 0.0], [sq * kr, 0.0]],
+        ],
+        dtype=complex,
+    )
 
 
-def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Kraus sum: sum_i E_i rho E_i^dag."""
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"dimension mismatch: channel {ch.dim}, rho {rho.shape}")
-    out = np.zeros_like(rho, dtype=complex)
-    for op in ch.operators:
-        out += op @ rho @ dagger(op)
-    return out
+def apply_channel(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Kraus sum sum_i E_i rho E_i^dag, the terms added in operator order.
+
+    ops is a (k, d, d) operator stack and rho a (d, d) state or a
+    (..., d, d) stack of them. ops may also be a (..., k, d, d) stack of
+    channels, whose leading axes broadcast against the states'. Each state
+    in a stack gets the bits it gets on its own.
+    """
+    dim = ops.shape[-1]
+    if rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"dimension mismatch: channel {dim}, rho {rho.shape}")
+    terms = stack_matmul(stack_matmul(ops, rho[..., None, :, :]), dagger(ops))
+    return ordered_sum(terms[..., i, :, :] for i in range(ops.shape[-3]))
 
 
-def apply_on_qubit(ch: KrausChannel, rho: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a single-qubit channel to one side of a two-qubit state."""
-    if ch.dim != 2 or rho.shape != (4, 4):
+def apply_on_qubit(ops: np.ndarray, rho: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply a single-qubit channel to one side of a two-qubit state, or of
+    each state in a (..., 4, 4) stack; ops is one channel or a stack of
+    them, as for apply_channel.
+
+    The state is viewed as (..., a, b, a', b') and transposed so that the
+    qubit's row and column indices come last: each 2x2 block over them is
+    one state for apply_channel.
+    """
+    if ops.shape[-2:] != (2, 2) or rho.shape[-2:] != (4, 4):
         raise ValueError("expected a single-qubit channel and a 4x4 state")
     if qubit not in (0, 1):
         raise ValueError(f"qubit must be 0 or 1, got {qubit}")
-    lifted = tuple(
-        np.kron(op, I2) if qubit == 0 else np.kron(I2, op) for op in ch.operators
-    )
-    return apply_channel(KrausChannel(lifted), rho)
+    lead = tuple(range(rho.ndim - 2))
+    to_blocks, back = (lead + tuple(len(lead) + i for i in axes) for axes in _BLOCK_ORDER[qubit])
+    blocks = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).transpose(to_blocks)
+    # the channel is the same for the 2x2 blocks of one state
+    out = apply_channel(ops[..., None, None, :, :, :], blocks)
+    return out.transpose(back).reshape(rho.shape)
 
 
-def check_trace_preserving(ch: KrausChannel) -> float:
+def check_trace_preserving(ops: np.ndarray) -> float:
     """Max-norm completeness defect ||sum E^dag E - I||_max."""
-    acc = np.zeros((ch.dim, ch.dim), dtype=complex)
-    for op in ch.operators:
-        acc += dagger(op) @ op
-    return float(np.abs(acc - np.eye(ch.dim)).max())
+    acc = ordered_sum(stack_matmul(dagger(ops), ops))
+    return float(np.abs(acc - np.eye(ops.shape[-1])).max())
 
 
 def _dilation_isometry(params: GadParams) -> np.ndarray:

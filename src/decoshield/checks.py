@@ -31,10 +31,10 @@ from .entangle import (
     channel_degraded_state,
     concurrence_lambda1,
     concurrence_lambda2,
+    kraus_pipeline_state,
     lambda2_max,
     measured_coefficients,
     optimal_parameters,
-    pipeline_state,
     protected_state,
     reversed_state,
 )
@@ -47,11 +47,11 @@ from .optimize import (
     stationarity_check,
 )
 from .qubit import (
-    apply_protection,
     average_fidelity_six,
     baseline_fidelity,
     bb84_error_rate,
     g_value,
+    kraus_protection,
     optimal_strengths,
     protect_equatorial,
 )
@@ -152,41 +152,51 @@ def dilation_vs_kraus(rng: np.random.Generator, count: int) -> tuple[bool, str]:
 
 def qubit_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """Closed-form protected state, fidelity and success probability match
-    the measure/damp/reverse pipeline."""
-    gap = 0.0
+    the measure/damp/reverse pipeline, run on all draws as one stack."""
+    draws = []
     for i in range(count):
         params = _channel(rng, i)
         m, n = _strengths(rng, 2)
         if i % 17 == 0:
             m = 1.0
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        psi = equatorial_state(phi)
-        res = protect_equatorial(params, m, n, phi)
-        state, prob = apply_protection(params, m, n, psi)
-        gap = max(
-            gap,
-            _gap(res.output_state, state),
-            abs(res.success_prob - prob),
-            abs(res.fidelity - fidelity(psi, state)),
-        )
+        draws.append((params, m, n, float(rng.uniform(0.0, 2.0 * math.pi))))
+    closed = [protect_equatorial(*draw) for draw in draws]
+    channels, m, n, phi = zip(*draws)
+    psi = np.stack([equatorial_state(azimuth) for azimuth in phi])
+    ops = np.stack([gad_channel(params) for params in channels])
+    states, probs = kraus_protection(ops, np.array(m), np.array(n), psi)
+    gap = max(
+        _gap(np.stack([res.output_state for res in closed]), states),
+        _gap(np.array([res.success_prob for res in closed]), probs),
+        _gap(np.array([res.fidelity for res in closed]), fidelity(psi, states)),
+    )
     return _max_gap(gap, 1e-12)
 
 
 def entangle_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """Closed-form X state and success probability match the two-qubit
-    Kraus pipeline."""
-    gap = 0.0
+    Kraus pipeline, run on all draws as one stack."""
+    draws = []
     for i in range(count):
         ch1, ch2 = _pair(rng, i)
         inp = _input(rng)
         m1, m2, n1, n2 = _strengths(rng, 4)
         if i % 13 == 0:
             n1 = n2 = 1.0
-        coeffs, success = protected_state(inp, ch1, ch2, m1, m2, n1, n2)
-        closed, _ = reversed_state(coeffs, n1, n2)
-        generic, prob = pipeline_state(inp, ch1, ch2, m1, m2, n1, n2)
-        gap = max(gap, _gap(closed, generic), abs(success - prob))
-    return _max_gap(gap, 1e-12)
+        draws.append((inp, ch1, ch2, m1, m2, n1, n2))
+    closed, success = [], []
+    for inp, ch1, ch2, m1, m2, n1, n2 in draws:
+        coeffs, prob = protected_state(inp, ch1, ch2, m1, m2, n1, n2)
+        closed.append(reversed_state(coeffs, n1, n2)[0])
+        success.append(prob)
+    inps, ch1s, ch2s, *strengths = zip(*draws)
+    generic, probs = kraus_pipeline_state(
+        np.stack([inp.density() for inp in inps]),
+        np.stack([gad_channel(ch) for ch in ch1s]),
+        np.stack([gad_channel(ch) for ch in ch2s]),
+        *(np.array(values) for values in strengths),
+    )
+    return _max_gap(max(_gap(np.stack(closed), generic), _gap(np.array(success), probs)), 1e-12)
 
 
 def xstate_vs_wootters(rng: np.random.Generator, count: int) -> tuple[bool, str]:

@@ -32,6 +32,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 # rows rendered per write: bounds the text held in memory at once
 CSV_CHUNK_ROWS = 4096
+# grid points per array call of the key-distribution pipeline: bounds its
+# temporaries, about 4 kB per point, to half a megabyte without changing
+# any value
+QKD_BLOCK_POINTS = 128
 
 
 class CliError(Exception):
@@ -131,8 +135,12 @@ def _strength_axis(args: argparse.Namespace, flag: str) -> np.ndarray:
 
 
 def _qkd_error_rates(params: GadParams, m: np.ndarray, n: np.ndarray) -> dict:
-    points = zip(m.ravel().tolist(), n.ravel().tolist())
-    return {"error_rate": np.array([bb84_error_rate(params, mi, ni) for mi, ni in points])}
+    m, n = m.ravel(), n.ravel()
+    blocks = range(0, m.size, QKD_BLOCK_POINTS)
+    return {"error_rate": np.concatenate([
+        bb84_error_rate(params, m[i:i + QKD_BLOCK_POINTS], n[i:i + QKD_BLOCK_POINTS])
+        for i in blocks
+    ])}
 
 
 # the qubit sweeps: subcommand, help, the CSV columns after m and n, and the

@@ -20,7 +20,7 @@ import numpy as np
 from ._elementwise import ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, quietly
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
-from .weakmeas import WeakMeasurement, apply_postselected, require_postselection
+from .weakmeas import post_diagonal, postselect, pre_diagonal, require_postselection
 
 NORM_ATOL = 1e-12
 # unit coefficients are products of channel weights; they vanish only at
@@ -282,10 +282,23 @@ def pipeline_state(
 ) -> tuple[np.ndarray, float]:
     """Generic route: local pre-measurements, one Kraus channel per qubit,
     local reversals. Returns the final state and joint success probability."""
-    state, prob_pre = apply_postselected(WeakMeasurement.pre(m1, m2), inp.density())
-    state = apply_on_qubit(gad_channel(ch1), state, 0)
-    state = apply_on_qubit(gad_channel(ch2), state, 1)
-    state, prob_post = apply_postselected(WeakMeasurement.post(n1, n2), state)
+    return kraus_pipeline_state(
+        inp.density(), gad_channel(ch1), gad_channel(ch2), m1, m2, n1, n2
+    )
+
+
+def kraus_pipeline_state(
+    rho: np.ndarray, ops1: np.ndarray, ops2: np.ndarray, m1, m2, n1, n2
+) -> tuple[np.ndarray, float]:
+    """pipeline_state from the input density matrix and the Kraus operators
+    of the two channels. Every argument may also be a stack, the states
+    (..., 4, 4) and the channels (..., k, 2, 2), all broadcasting together:
+    runs through different channels then go as one call, each with the
+    bits of its own call."""
+    state, prob_pre = postselect(pre_diagonal(m1, m2), rho)
+    state = apply_on_qubit(ops1, state, 0)
+    state = apply_on_qubit(ops2, state, 1)
+    state, prob_post = postselect(post_diagonal(n1, n2), state)
     return state, require_postselection(prob_pre * prob_post)
 
 

@@ -3,58 +3,39 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._elementwise import first_failure, real_trace
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PURITY_ATOL = 1e-10
 
-I2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_COS_EQUATOR = math.cos(0.5 * math.pi)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 YY = np.kron(PAULI_Y, PAULI_Y)
 
 
-@dataclass(frozen=True)
-class PureQubit:
-    """Pure qubit state by its Bloch-sphere angles (polar theta, azimuthal phi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must be in [0, 2*pi), got {self.phi}")
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
-def to_density(state: PureQubit) -> np.ndarray:
-    """Rank-1 density matrix (I + sin t cos f X + sin t sin f Y + cos t Z) / 2."""
-    st, ct = math.sin(state.theta), math.cos(state.theta)
-    cf, sf = math.cos(state.phi), math.sin(state.phi)
-    return 0.5 * (I2 + st * cf * PAULI_X + st * sf * PAULI_Y + ct * PAULI_Z)
+    """Conjugate transpose, of each matrix in a (..., d, d) stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def equatorial_state(phi: float) -> np.ndarray:
-    """Density matrix of (|0> + e^{i phi} |1>) / sqrt(2)."""
-    return to_density(PureQubit(math.pi / 2, phi % (2.0 * math.pi)))
+    """Density matrix of (|0> + e^{i phi} |1>) / sqrt(2).
 
-
-def ket_density(ket: np.ndarray) -> np.ndarray:
-    """Outer product |k><k| of a (not necessarily normalized) state vector."""
-    k = np.asarray(ket, dtype=complex)
-    k = k / np.linalg.norm(k)
-    return np.outer(k, k.conj())
+    The Bloch form (I + cos(theta) Z + sin(theta) (cos(phi) X + sin(phi) Y)) / 2
+    at polar angle theta = pi/2, with the float cos(pi/2) = 6.1e-17 kept on
+    the diagonal: the error-rate CSVs were recorded with it.
+    """
+    phi %= 2.0 * math.pi
+    coherence = complex(0.5 * math.cos(phi), -0.5 * math.sin(phi))
+    return np.array([
+        [0.5 * (1.0 + _COS_EQUATOR), coherence],
+        [coherence.conjugate(), 0.5 * (1.0 - _COS_EQUATOR)],
+    ])
 
 
 def validate_density(rho: np.ndarray) -> None:
@@ -73,18 +54,25 @@ def validate_density(rho: np.ndarray) -> None:
         raise ValueError(f"negative eigenvalue {w.min():.3e}")
 
 
-def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> between a pure reference state and a mixed state.
+def fidelity(psi: np.ndarray, rho: np.ndarray):
+    """Overlap <psi|rho|psi> = tr(psi rho) between a pure reference state and
+    a mixed state.
 
     psi is the density matrix of the pure reference; a non-pure psi
-    (purity below 1 - 1e-10) is rejected.
+    (purity below 1 - 1e-10) is rejected. psi and rho may be (..., d, d)
+    stacks that broadcast together: two matrices give a float, stacks an
+    array of overlaps, each with the bits of the call on its two matrices.
     """
-    if psi.shape != rho.shape:
+    if psi.shape[-2:] != rho.shape[-2:]:
         raise ValueError(f"dimension mismatch: {psi.shape} vs {rho.shape}")
-    purity = float((psi @ psi).trace().real)
-    if purity < 1.0 - PURITY_ATOL:
-        raise ValueError(f"reference state is not pure: tr(psi^2) = {purity}")
-    return float((psi @ rho).trace().real)
+    purity = real_trace(psi @ psi)
+    failed = first_failure(purity, purity >= 1.0 - PURITY_ATOL)
+    if failed is not None:
+        raise ValueError(f"reference state is not pure: tr(psi^2) = {failed}")
+    # matmul hands each contiguous matrix, alone or in a stack, to the same
+    # BLAS call, as the recorded outputs were computed
+    overlap = real_trace(psi @ rho)
+    return overlap if np.ndim(overlap) else float(overlap)
 
 
 def _herm_sqrt(rho: np.ndarray) -> np.ndarray:

@@ -14,10 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, quietly
+from ._elementwise import (
+    ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, ordered_sum, quietly,
+)
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
-from .weakmeas import WeakMeasurement, apply_postselected, require_postselection
+from .weakmeas import post_diagonal, postselect, pre_diagonal, require_postselection
+
+# azimuths of the four key-distribution states, and for each state the
+# index of its conjugate partner (azimuth shifted by pi)
+BB84_AZIMUTHS = (0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi)
+BB84_PARTNERS = (1, 0, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -57,11 +64,25 @@ def apply_protection(
 ) -> tuple[np.ndarray, float]:
     """Generic route: pre-measure diag(1, m), damp, reverse with diag(n, 1).
 
-    Returns the post-selected output state and the joint success probability.
+    Returns the post-selected output state and the joint success
+    probability, which must reach the cutoff. m and n may be arrays and rho
+    a (..., 2, 2) stack, all broadcasting together: the result is then a
+    stack of states and an array of probabilities, each entry with the
+    bits of the scalar call at that point.
     """
-    state, prob_pre = apply_postselected(WeakMeasurement.pre(m), rho)
-    state = apply_channel(gad_channel(params), state)
-    state, prob_post = apply_postselected(WeakMeasurement.post(n), state)
+    return kraus_protection(gad_channel(params), m, n, rho)
+
+
+def kraus_protection(
+    ops: np.ndarray, m: float, n: float, rho: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """apply_protection through the channel given by its Kraus operators:
+    one (k, 2, 2) stack, or a (..., k, 2, 2) stack of channels that
+    broadcasts against the states, so that runs through different channels
+    go as one call."""
+    state, prob_pre = postselect(pre_diagonal(m), rho)
+    state = apply_channel(ops, state)
+    state, prob_post = postselect(post_diagonal(n), state)
     return state, require_postselection(prob_pre * prob_post)
 
 
@@ -159,21 +180,22 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     Each basis state is pushed through the full measure/damp/reverse
     pipeline; the error term of a state is the overlap leaking into its
     conjugate partner (azimuth shifted by pi), normalized per pair.
+
+    Scalar in, float out; array in, array out: m and n may be broadcasting
+    arrays, each entry equal to the scalar call at that point bit for bit.
     """
     check_strength("m", m)
     check_strength("n", n)
-    phis = (0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi)
-    outputs = {
-        phi: apply_protection(params, m, n, equatorial_state(phi))[0] for phi in phis
-    }
-    total = 0.0
-    for phi in phis:
-        partner = (phi + math.pi) % (2.0 * math.pi)
-        psi = equatorial_state(phi)
-        own = fidelity(psi, outputs[phi])
-        leaked = fidelity(psi, outputs[partner])
-        total += leaked / (own + leaked)
-    return total / len(phis)
+    # the four states run as one stack, on an axis after the strengths' axes
+    states = np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
+    outputs, _ = apply_protection(
+        params, np.asarray(m)[..., None], np.asarray(n)[..., None], states
+    )
+    own = fidelity(states, outputs)
+    leaked = fidelity(states, outputs[..., BB84_PARTNERS, :, :])
+    terms = leaked / (own + leaked)
+    error = ordered_sum(terms[..., i] for i in range(len(BB84_AZIMUTHS))) / len(BB84_AZIMUTHS)
+    return error if np.ndim(error) else float(error)
 
 
 def average_fidelity_six(params: GadParams, m: float, n: float) -> AverageFidelityReport:

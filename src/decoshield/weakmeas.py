@@ -2,18 +2,17 @@
 
 A pre-channel measurement diag(1, m) partially collapses toward |0>;
 a post-channel reversal diag(n, 1) undoes the collapse probabilistically.
-Two-qubit variants are tensor products of the single-qubit forms.
+Two-qubit variants are tensor products of the single-qubit forms. A
+measurement is given by its diagonal and applied entry by entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import first_failure
-from .linalg import dagger
+from ._elementwise import first_failure, real_trace
 
 MIN_POSTSELECT_PROB = 1e-14
 
@@ -39,63 +38,67 @@ def require_postselection(prob):
     return prob
 
 
-@dataclass(frozen=True)
-class WeakMeasurement:
-    """Diagonal measurement operator given by its non-negative diagonal entries."""
-
-    strengths: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.strengths) not in (2, 4):
-            raise ValueError("expected 2 or 4 diagonal entries")
-        if not all(0.0 <= s < math.inf for s in self.strengths):
-            raise ValueError(
-                f"strengths must be finite and non-negative, got {self.strengths}"
-            )
-
-    @classmethod
-    def pre(cls, *m: float) -> "WeakMeasurement":
-        """diag(1, m) on each qubit, tensored together."""
-        diag = np.array([1.0])
-        for strength in m:
-            diag = np.kron(diag, np.array([1.0, strength]))
-        return cls(tuple(diag))
-
-    @classmethod
-    def post(cls, *n: float) -> "WeakMeasurement":
-        """diag(n, 1) on each qubit, tensored together."""
-        diag = np.array([1.0])
-        for strength in n:
-            diag = np.kron(diag, np.array([strength, 1.0]))
-        return cls(tuple(diag))
-
-    def operator(self) -> np.ndarray:
-        """Raw (possibly unphysical) diagonal operator."""
-        return np.diag(np.asarray(self.strengths, dtype=complex))
+def pre_diagonal(*m) -> np.ndarray:
+    """Diagonal of diag(1, m) on each qubit, tensored together (the first
+    strength on the leftmost factor). Strengths may be broadcasting arrays,
+    giving a (..., 2 ** len(m)) stack of diagonals."""
+    return _tensored((1.0, strength) for strength in m)
 
 
-def physical_form(wm: WeakMeasurement) -> tuple[np.ndarray, float]:
-    """Rescale so the operator is a valid measurement element (op^dag op <= I).
+def post_diagonal(*n) -> np.ndarray:
+    """Diagonal of diag(n, 1) on each qubit, tensored together, like
+    pre_diagonal."""
+    return _tensored((strength, 1.0) for strength in n)
 
-    Returns the rescaled operator and the applied scale 1 / max(1, strengths).
-    Entries <= 1 are left untouched.
+
+def _tensored(factors) -> np.ndarray:
+    # kron order: entry i of the running product spawns entries 2i and 2i + 1
+    entries = [1.0]
+    for lo, hi in factors:
+        entries = [entry * x for entry in entries for x in (lo, hi)]
+    diag = np.empty(np.broadcast(*entries).shape + (len(entries),))
+    for i, entry in enumerate(entries):
+        diag[..., i] = entry
+    return diag
+
+
+def apply_postselected(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """Post-selected update (K rho K^dag / w, w) of the diagonal measurement
+    given by its raw entries, with K its physical form.
+
+    The physical form rescales the diagonal by 1 / max(1, entries), so that
+    K^dag K <= I; entries <= 1 are left untouched. The probability
+    w = tr(K rho K^dag) uses the rescaled operator, so a strength c > 1
+    suppresses the outcome by 1/c^2. A w below MIN_POSTSELECT_PROB raises
+    PostSelectionError.
+
+    diagonal has shape (..., d) and rho (..., d, d); stacks broadcast
+    together and give a stack of states and an array of probabilities.
     """
-    c_max = max(1.0, max(wm.strengths))
-    scale = 1.0 / c_max
-    return wm.operator() * scale, scale
+    state, prob = postselect(diagonal, rho)
+    return state, require_postselection(prob)
 
 
-def apply_postselected(
-    wm: WeakMeasurement, rho: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Post-selected update: (K rho K^dag / w, w) with K the physical form.
-
-    The probability w = tr(K rho K^dag) uses the rescaled operator, so a
-    strength c > 1 suppresses the outcome by 1/c^2.
-    """
-    op, _ = physical_form(wm)
-    if op.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: op {op.shape} vs rho {rho.shape}")
-    raw = op @ rho @ dagger(op)
-    prob = require_postselection(float(raw.trace().real))
-    return raw / prob, prob
+def postselect(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """apply_postselected without the cutoff: the pipelines apply it once,
+    to the joint probability of their two outcomes. A zero-probability
+    outcome leaves its zero weight unnormalized, so that joint probability
+    reads 0 rather than NaN."""
+    diagonal = np.asarray(diagonal, dtype=float)
+    dim = diagonal.shape[-1]
+    if rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"dimension mismatch: diagonal of {dim} vs rho {rho.shape}")
+    top = diagonal.max(axis=-1, keepdims=True)
+    if not (0.0 <= diagonal.min() and top.max() < math.inf):  # NaN fails both
+        ok = (0.0 <= diagonal) & (diagonal < math.inf)
+        raise ValueError(
+            f"strengths must be finite and non-negative, got {first_failure(diagonal, ok)!r}"
+        )
+    k = diagonal * (1.0 / np.maximum(1.0, top))
+    # row by row, then column by column: K rho K^dag with no zero terms
+    raw = rho * k[..., :, None] * k[..., None, :]
+    prob = real_trace(raw)
+    if np.ndim(prob):
+        return raw / np.where(prob > 0.0, prob, 1.0)[..., None, None], prob
+    prob = float(prob)
+    return raw / (prob if prob > 0.0 else 1.0), prob

@@ -105,7 +105,7 @@ def test_criterion_5_closed_forms_equal_pipeline():
         (checks.qubit_closed_form_vs_pipeline, 5000),
         (checks.entangle_closed_form_vs_pipeline, 5000),
     )
-    _done(5, f"10^4 draws: {detail}", t0)
+    _done(5, f"10^4 draws: {detail}", t0, budget=3.0)
 
 
 def test_criterion_6_independent_oracles_agree():

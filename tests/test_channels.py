@@ -3,7 +3,6 @@ import pytest
 
 from decoshield.channels import (
     GadParams,
-    KrausChannel,
     apply_channel,
     apply_on_qubit,
     apply_via_dilation,
@@ -37,10 +36,16 @@ def test_params_validation():
 
 
 def test_kraus_channel_shape_checks():
-    with pytest.raises(ValueError, match="shapes"):
-        KrausChannel((np.eye(2), np.eye(4)))
-    ch = KrausChannel((np.eye(2),))
-    assert ch.dim == 2
+    ops = gad_channel(GadParams(0.3, 0.6))
+    assert ops.shape == (4, 2, 2)
+    # a stack of states is a stack of channel outputs, state by state
+    rhos = np.stack([random_density(RNG) for _ in range(6)]).reshape(2, 3, 2, 2)
+    out = apply_channel(ops, rhos)
+    assert out.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(2, 3):
+        assert out[idx].tobytes() == apply_channel(ops, rhos[idx]).tobytes()
+    with pytest.raises(ValueError, match="mismatch"):
+        apply_channel(ops, np.eye(4)[None] / 4)
 
 
 def test_completeness_over_parameter_range():
@@ -122,7 +127,7 @@ def test_apply_on_qubit_matches_kron_lift():
         rho = random_density(RNG, dim=4)
         got = apply_on_qubit(ch, rho, qubit)
         want = np.zeros_like(rho)
-        for op in ch.operators:
+        for op in ch:
             lifted = np.kron(op, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), op)
             want += lifted @ rho @ lifted.conj().T
         assert np.max(np.abs(got - want)) < 1e-14
@@ -138,6 +143,12 @@ def test_apply_on_qubit_leaves_other_factor_alone():
     assert np.max(np.abs(out - want)) < 1e-14
     with pytest.raises(ValueError, match="qubit"):
         apply_on_qubit(gad_channel(params), joint, 2)
+    # on a stack, each state gets the bits it gets on its own
+    stack = np.stack([joint, np.kron(other, target)])
+    for qubit in (0, 1):
+        out = apply_on_qubit(gad_channel(params), stack, qubit)
+        for i in range(2):
+            assert out[i].tobytes() == apply_on_qubit(gad_channel(params), stack[i], qubit).tobytes()
 
 
 def test_dilation_isometry_matches_kraus_action():

@@ -362,6 +362,13 @@ def test_library_errors_exit_with_usage(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {start}"), (argv, err)
         assert err.count("\n") == 1, err
+    # both routes name the joint probability of the two outcomes, not the
+    # reversal stage's 2e-16; the two roundings of it differ in the last ulp
+    named = []
+    for command in ("qubit-fidelity", "qkd-error"):
+        assert entry([command, *still]) == 2
+        named.append(float(capsys.readouterr().err.split()[4]))
+    assert math.isclose(*named, rel_tol=1e-15), named
 
 
 def test_malformed_range_exits_with_usage(capsys):

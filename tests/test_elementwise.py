@@ -1,6 +1,7 @@
-"""Array calls of the closed forms equal scalar calls bit for bit.
+"""Array calls of the closed forms, and of the key-distribution pipeline,
+equal scalar calls bit for bit.
 
-Each property evaluates a closed form once on numpy arrays and once per
+Each property evaluates a function once on numpy arrays and once per
 point on Python floats. Where every point succeeds, each array entry must
 have the bits of the scalar result at that point, and every scalar result
 must be a plain Python float or complex; where some point raises, the
@@ -22,7 +23,13 @@ from decoshield.entangle import (
     optimal_reversal,
     protected_state,
 )
-from decoshield.qubit import average_fidelity_six, protect_equatorial
+from decoshield.linalg import equatorial_state
+from decoshield.qubit import (
+    apply_protection,
+    average_fidelity_six,
+    bb84_error_rate,
+    protect_equatorial,
+)
 
 PROPERTY = settings(max_examples=300)
 
@@ -108,3 +115,29 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
         lambda res: res[1],
         *(lambda res, f=f: f(res[0]) for f in xstate),
     )
+
+
+# the whole domain of the pipeline: channel boundaries drawn explicitly,
+# strengths log-uniform over [1e-12, 50]
+edge_unit = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+log_strengths = st.lists(
+    st.floats(-12.0, math.log10(50.0)).map(lambda e: min(10.0 ** e, 50.0)),
+    min_size=1, max_size=6,
+)
+
+
+@PROPERTY
+@given(st.builds(GadParams, edge_unit, edge_unit), log_strengths, log_strengths, phases)
+def test_pipeline_arrays(params, ms, ns, phi):
+    m, n = np.array(ms)[:, None], np.array(ns)[None, :]
+    points = [(mi, ni) for mi in ms for ni in ns]
+
+    each = [outcome(bb84_error_rate, params, mi, ni) for mi, ni in points]
+    agree(outcome(bb84_error_rate, params, m, n), each, lambda err: err)
+
+    rho = equatorial_state(phi)
+    each = [outcome(apply_protection, params, mi, ni, rho) for mi, ni in points]
+    res = outcome(apply_protection, params, m, n, rho)
+    if agree(res, each, lambda out: out[1]):
+        want = np.array([state for state, _ in each])
+        assert res[0].reshape(want.shape).tobytes() == want.tobytes()

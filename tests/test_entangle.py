@@ -175,6 +175,10 @@ def test_zero_probability_raises():
     excited = EntangledInput.from_alpha_sq(0.0)
     with pytest.raises(PostSelectionError):
         protected_state(excited, REF1, REF2, 0.0, 1.0, 1.0, 1.0)
+    # the pipeline's void first stage keeps a zero weight, so the joint
+    # probability it names is 0, not NaN
+    with pytest.raises(PostSelectionError, match="probability 0.0 below"):
+        pipeline_state(excited, REF1, REF2, 0.0, 1.0, 1.0, 1.0)
     pure_ground = measured_coefficients(
         EntangledInput.from_alpha_sq(1.0), GadParams(0.5, 0.0), GadParams(0.5, 0.0), 1.0, 1.0
     )

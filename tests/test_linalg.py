@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from decoshield.linalg import (
-    PureQubit,
     dagger,
     equatorial_state,
     fidelity,
-    ket_density,
-    to_density,
     validate_density,
     wootters_concurrence,
 )
@@ -23,24 +20,9 @@ def random_density(rng, dim=2):
     return rho / rho.trace()
 
 
-def test_pure_qubit_rejects_out_of_range_angles():
-    with pytest.raises(ValueError):
-        PureQubit(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        PureQubit(math.pi + 0.1, 0.0)
-    with pytest.raises(ValueError):
-        PureQubit(1.0, 2.0 * math.pi)
-    PureQubit(0.0, 0.0)
-    PureQubit(math.pi, 6.28)
-
-
-def test_to_density_is_projector_onto_bloch_direction():
-    for theta, phi in [(0.3, 1.1), (math.pi / 2, 0.0), (2.9, 5.5)]:
-        rho = to_density(PureQubit(theta, phi))
-        validate_density(rho)
-        assert abs((rho @ rho - rho).max()) < 1e-12  # pure
-        ket = np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)])
-        assert np.allclose(rho, np.outer(ket, ket.conj()), atol=1e-12)
+def pure(ket):
+    ket = np.asarray(ket, dtype=complex)
+    return np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
 
 
 def test_equatorial_state_off_diagonal_phase():
@@ -49,15 +31,11 @@ def test_equatorial_state_off_diagonal_phase():
         assert abs(rho[0, 0] - 0.5) < 1e-15
         assert abs(rho[1, 1] - 0.5) < 1e-15
         assert abs(rho[0, 1] - 0.5 * np.exp(-1j * phi)) < 1e-15
+        # the projector onto the ket (|0> + e^{i phi} |1>) / sqrt(2)
+        validate_density(rho)
+        assert np.max(np.abs(rho - pure([1.0, np.exp(1j * phi)]))) < 1e-15
     # angle wraps rather than being rejected
     assert np.allclose(equatorial_state(7.0), equatorial_state(7.0 - 2 * math.pi))
-
-
-def test_ket_density_normalizes():
-    rho = ket_density(np.array([2.0, 0.0]))
-    assert np.allclose(rho, np.diag([1.0, 0.0]))
-    rho = ket_density(np.array([1.0, 1j]))
-    assert abs(rho.trace() - 1.0) < 1e-15
 
 
 def test_dagger():
@@ -89,23 +67,32 @@ def test_fidelity_basic_properties():
         fidelity(mixed, psi)
     with pytest.raises(ValueError, match="mismatch"):
         fidelity(psi, np.eye(4) / 4)
+    # stacks broadcast, each overlap with the bits of its lone call
+    rhos = np.stack([random_density(RNG) for _ in range(3)])
+    psis = np.stack([psi, orth])[:, None]
+    got = fidelity(psis, rhos)
+    assert got.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert got[i, j] == fidelity(psis[i, 0], rhos[j])
+    with pytest.raises(ValueError, match="pure"):
+        fidelity(np.stack([psi, mixed]), rhos[:2])
 
 
 def test_fidelity_against_expectation_value():
     for _ in range(50):
         theta = RNG.uniform(0, math.pi)
         phi = RNG.uniform(0, 2 * math.pi)
-        psi = to_density(PureQubit(theta, phi))
-        rho = random_density(RNG)
         ket = np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)])
+        psi = pure(ket)
+        rho = random_density(RNG)
         direct = float(np.real(ket.conj() @ rho @ ket))
         assert abs(fidelity(psi, rho) - direct) < 1e-12
 
 
 def test_wootters_concurrence_reference_states():
-    bell = ket_density(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+    bell = pure(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
     assert abs(wootters_concurrence(bell) - 1.0) < 1e-12
-    product = ket_density(np.array([1.0, 0.0, 0.0, 0.0]))
+    product = pure(np.array([1.0, 0.0, 0.0, 0.0]))
     assert wootters_concurrence(product) < 1e-12
     mixed = np.eye(4, dtype=complex) / 4.0
     assert wootters_concurrence(mixed) == 0.0
@@ -113,7 +100,7 @@ def test_wootters_concurrence_reference_states():
 
 def test_wootters_concurrence_werner_closed_form():
     # q |Bell><Bell| + (1-q) I/4 has concurrence max(0, (3q - 1) / 2)
-    bell = ket_density(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+    bell = pure(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
     for q in (0.1, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0):
         rho = q * bell + (1.0 - q) * np.eye(4) / 4.0
         want = max(0.0, (3.0 * q - 1.0) / 2.0)
@@ -127,7 +114,7 @@ def test_wootters_concurrence_partial_entanglement():
         # pure Schmidt state: concurrence is twice the amplitude product;
         # the rank-1 spectrum turns eigensolver rounding into sqrt(eps)-size
         # residues in the three vanishing lambdas, hence the loose bound
-        got = wootters_concurrence(ket_density(ket))
+        got = wootters_concurrence(pure(ket))
         assert abs(got - 2.0 * math.sqrt(a * (1 - a))) < 1e-7
 
 

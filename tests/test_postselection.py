@@ -2,7 +2,8 @@
 of both weak-measurement outcomes falls below MIN_POSTSELECT_PROB.
 
 The closed forms and the Kraus pipelines each apply that rule on their own
-numbers; the properties check they void exactly the same runs.
+numbers; the properties check, over the whole domain, that they void
+exactly the same runs and agree within 1e-12 on the runs they keep.
 """
 
 import cmath
@@ -14,12 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from decoshield.channels import GadParams
-from decoshield.entangle import EntangledInput, pipeline_state, protected_state
-from decoshield.linalg import equatorial_state
+from decoshield.entangle import EntangledInput, pipeline_state, protected_state, reversed_state
+from decoshield.linalg import equatorial_state, fidelity
 from decoshield.qubit import apply_protection, average_fidelity_six, protect_equatorial
 from decoshield.weakmeas import MIN_POSTSELECT_PROB, PostSelectionError, require_postselection
 
 PROPERTY = settings(max_examples=400)
+TOL = 1e-12
 
 unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 channels = st.builds(GadParams, unit, unit)
@@ -33,12 +35,14 @@ phases = st.floats(0.0, 2.0 * math.pi)
 
 
 def voided(fn, *args, prob):
-    """(success probability, whether the call raised PostSelectionError);
-    a voided call's probability is the one its error names."""
+    """(result, success probability, whether the call raised
+    PostSelectionError); a voided call has no result, and its probability
+    is the one its error names."""
     try:
-        return prob(fn(*args)), False
+        result = fn(*args)
     except PostSelectionError as exc:
-        return float(str(exc).split()[2]), True
+        return None, float(str(exc).split()[2]), True
+    return result, prob(result), False
 
 
 def away_from_cutoff(prob):
@@ -46,19 +50,30 @@ def away_from_cutoff(prob):
 
 
 def routes_agree(closed, generic):
-    prob, closed_void = closed
+    """True when both routes kept the run."""
+    _, prob, closed_void = closed
     assume(away_from_cutoff(prob))
     assert closed_void == (prob < MIN_POSTSELECT_PROB)
-    assert generic[1] == closed_void, (closed, generic)
+    assert generic[2] == closed_void, (closed, generic)
+    if not closed_void:
+        assert abs(prob - generic[1]) <= TOL
+    return not closed_void
+
+
+def gap(a, b):
+    return float(np.max(np.abs(a - b)))
 
 
 @PROPERTY
-@given(channels, strength, strength)
-def test_qubit_routes_void_the_same_runs(params, m, n):
-    closed = voided(protect_equatorial, params, m, n, prob=lambda res: res.success_prob)
-    generic = voided(apply_protection, params, m, n, equatorial_state(0.0),
-                     prob=lambda out: out[1])
-    routes_agree(closed, generic)
+@given(channels, strength, strength, phases)
+def test_qubit_routes_void_the_same_runs(params, m, n, phi):
+    psi = equatorial_state(phi)
+    closed = voided(protect_equatorial, params, m, n, phi, prob=lambda res: res.success_prob)
+    generic = voided(apply_protection, params, m, n, psi, prob=lambda out: out[1])
+    if routes_agree(closed, generic):
+        res, (state, _) = closed[0], generic[0]
+        assert gap(res.output_state, state) <= TOL
+        assert abs(res.fidelity - fidelity(psi, state)) <= TOL
 
 
 @PROPERTY
@@ -70,7 +85,9 @@ def test_entangle_routes_void_the_same_runs(ch1, ch2, alpha_sq, phase, m1, m2, n
     strengths = (m1, m2, n1, n2)
     closed = voided(protected_state, inp, ch1, ch2, *strengths, prob=lambda out: out[1])
     generic = voided(pipeline_state, inp, ch1, ch2, *strengths, prob=lambda out: out[1])
-    routes_agree(closed, generic)
+    if routes_agree(closed, generic):
+        state, _ = reversed_state(closed[0][0], n1, n2)
+        assert gap(state, generic[0][0]) <= TOL
 
 
 def test_closed_form_voids_where_pipeline_does():

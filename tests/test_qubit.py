@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decoshield.channels import GadParams
-from decoshield.linalg import equatorial_state, fidelity, ket_density, validate_density
+from decoshield.linalg import equatorial_state, fidelity, validate_density
 from decoshield.qubit import (
     apply_protection,
     average_fidelity_six,
@@ -17,7 +17,7 @@ from decoshield.qubit import (
 
 RNG = np.random.default_rng(41177)
 
-POLES = (ket_density(np.array([1.0, 0.0])), ket_density(np.array([0.0, 1.0])))
+POLES = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
 # optimum for p = 0.8, r = 0.3, cross-checked against the grid + simplex
 # oracle in the verify suite

@@ -126,9 +126,15 @@ def check_finite(value, names: str, *strengths):
     ok = value <= FLOAT_MAX
     if ok is True or (ok is not False and ok.all()):
         return value
-    at = np.argmin(ok)  # the first failing entry, in C order
-    point = ", ".join(repr(float(np.broadcast_to(v, np.shape(ok)).flat[at])) for v in strengths)
+    point = ", ".join(repr(v) for v in failing_entries(ok, *strengths))
     raise ValueError(f"strengths {names} = {point} overflow the float range")
+
+
+def failing_entries(ok, *values) -> tuple[float, ...]:
+    """The entries of `values`, broadcast to the shape of the mask `ok`, at
+    its first False entry in C order, as Python floats; ok may be a bool."""
+    at = np.argmin(ok)
+    return tuple(float(np.broadcast_to(v, np.shape(ok)).flat[at]) for v in values)
 
 
 def quietly(fn, *args):

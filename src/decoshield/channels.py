@@ -7,27 +7,34 @@ Its fixed point is diag(p, 1 - p); p = 1 recovers plain amplitude damping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ordered_sum, stack_matmul
+from ._elementwise import ARRAY, SCALAR, first_failure, ordered_sum, stack_matmul
 from .linalg import dagger
 
 
 @dataclass(frozen=True)
 class GadParams:
-    """Channel pair {p, r}: excited-population weight p and damping strength r."""
+    """Channel pair {p, r}: excited-population weight p and damping strength r.
+
+    p and r may also be numpy arrays that broadcast together, one channel
+    per entry; the functions that take such a stack say so.
+    """
 
     p: float
     r: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must be in [0, 1], got {self.r}")
+        for name, value in (("p", self.p), ("r", self.r)):
+            ok = (0.0 <= value) & (value <= 1.0)
+            if ok is not True:  # a valid Python float skips the call below
+                failed = first_failure(value, ok)
+                if failed is not None:
+                    raise ValueError(f"{name} must be in [0, 1], got {failed}")
+        if isinstance(self.p, np.ndarray) or isinstance(self.r, np.ndarray):
+            np.broadcast_shapes(np.shape(self.p), np.shape(self.r))
 
 
 # for each qubit, the order of the (a, b, a', b') axes of a two-qubit state
@@ -38,23 +45,27 @@ _BLOCK_ORDER = (((1, 3, 0, 2), (2, 0, 3, 1)), ((0, 2, 1, 3), (0, 2, 1, 3)))
 
 def gad_channel(params: GadParams) -> np.ndarray:
     """The four Kraus operators of the generalized amplitude-damping
-    channel, as one (4, 2, 2) stack in operator order.
+    channel, as one (4, 2, 2) stack in operator order; a (..., 4, 2, 2)
+    stack of channels when p and r are arrays.
 
     With p = 1 the two excitation operators vanish and the set reduces to
     the zero-temperature amplitude-damping pair.
     """
     p, r = params.p, params.r
-    sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    kr, kd = math.sqrt(r), math.sqrt(1.0 - r)
-    return np.array(
-        [
-            [[sp, 0.0], [0.0, sp * kd]],
-            [[0.0, sp * kr], [0.0, 0.0]],
-            [[sq * kd, 0.0], [0.0, sq]],
-            [[0.0, 0.0], [sq * kr, 0.0]],
-        ],
-        dtype=complex,
+    xp = ARRAY if isinstance(p, np.ndarray) or isinstance(r, np.ndarray) else SCALAR
+    sp, sq = xp.sqrt(p), xp.sqrt(1.0 - p)
+    kr, kd = xp.sqrt(r), xp.sqrt(1.0 - r)
+    # the sixteen entries of the (4, 2, 2) stack, in C order
+    entries = (
+        sp, 0.0, 0.0, sp * kd,
+        0.0, sp * kr, 0.0, 0.0,
+        sq * kd, 0.0, 0.0, sq,
+        0.0, 0.0, sq * kr, 0.0,
     )
+    if xp is SCALAR:
+        return np.array(entries, dtype=complex).reshape(4, 2, 2)
+    flat = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return flat.reshape(flat.shape[:-1] + (4, 2, 2)).astype(complex)
 
 
 def apply_channel(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -173,11 +173,11 @@ def protected_state(
     Zero strengths are allowed (projective limits); negatives are not.
     """
     coeffs = measured_coefficients(inp, ch1, ch2, m1, m2)
-    return coeffs, _success_probability(coeffs, m1, m2, n1, n2)
+    return coeffs, _success_probability(_reversed_trace(coeffs, n1, n2), m1, m2, n1, n2)
 
 
-def _success_probability(coeffs: XStateCoefficients, m1, m2, n1, n2):
-    prob = _reversed_trace(coeffs, n1, n2)
+def _success_probability(prob, m1, m2, n1, n2):
+    """The success probability, from prob, the raw reversed trace."""
     xp = ARRAY if isinstance(prob, np.ndarray) else SCALAR
     # strengths above one get rescaled into physical operators, which costs
     # probability quadratically; smaller ones cost nothing extra
@@ -230,14 +230,23 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     Equals 2 n1 n2 (|e| - sqrt(bc)) divided by the reversed trace, so it
     reduces to the unprotected value at unit strengths.
     """
-    raw = require_postselection(_reversed_trace(coeffs, n1, n2))
+    return _lambda2(coeffs, n1, n2, require_postselection(_reversed_trace(coeffs, n1, n2)))
+
+
+def _lambda2(coeffs: XStateCoefficients, n1, n2, raw):
+    """concurrence_lambda2 from the raw reversed trace, once it has passed
+    the cutoff."""
     xp = ARRAY if isinstance(raw, np.ndarray) else SCALAR
     return 2.0 * n1 * n2 * (xp.modulus(coeffs.e) - xp.sqrt(coeffs.b * coeffs.c)) / raw
 
 
 def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     """Reversal strengths (CD/AB)^(1/4), (BD/AC)^(1/4) maximizing the
-    concurrence of the reversed state at fixed pre-measurement."""
+    concurrence of the reversed state at fixed pre-measurement.
+
+    Where a product of coefficients overflows, at pre-measurement strengths
+    above about 1e77, a strength is inf or NaN; optimized_protection names
+    the strength that caused it."""
     if isinstance(coeffs.a, np.ndarray):
         return quietly(_optimal_reversal, coeffs, ARRAY)
     return _optimal_reversal(coeffs, SCALAR)
@@ -252,11 +261,14 @@ def _optimal_reversal(coeffs: XStateCoefficients, xp) -> tuple[float, float]:
 
 def optimized_protection(inp: EntangledInput, ch1: GadParams, ch2: GadParams, m):
     """n1, n2, lambda2 and success probability at pre-measurement strength(s)
-    m = m1 (m2 = 1), with the reversal optimized at each m; scalar or array."""
+    m = m1 (m2 = 1), with the reversal optimized at each m; scalar or array.
+    The reversed trace is computed and checked once, for both results."""
     coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
     n1, n2 = optimal_reversal(coeffs)
-    lam2 = concurrence_lambda2(coeffs, n1, n2)
-    return n1, n2, lam2, _success_probability(coeffs, m, 1.0, n1, n2)
+    # both strengths are at most about 1e77, so their sum is finite unless one is not
+    check_finite(n1 + n2, "m", m)
+    raw = require_postselection(_reversed_trace(coeffs, n1, n2))
+    return n1, n2, _lambda2(coeffs, n1, n2, raw), _success_probability(raw, m, 1.0, n1, n2)
 
 
 def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:

@@ -72,19 +72,43 @@ def _safe_value(objective: Callable[[np.ndarray], float], point: np.ndarray) -> 
     return -math.inf if math.isnan(value) else value
 
 
+def _lattice_values(objective: Callable[[np.ndarray], float], points: np.ndarray):
+    """The objective at every point from one call on the (dim, N) lattice,
+    or None when it does not evaluate arrays: it raised, or it returned
+    anything but a float array of shape (N,)."""
+    try:
+        values = objective(points.T)
+    except Exception:
+        return None
+    if not (
+        isinstance(values, np.ndarray) and values.dtype == float and values.shape == points.shape[:1]
+    ):
+        return None
+    return np.where(np.isnan(values), -math.inf, values)
+
+
 def grid_maximize(
     objective: Callable[[np.ndarray], float], box: SearchBox
 ) -> SearchResult:
     """Evaluate every lattice point and return the best.
+
+    The objective is first called once on the whole lattice, a (dim, N)
+    array whose columns are the points. When that gives a float array of
+    shape (N,), it holds the values; otherwise, when the call raises (an
+    array call fails as a whole where one point fails) or returns anything
+    else, the objective is called point by point on (dim,) arrays, and a
+    point where it raises scores -inf. NaN scores -inf either way.
 
     Ties break to the lexicographically smallest argmax (first hit in
     C-order).
     """
     mesh = np.meshgrid(*box.axes(), indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = np.fromiter(
-        (_safe_value(objective, pt) for pt in points), dtype=float, count=len(points)
-    )
+    values = _lattice_values(objective, points)
+    if values is None:
+        values = np.fromiter(
+            (_safe_value(objective, pt) for pt in points), dtype=float, count=len(points)
+        )
     best = int(np.argmax(values))
     return SearchResult(points[best].copy(), float(values[best]), len(points))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import (
-    ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, ordered_sum, quietly,
+    ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, failing_entries, ordered_sum, quietly,
 )
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
@@ -54,9 +54,16 @@ class AverageFidelityReport:
     favg: float
 
 
+def _channel_namespace(params: GadParams):
+    # the channel functions run on plain floats, or on arrays of channels
+    array = isinstance(params.p, np.ndarray) or isinstance(params.r, np.ndarray)
+    return ARRAY if array else SCALAR
+
+
 def baseline_fidelity(params: GadParams) -> float:
-    """Fidelity (1 + sqrt(1 - r)) / 2 of an unprotected equatorial state."""
-    return 0.5 * (1.0 + math.sqrt(1.0 - params.r))
+    """Fidelity (1 + sqrt(1 - r)) / 2 of an unprotected equatorial state;
+    an array for an array of channels."""
+    return 0.5 * (1.0 + _channel_namespace(params).sqrt(1.0 - params.r))
 
 
 def apply_protection(
@@ -148,19 +155,34 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
     maximal fidelity is exactly 1. p = 0 is rejected: m diverges and the
     channel becomes pure excitation, outside this scheme. So is a p so small
     that p (1 - r + pr) underflows to zero, where n overflows.
+
+    For an array of channels every field is an array, each entry equal to
+    the scalar call on that channel bit for bit; the call raises when any
+    channel would, naming the first such channel for the underflow.
     """
+    xp = _channel_namespace(params)
+    if xp is ARRAY:
+        return quietly(_optimal_strengths, params, xp)
+    return _optimal_strengths(params, xp)
+
+
+def _optimal_strengths(params: GadParams, xp) -> OptimalStrengths:
     p, r = params.p, params.r
-    if p == 0.0:
+    if xp is ARRAY:  # so that projective, too, has the shape of the channels
+        p, r = np.broadcast_arrays(p, r)
+    if not xp.all(p != 0.0):
         raise ValueError("p = 0: optimal pre-measurement strength diverges")
-    if p == 1.0 and r == 1.0:
+    if not xp.all((p != 1.0) | (r != 1.0)):
         raise ValueError("p = 1 with r = 1: optimum is degenerate")
     stay0 = 1.0 - r + p * r
     stay1 = 1.0 - p * r
-    if p * stay0 == 0.0:  # a tiny p underflows it, e.g. p^2 at r = 1
-        raise ValueError(f"p = {p!r} with r = {r!r}: optimal reversal strength overflows")
-    m = ((1.0 - p) * stay0 / (p * stay1)) ** 0.25
-    n = ((1.0 - p) * stay1 / (p * stay0)) ** 0.25
-    f_max = 0.5 * (1.0 + math.sqrt(1.0 - r) / g_value(params))
+    nonzero = p * stay0 != 0.0  # a tiny p underflows it, e.g. p^2 at r = 1
+    if not xp.all(nonzero):
+        at = failing_entries(nonzero, p, r)
+        raise ValueError("p = {!r} with r = {!r}: optimal reversal strength overflows".format(*at))
+    m = xp.pow((1.0 - p) * stay0 / (p * stay1), 0.25)
+    n = xp.pow((1.0 - p) * stay1 / (p * stay0), 0.25)
+    f_max = 0.5 * (1.0 + xp.sqrt(1.0 - r) / g_value(params))
     return OptimalStrengths(m, n, f_max, projective=(p == 1.0))
 
 
@@ -168,10 +190,11 @@ def g_value(params: GadParams) -> float:
     """Fidelity penalty factor sqrt((1-rp)(1-r+rp)) + r sqrt(p(1-p)).
 
     Equals 1 exactly when r = 0 or p = 1/2 (no gain from weak measurement)
-    and dips to sqrt(1-r) at p in {0, 1}.
+    and dips to sqrt(1-r) at p in {0, 1}. An array for an array of channels.
     """
     p, r = params.p, params.r
-    return math.sqrt((1.0 - r * p) * (1.0 - r + r * p)) + r * math.sqrt(p * (1.0 - p))
+    sqrt = _channel_namespace(params).sqrt
+    return sqrt((1.0 - r * p) * (1.0 - r + r * p)) + r * sqrt(p * (1.0 - p))
 
 
 def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
@@ -181,15 +204,20 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     pipeline; the error term of a state is the overlap leaking into its
     conjugate partner (azimuth shifted by pi), normalized per pair.
 
-    Scalar in, float out; array in, array out: m and n may be broadcasting
-    arrays, each entry equal to the scalar call at that point bit for bit.
+    Scalar in, float out; array in, array out: m, n and the channel
+    parameters p, r may be arrays that broadcast together, each entry equal
+    to the scalar call at that point bit for bit.
     """
     check_strength("m", m)
     check_strength("n", n)
-    # the four states run as one stack, on an axis after the strengths' axes
+    # the four states run as one stack, on an axis after the other axes;
+    # the channel, or each channel of a stack, serves all four
     states = np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
-    outputs, _ = apply_protection(
-        params, np.asarray(m)[..., None], np.asarray(n)[..., None], states
+    outputs, _ = kraus_protection(
+        gad_channel(params)[..., None, :, :, :],
+        np.asarray(m)[..., None],
+        np.asarray(n)[..., None],
+        states,
     )
     own = fidelity(states, outputs)
     leaked = fidelity(states, outputs[..., BB84_PARTNERS, :, :])

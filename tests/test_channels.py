@@ -33,11 +33,25 @@ def test_params_validation():
         GadParams(1.01, 0.5)
     with pytest.raises(ValueError, match="r"):
         GadParams(0.5, 1.2)
+    # arrays are checked entry by entry; the error names the first bad one
+    GadParams(np.array([0.0, 1.0]), np.array([[0.5], [1.0]]))
+    with pytest.raises(ValueError, match="p must be in .0, 1., got 1.5"):
+        GadParams(np.array([0.2, 1.5, -1.0]), 0.5)
+    with pytest.raises(ValueError, match="r must be in .0, 1., got nan"):
+        GadParams(0.5, np.array([[0.2], [np.nan]]))
+    with pytest.raises(ValueError, match="broadcast"):
+        GadParams(np.array([0.2, 0.5]), np.array([0.2, 0.5, 0.7]))
 
 
 def test_kraus_channel_shape_checks():
     ops = gad_channel(GadParams(0.3, 0.6))
     assert ops.shape == (4, 2, 2)
+    # a stack of channels is the channels one by one
+    p, r = np.array([0.0, 0.3, 1.0])[:, None], np.array([0.0, 0.6])
+    stack = gad_channel(GadParams(p, r))
+    assert stack.shape == (3, 2, 4, 2, 2)
+    for i, j in np.ndindex(3, 2):
+        assert stack[i, j].tobytes() == gad_channel(GadParams(p[i, 0], r[j])).tobytes()
     # a stack of states is a stack of channel outputs, state by state
     rhos = np.stack([random_density(RNG) for _ in range(6)]).reshape(2, 3, 2, 2)
     out = apply_channel(ops, rhos)

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +354,8 @@ def test_library_errors_exit_with_usage(capsys):
         (["qubit-fidelity", *huge], "--m-range: strengths must be finite"),
         (["qubit-average", *huge], "--m-range: strengths must be finite"),
         (["entangle", *pair, "--sweep-m", "1:1e160:2"], "--sweep-m: at m=1e+160: m1 must be"),
+        (["entangle", *pair, "--sweep-m", "1:1e100:3"],
+         "--sweep-m: at m=5e+99: strengths m = 5e+99 overflow"),
         (["qubit-fidelity", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
         (["qubit-average", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
         (["optimal", "--p", "1e-200", "--r", "1"], "--p/--r: p = 1e-200 with r = 1.0"),
@@ -392,3 +395,11 @@ def test_verify_command_passes(capsys):
     assert [line.split(":", 1)[0] for line in lines[:-1]] == [
         f"[ok] {name}" for name, _, _ in CHECKS
     ]
+
+
+def test_verify_stdout_matches_record(capsys):
+    # every measured gap, count and scan value that verify prints, to the
+    # byte: a change of route or batching that moves a printed digit fails
+    record = Path(__file__).with_name("data") / "verify_stdout.txt"
+    assert entry(["verify"]) == 0
+    assert capsys.readouterr().out.encode() == record.read_bytes()

@@ -1,5 +1,5 @@
 """Array calls of the closed forms, and of the key-distribution pipeline,
-equal scalar calls bit for bit.
+equal scalar calls bit for bit, over strength arrays and channel arrays.
 
 Each property evaluates a function once on numpy arrays and once per
 point on Python floats. Where every point succeeds, each array entry must
@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoshield.channels import GadParams
+from decoshield.channels import GadParams, gad_channel
 from decoshield.entangle import (
     EntangledInput,
     concurrence_lambda2,
@@ -27,7 +27,10 @@ from decoshield.linalg import equatorial_state
 from decoshield.qubit import (
     apply_protection,
     average_fidelity_six,
+    baseline_fidelity,
     bb84_error_rate,
+    g_value,
+    optimal_strengths,
     protect_equatorial,
 )
 
@@ -120,6 +123,7 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
 # the whole domain of the pipeline: channel boundaries drawn explicitly,
 # strengths log-uniform over [1e-12, 50]
 edge_unit = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+edge_channels = st.lists(st.tuples(edge_unit, edge_unit), min_size=1, max_size=6)
 log_strengths = st.lists(
     st.floats(-12.0, math.log10(50.0)).map(lambda e: min(10.0 ** e, 50.0)),
     min_size=1, max_size=6,
@@ -127,8 +131,23 @@ log_strengths = st.lists(
 
 
 @PROPERTY
-@given(st.builds(GadParams, edge_unit, edge_unit), log_strengths, log_strengths, phases)
-def test_pipeline_arrays(params, ms, ns, phi):
+@given(edge_channels, log_strengths, log_strengths, phases)
+def test_pipeline_arrays(pairs, ms, ns, phi):
+    # the channels as one (C, 1) array, and one by one
+    stack = GadParams(*(np.array(v)[:, None] for v in zip(*pairs)))
+    channels = [GadParams(p, r) for p, r in pairs]
+    ops = gad_channel(stack)
+    assert ops.shape == (len(pairs), 1, 4, 2, 2)
+    assert ops.tobytes() == np.stack([gad_channel(ch) for ch in channels]).tobytes()
+    for fn in (g_value, baseline_fidelity):
+        agree(fn(stack), [fn(ch) for ch in channels], lambda v: v)
+    agree(outcome(optimal_strengths, stack), [outcome(optimal_strengths, ch) for ch in channels],
+          *fields("m", "n", "f_max"), lambda best: 1.0 * best.projective)
+    # each channel against each m, at the first n
+    each = [outcome(bb84_error_rate, ch, mi, ns[0]) for ch in channels for mi in ms]
+    agree(outcome(bb84_error_rate, stack, np.array(ms), ns[0]), each, lambda err: err)
+
+    params = channels[0]
     m, n = np.array(ms)[:, None], np.array(ns)[None, :]
     points = [(mi, ni) for mi in ms for ni in ns]
 

@@ -15,6 +15,7 @@ from decoshield.entangle import (
     measured_coefficients,
     optimal_parameters,
     optimal_reversal,
+    optimized_protection,
     pipeline_state,
     protected_state,
     reversed_state,
@@ -219,6 +220,11 @@ def test_negative_strengths_rejected():
     with pytest.raises(ValueError, match="strengths n1, n2 = 1e.100, 1e.100 overflow"):
         concurrence_lambda2(coeffs, np.array([0.5, 1e100]), 1e100)
     assert pipeline_state(BELL, REF1, REF2, 1.0, 1.0, 1e100, 1e100)[1] > 0.0
+    # above m of about 1e77 the optimal reversal overflows: the error names m
+    with pytest.raises(ValueError, match=r"strengths m = 5e\+99 overflow"):
+        optimized_protection(BELL, REF1, REF2, 5e99)
+    with pytest.raises(ValueError, match=r"strengths m = 5e\+99 overflow"):
+        optimized_protection(BELL, REF1, REF2, np.array([1.0, 5e99, 6e99]))
 
 
 def test_optimal_reversal_is_stationary():

@@ -5,6 +5,8 @@ import pytest
 
 import decoshield.optimize as optimize
 from decoshield.channels import GadParams
+from decoshield.checks import BELL, PAIR_BOX, QUBIT_BOX, REF_PAIR
+from decoshield.entangle import concurrence_lambda2, measured_coefficients
 from decoshield.optimize import (
     SearchBox,
     grid_maximize,
@@ -44,8 +46,14 @@ def test_grid_finds_quadratic_peak():
 
 def test_grid_tie_breaks_to_first_lattice_point():
     box = SearchBox.cube(0.0, 1.0, 3, 2)
-    res = grid_maximize(lambda x: 1.0, box)
-    assert np.allclose(res.argmax, [0.0, 0.0])
+    # point by point, then on the whole lattice at once
+    for flat in (lambda x: 1.0, lambda x: np.ones(np.shape(x)[1:])):
+        res = grid_maximize(flat, box)
+        assert np.allclose(res.argmax, [0.0, 0.0])
+        assert res.value == 1.0 and res.evaluations == 9
+    for capped in (lambda x: min(x[0], 0.5), lambda x: np.minimum(x[0], 0.5)):
+        res = grid_maximize(capped, box)
+        assert np.allclose(res.argmax, [0.5, 0.0])
 
 
 def test_grid_survives_erroring_objective():
@@ -56,8 +64,57 @@ def test_grid_survives_erroring_objective():
             return math.nan
         return x[0]
 
-    res = grid_maximize(touchy, SearchBox((0.0,), (1.0,), (11,)))
-    assert abs(res.argmax[0] - 0.9) < 1e-12
+    def touchy_array(x):
+        # an array call fails as a whole when one point fails
+        if np.any(x[0] < 0.5):
+            raise RuntimeError("pole")
+        return np.where(x[0] > 0.9, math.nan, x[0])
+
+    def nan_array(x):
+        return np.where(x[0] > 0.9, math.nan, x[0])
+
+    for objective in (touchy, touchy_array, nan_array):
+        res = grid_maximize(objective, SearchBox((0.0,), (1.0,), (11,)))
+        assert abs(res.argmax[0] - 0.9) < 1e-12
+        assert res.value == res.argmax[0] and res.evaluations == 11
+
+
+def _fidelity(params):
+    return lambda pt: protect_equatorial(params, pt[0], pt[1]).fidelity
+
+
+def _concurrence(ch1, ch2):
+    return lambda pt: concurrence_lambda2(
+        measured_coefficients(BELL, ch1, ch2, pt[0], 1.0), pt[1], pt[2]
+    )
+
+
+def test_grid_lattice_matches_point_by_point():
+    # without damping, strengths of 1e-8 void the run: there the lattice
+    # call raises and the grid goes point by point
+    ideal = GadParams(1.0, 0.0)
+    cases = [
+        (_fidelity(GadParams(0.8, 0.3)), QUBIT_BOX, False),
+        (_fidelity(ideal), SearchBox.cube(1e-8, 2.0, 9, 2), True),
+        (_concurrence(*REF_PAIR), PAIR_BOX, False),
+        (_concurrence(ideal, ideal), SearchBox.cube(1e-8, 2.0, 5, 3), True),
+    ]
+    for objective, box, voided in cases:
+        calls = []
+
+        def counted(x, objective=objective):
+            calls.append(x.shape)
+            return objective(x)
+
+        lattice = grid_maximize(counted, box)
+        # float() of an array raises, so this one is called point by point
+        each = grid_maximize(lambda x, objective=objective: float(objective(x)), box)
+        points = lattice.evaluations
+        assert calls[0] == (box.dim, points)
+        assert len(calls) == (1 + points if voided else 1)
+        assert lattice.argmax.tobytes() == each.argmax.tobytes()
+        assert np.float64(lattice.value).tobytes() == np.float64(each.value).tobytes()
+        assert lattice.evaluations == each.evaluations == math.prod(box.resolution)
 
 
 def test_grid_locates_fidelity_optimum():

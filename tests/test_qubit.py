@@ -133,6 +133,13 @@ def test_degenerate_parameter_rejection():
     # p (1 - r + p r) = p^2 underflows to zero here
     with pytest.raises(ValueError, match="p = 1e-200 with r = 1.0"):
         optimal_strengths(GadParams(1e-200, 1.0))
+    # an array of channels raises where any channel does, naming the first
+    with pytest.raises(ValueError, match="p = 0"):
+        optimal_strengths(GadParams(np.array([0.5, 0.0]), 0.4))
+    with pytest.raises(ValueError, match="degenerate"):
+        optimal_strengths(GadParams(np.array([0.5, 1.0]), np.array([1.0, 1.0])))
+    with pytest.raises(ValueError, match="p = 1e-200 with r = 1.0"):
+        optimal_strengths(GadParams(np.array([[0.5], [1e-200], [1e-300]]), np.array([0.4, 1.0])))
 
 
 def test_projective_limit():

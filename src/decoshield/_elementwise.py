@@ -3,8 +3,9 @@
 Each closed form is written once and runs on Python floats or on numpy
 arrays of strengths: scalar in, float out; array in, array out. The few
 operations whose spelling depends on the type come from one of two
-namespaces, picked once per call: SCALAR keeps plain float arithmetic
-(no 0-d arrays, no numpy scalars in results), ARRAY broadcasts.
+namespaces, picked once per call by `namespace` from the strengths and
+channel parameters: SCALAR keeps plain float arithmetic (no 0-d arrays,
+no numpy scalars in results), ARRAY broadcasts.
 
 Every array entry equals the scalar call at that point bit for bit. Real
 `+ - * /` and sqrt are correctly rounded and minimum and maximum exact
@@ -62,6 +63,27 @@ ARRAY = SimpleNamespace(
     pow=_libm_pow,
     complex=_complex_array,
 )
+
+
+def namespace(*values):
+    """(xp, values): ARRAY and the values as given when any value is a
+    numpy array; otherwise SCALAR and the values with each numpy scalar
+    turned into the Python float it holds, so that it overflows as floats
+    do."""
+    for value in values:  # plain floats, the common call, test nothing else
+        if type(value) is not float:
+            break
+    else:
+        return SCALAR, values
+    scalars = []
+    for value in values:
+        if type(value) is float:
+            scalars.append(value)
+        elif isinstance(value, np.ndarray):
+            return ARRAY, values
+        else:
+            scalars.append(float(value) if isinstance(value, np.generic) else value)
+    return SCALAR, scalars
 
 
 def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,3 +165,10 @@ def quietly(fn, *args):
     turns inf or NaN without a warning, for check_finite to name."""
     with np.errstate(over="ignore", invalid="ignore"):
         return fn(*args)
+
+
+def loud() -> bool:
+    """Whether numpy's overflow or invalid-value warnings are on, as outside
+    quietly, where an ARRAY call of a closed form calls itself again."""
+    state = np.geterr()
+    return not state["over"] == state["invalid"] == "ignore"

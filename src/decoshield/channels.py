@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, SCALAR, first_failure, ordered_sum, stack_matmul
+from ._elementwise import SCALAR, first_failure, namespace, ordered_sum, stack_matmul
 from .linalg import dagger
 
 
@@ -51,8 +51,7 @@ def gad_channel(params: GadParams) -> np.ndarray:
     With p = 1 the two excitation operators vanish and the set reduces to
     the zero-temperature amplitude-damping pair.
     """
-    p, r = params.p, params.r
-    xp = ARRAY if isinstance(p, np.ndarray) or isinstance(r, np.ndarray) else SCALAR
+    xp, (p, r) = namespace(params.p, params.r)
     sp, sq = xp.sqrt(p), xp.sqrt(1.0 - p)
     kr, kd = xp.sqrt(r), xp.sqrt(1.0 - r)
     # the sixteen entries of the (4, 2, 2) stack, in C order

@@ -47,11 +47,11 @@ from .optimize import (
     stationarity_check,
 )
 from .qubit import (
+    apply_protection,
     average_fidelity_six,
     baseline_fidelity,
     bb84_error_rate,
     g_value,
-    kraus_protection,
     optimal_strengths,
     protect_equatorial,
 )
@@ -163,8 +163,8 @@ def qubit_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple
     closed = [protect_equatorial(*draw) for draw in draws]
     channels, m, n, phi = zip(*draws)
     psi = np.stack([equatorial_state(azimuth) for azimuth in phi])
-    ops = np.stack([gad_channel(params) for params in channels])
-    states, probs = kraus_protection(ops, np.array(m), np.array(n), psi)
+    stack = GadParams(np.array([ch.p for ch in channels]), np.array([ch.r for ch in channels]))
+    states, probs = apply_protection(stack, np.array(m), np.array(n), psi)
     gap = max(
         _gap(np.stack([res.output_state for res in closed]), states),
         _gap(np.array([res.success_prob for res in closed]), probs),
@@ -253,14 +253,11 @@ def qubit_optimum_oracle(rng: np.random.Generator, count: int) -> tuple[bool, st
     )
 
 
-def entangle_optimum_oracle(
-    rng: np.random.Generator,
-    count: int,
-    pairs: tuple[tuple[GadParams, GadParams], ...] = PAIR_SETS,
-) -> tuple[bool, str]:
+def entangle_optimum_oracle(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """Grid + simplex search over (m, n1, n2) for the Bell input reaches
-    lambda2_max, neither above nor below, on the first `count` pairs."""
-    pairs = pairs[:count]
+    lambda2_max, neither above nor below, on the first `count` pairs of
+    PAIR_SETS."""
+    pairs = PAIR_SETS[:count]
     val_gap = 0.0
     converged = 0
     for ch1, ch2 in pairs:
@@ -285,7 +282,7 @@ def average_optimum_stationary(rng: np.random.Generator, count: int) -> tuple[bo
         slope = max(
             slope,
             stationarity_check(
-                lambda pt: average_fidelity_six(params, float(pt[0]), float(pt[1])).favg,
+                lambda pt: average_fidelity_six(params, pt[0], pt[1]).favg,
                 np.array([best.m, best.n]),
                 1e-5,
             ),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, quietly
+from ._elementwise import ARRAY, FLOAT_MAX, check_finite, check_strength, loud, namespace, quietly
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
 from .weakmeas import post_diagonal, postselect, pre_diagonal, require_postselection
@@ -116,12 +116,14 @@ def component_coefficients(
 
     First tuple: image of |00><00|. Second: image of |11><11|.
     """
+    return _unit_coefficients(ch1.p, ch1.r, ch2.p, ch2.r)
+
+
+def _unit_coefficients(p1, r1, p2, r2):
     # each channel's row-stochastic transfer T = [[s, u], [v, w]], where
     # T[i, j] is the population moved from |i><i| to |j><j|
-    (s1, u1, v1, w1), (s2, u2, v2, w2) = (
-        (1.0 - ch.r + ch.p * ch.r, (1.0 - ch.p) * ch.r, ch.p * ch.r, 1.0 - ch.p * ch.r)
-        for ch in (ch1, ch2)
-    )
+    s1, u1, v1, w1 = 1.0 - r1 + p1 * r1, (1.0 - p1) * r1, p1 * r1, 1.0 - p1 * r1
+    s2, u2, v2, w2 = 1.0 - r2 + p2 * r2, (1.0 - p2) * r2, p2 * r2, 1.0 - p2 * r2
     return (s1 * s2, s1 * u2, u1 * s2, u1 * u2), (v1 * v2, v1 * w2, w1 * v2, w1 * w2)
 
 
@@ -133,10 +135,10 @@ def measured_coefficients(
     The pre-measurement scales the |11> component by m1 m2 before the
     channels act; the reversal is not applied here.
     """
+    xp, (p1, r1, p2, r2, m1, m2) = namespace(ch1.p, ch1.r, ch2.p, ch2.r, m1, m2)
     check_strength("m1", m1, zero_ok=True)
     check_strength("m2", m2, zero_ok=True)
-    xp = ARRAY if isinstance(m1, np.ndarray) or isinstance(m2, np.ndarray) else SCALAR
-    lo, hi = component_coefficients(ch1, ch2)
+    lo, hi = _unit_coefficients(p1, r1, p2, r2)
     wa = abs(inp.alpha) ** 2
     wb = abs(inp.beta) ** 2
     try:
@@ -145,7 +147,7 @@ def measured_coefficients(
         mm = check_finite(quietly(np.square, m1 * m2), "m1, m2", m1, m2)
     # each diagonal entry is x0 + x1 m^2: x0 from the |00> piece, x1 from |11>
     a, b, c, d = (x0 * wa + x1 * wb * mm for x0, x1 in zip(lo, hi))
-    keep = math.sqrt((1.0 - ch1.r) * (1.0 - ch2.r))
+    keep = xp.sqrt((1.0 - r1) * (1.0 - r2))
     w = complex(inp.alpha * np.conj(inp.beta))
     e = xp.complex(w.real * m1 * m2 * keep, w.imag * m1 * m2 * keep)
     return XStateCoefficients(a=a, b=b, c=c, d=d, e=e)
@@ -173,12 +175,12 @@ def protected_state(
     Zero strengths are allowed (projective limits); negatives are not.
     """
     coeffs = measured_coefficients(inp, ch1, ch2, m1, m2)
-    return coeffs, _success_probability(_reversed_trace(coeffs, n1, n2), m1, m2, n1, n2)
+    xp, (m1, m2, n1, n2, _) = namespace(m1, m2, n1, n2, coeffs.a)  # a carries p, r arrays
+    return coeffs, _success_probability(_reversed_trace(coeffs, n1, n2, xp), m1, m2, n1, n2, xp)
 
 
-def _success_probability(prob, m1, m2, n1, n2):
+def _success_probability(prob, m1, m2, n1, n2, xp):
     """The success probability, from prob, the raw reversed trace."""
-    xp = ARRAY if isinstance(prob, np.ndarray) else SCALAR
     # strengths above one get rescaled into physical operators, which costs
     # probability quadratically; smaller ones cost nothing extra
     for strength in (m1, m2, n1, n2):
@@ -186,17 +188,15 @@ def _success_probability(prob, m1, m2, n1, n2):
     return require_postselection(prob)
 
 
-def _reversed_trace(coeffs: XStateCoefficients, n1, n2):
+def _reversed_trace(coeffs: XStateCoefficients, n1, n2, xp):
     """Unnormalized trace after the reversal (n1, n2): where the reversal
     strengths enter the chain, so where they and their trace are checked."""
     check_strength("n1", n1, zero_ok=True)
     check_strength("n2", n2, zero_ok=True)
-    if type(n1) is type(n2) is type(coeffs.a) is float:  # plain floats never warn
-        trace = _reversed_sum(coeffs, n1, n2)
-        if trace <= FLOAT_MAX:
-            return trace
-    else:
-        trace = quietly(_reversed_sum, coeffs, n1, n2)
+    # an ARRAY call runs quietly; plain floats never warn
+    trace = quietly(_reversed_sum, coeffs, n1, n2) if xp is ARRAY else _reversed_sum(coeffs, n1, n2)
+    if xp is not ARRAY and trace <= FLOAT_MAX:  # a finite float skips the call
+        return trace
     return check_finite(trace, "n1, n2", n1, n2)
 
 
@@ -208,7 +208,8 @@ def reversed_state(
     coeffs: XStateCoefficients, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Final normalized 4x4 state after the reversal, with its raw trace."""
-    raw = require_postselection(_reversed_trace(coeffs, n1, n2))
+    xp, (n1, n2, _) = namespace(n1, n2, coeffs.a)
+    raw = require_postselection(_reversed_trace(coeffs, n1, n2, xp))
     reversed_coeffs = XStateCoefficients(
         n1 * n1 * n2 * n2 * coeffs.a, n1 * n1 * coeffs.b, n2 * n2 * coeffs.c, coeffs.d,
         n1 * n2 * coeffs.e,
@@ -230,13 +231,13 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     Equals 2 n1 n2 (|e| - sqrt(bc)) divided by the reversed trace, so it
     reduces to the unprotected value at unit strengths.
     """
-    return _lambda2(coeffs, n1, n2, require_postselection(_reversed_trace(coeffs, n1, n2)))
+    xp, (n1, n2, _) = namespace(n1, n2, coeffs.a)
+    return _lambda2(coeffs, n1, n2, require_postselection(_reversed_trace(coeffs, n1, n2, xp)), xp)
 
 
-def _lambda2(coeffs: XStateCoefficients, n1, n2, raw):
+def _lambda2(coeffs: XStateCoefficients, n1, n2, raw, xp):
     """concurrence_lambda2 from the raw reversed trace, once it has passed
     the cutoff."""
-    xp = ARRAY if isinstance(raw, np.ndarray) else SCALAR
     return 2.0 * n1 * n2 * (xp.modulus(coeffs.e) - xp.sqrt(coeffs.b * coeffs.c)) / raw
 
 
@@ -247,13 +248,9 @@ def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     Where a product of coefficients overflows, at pre-measurement strengths
     above about 1e77, a strength is inf or NaN; optimized_protection names
     the strength that caused it."""
-    if isinstance(coeffs.a, np.ndarray):
-        return quietly(_optimal_reversal, coeffs, ARRAY)
-    return _optimal_reversal(coeffs, SCALAR)
-
-
-def _optimal_reversal(coeffs: XStateCoefficients, xp) -> tuple[float, float]:
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
+    xp, (a, b, c, d) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d)
+    if xp is ARRAY and loud():
+        return quietly(optimal_reversal, coeffs)
     if not xp.all((a * b > 0.0) & (a * c > 0.0)):
         raise ValueError("degenerate coefficients, reversal optimum undefined")
     return xp.pow(c * d / (a * b), 0.25), xp.pow(b * d / (a * c), 0.25)
@@ -264,11 +261,12 @@ def optimized_protection(inp: EntangledInput, ch1: GadParams, ch2: GadParams, m)
     m = m1 (m2 = 1), with the reversal optimized at each m; scalar or array.
     The reversed trace is computed and checked once, for both results."""
     coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
+    xp, (m, _) = namespace(m, coeffs.a)
     n1, n2 = optimal_reversal(coeffs)
     # both strengths are at most about 1e77, so their sum is finite unless one is not
     check_finite(n1 + n2, "m", m)
-    raw = require_postselection(_reversed_trace(coeffs, n1, n2))
-    return n1, n2, _lambda2(coeffs, n1, n2, raw), _success_probability(raw, m, 1.0, n1, n2)
+    raw = require_postselection(_reversed_trace(coeffs, n1, n2, xp))
+    return n1, n2, _lambda2(coeffs, n1, n2, raw, xp), _success_probability(raw, m, 1.0, n1, n2, xp)
 
 
 def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:

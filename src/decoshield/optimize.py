@@ -49,10 +49,8 @@ class SearchBox:
         ]
 
     def contains(self, point: np.ndarray) -> bool:
-        return bool(
-            np.all(point >= np.asarray(self.lower))
-            and np.all(point <= np.asarray(self.upper))
-        )
+        # a NaN coordinate compares False, so it lies outside
+        return all(lo <= x <= hi for x, lo, hi in zip(point.tolist(), self.lower, self.upper))
 
 
 @dataclass(frozen=True)

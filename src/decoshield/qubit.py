@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import (
-    ARRAY, FLOAT_MAX, SCALAR, check_finite, check_strength, failing_entries, ordered_sum, quietly,
+    ARRAY, FLOAT_MAX, check_finite, check_strength, failing_entries, loud, namespace, ordered_sum,
+    quietly,
 )
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
@@ -54,16 +55,11 @@ class AverageFidelityReport:
     favg: float
 
 
-def _channel_namespace(params: GadParams):
-    # the channel functions run on plain floats, or on arrays of channels
-    array = isinstance(params.p, np.ndarray) or isinstance(params.r, np.ndarray)
-    return ARRAY if array else SCALAR
-
-
 def baseline_fidelity(params: GadParams) -> float:
     """Fidelity (1 + sqrt(1 - r)) / 2 of an unprotected equatorial state;
     an array for an array of channels."""
-    return 0.5 * (1.0 + _channel_namespace(params).sqrt(1.0 - params.r))
+    xp, (_, r) = namespace(params.p, params.r)
+    return 0.5 * (1.0 + xp.sqrt(1.0 - r))
 
 
 def apply_protection(
@@ -72,21 +68,16 @@ def apply_protection(
     """Generic route: pre-measure diag(1, m), damp, reverse with diag(n, 1).
 
     Returns the post-selected output state and the joint success
-    probability, which must reach the cutoff. m and n may be arrays and rho
-    a (..., 2, 2) stack, all broadcasting together: the result is then a
-    stack of states and an array of probabilities, each entry with the
-    bits of the scalar call at that point.
+    probability, which must reach the cutoff. m, n, the channel parameters
+    p, r and rho, a (..., 2, 2) stack, may all be arrays that broadcast
+    together: the result is then a stack of states and an array of
+    probabilities, each entry with the bits of the scalar call there.
     """
-    return kraus_protection(gad_channel(params), m, n, rho)
+    return _kraus_protection(gad_channel(params), m, n, rho)
 
 
-def kraus_protection(
-    ops: np.ndarray, m: float, n: float, rho: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """apply_protection through the channel given by its Kraus operators:
-    one (k, 2, 2) stack, or a (..., k, 2, 2) stack of channels that
-    broadcasts against the states, so that runs through different channels
-    go as one call."""
+def _kraus_protection(ops, m, n, rho):
+    # apply_protection from a Kraus stack whose extra axes broadcast against the states
     state, prob_pre = postselect(pre_diagonal(m), rho)
     state = apply_channel(ops, state)
     state, prob_post = postselect(post_diagonal(n), state)
@@ -103,24 +94,18 @@ def protect_equatorial(
     are all evaluated from the analytic expressions; a success probability
     below the cutoff raises PostSelectionError, as the pipeline does.
 
-    Scalar in, float out; array in, array out: m and n may be numpy arrays
-    that broadcast together (phi stays a scalar), and then every field is
-    an array of their shape, with output_state of shape (..., 2, 2). Each
-    entry equals the scalar call at that point bit for bit.
+    Scalar in, float out; array in, array out: m, n, p and r may be numpy
+    arrays that broadcast together (phi stays a scalar), and then every
+    field is an array of their shape, with output_state of shape
+    (..., 2, 2). Each entry equals the scalar call at that point bit for bit.
     """
-    array = isinstance(m, np.ndarray) or isinstance(n, np.ndarray)
+    xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
+    if xp is ARRAY and loud():
+        return quietly(protect_equatorial, params, m, n, phi)
     # scalar fast path of the checks that check_strength spells out
-    if array or not (0.0 < m * m < math.inf and 0.0 < n * n < math.inf and m > 0.0 < n):
+    if xp is ARRAY or not (0.0 < m * m < math.inf and 0.0 < n * n < math.inf and m > 0.0 < n):
         check_strength("m", m)
         check_strength("n", n)
-    if array:
-        return quietly(_protected_equatorial, params, m, n, phi, ARRAY)
-    return _protected_equatorial(params, m, n, phi, SCALAR)
-
-
-def _protected_equatorial(params, m, n, phi, xp) -> ProtectionResult:
-    p, r = params.p, params.r
-    kd = math.sqrt(1.0 - r)
     diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
     lost = m * m * (1.0 - p * r)
     leak = (1.0 - p) * r
@@ -129,12 +114,12 @@ def _protected_equatorial(params, m, n, phi, xp) -> ProtectionResult:
         check_finite(t, "m, n", m, n)
     success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
     require_postselection(success)
-    coherence = m * n * kd
+    coherence = m * n * xp.sqrt(1.0 - r)
     rot = cmath.exp(-1j * phi)
     off = xp.complex(coherence * rot.real, coherence * rot.imag)
     diag1 = lost + leak
     if xp is ARRAY:
-        state = np.empty(np.shape(off) + (2, 2), dtype=complex)
+        state = np.empty(np.shape(t) + (2, 2), dtype=complex)
         state[..., 0, 0] = diag0
         state[..., 0, 1] = off
         state[..., 1, 0] = off.conjugate()
@@ -160,14 +145,9 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
     the scalar call on that channel bit for bit; the call raises when any
     channel would, naming the first such channel for the underflow.
     """
-    xp = _channel_namespace(params)
-    if xp is ARRAY:
-        return quietly(_optimal_strengths, params, xp)
-    return _optimal_strengths(params, xp)
-
-
-def _optimal_strengths(params: GadParams, xp) -> OptimalStrengths:
-    p, r = params.p, params.r
+    xp, (p, r) = namespace(params.p, params.r)
+    if xp is ARRAY and loud():
+        return quietly(optimal_strengths, params)
     if xp is ARRAY:  # so that projective, too, has the shape of the channels
         p, r = np.broadcast_arrays(p, r)
     if not xp.all(p != 0.0):
@@ -192,9 +172,8 @@ def g_value(params: GadParams) -> float:
     Equals 1 exactly when r = 0 or p = 1/2 (no gain from weak measurement)
     and dips to sqrt(1-r) at p in {0, 1}. An array for an array of channels.
     """
-    p, r = params.p, params.r
-    sqrt = _channel_namespace(params).sqrt
-    return sqrt((1.0 - r * p) * (1.0 - r + r * p)) + r * sqrt(p * (1.0 - p))
+    xp, (p, r) = namespace(params.p, params.r)
+    return xp.sqrt((1.0 - r * p) * (1.0 - r + r * p)) + r * xp.sqrt(p * (1.0 - p))
 
 
 def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
@@ -213,7 +192,7 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     # the four states run as one stack, on an axis after the other axes;
     # the channel, or each channel of a stack, serves all four
     states = np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
-    outputs, _ = kraus_protection(
+    outputs, _ = _kraus_protection(
         gad_channel(params)[..., None, :, :, :],
         np.asarray(m)[..., None],
         np.asarray(n)[..., None],
@@ -233,10 +212,10 @@ def average_fidelity_six(params: GadParams, m: float, n: float) -> AverageFideli
     equatorial one; favg weights the equator four-fold. Takes scalars or
     broadcasting arrays like protect_equatorial, which validates m and n.
     """
+    xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
     fe = protect_equatorial(params, m, n).fidelity
-    if isinstance(fe, np.ndarray):
-        m, n = np.broadcast_arrays(m, n)  # f0 and f1 depend on n alone
-    p, r = params.p, params.r
+    if xp is ARRAY:
+        m, n = np.broadcast_arrays(m, n)  # f0 and f1 do not depend on m
     stay0 = 1.0 - r + r * p
     f0 = n * n * stay0 / (r - r * p + n * n * stay0)
     f1 = (1.0 - r * p) / (1.0 - r * p + n * n * r * p)

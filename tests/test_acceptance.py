@@ -74,7 +74,8 @@ def test_criterion_2_sudden_death_circumvention():
     assert rep.lambda1 < 0.0
     assert max(0.0, rep.lambda1) == 0.0
     assert rep.lambda2_max > 0.0
-    ok, detail = checks.entangle_optimum_oracle(None, 1, pairs=((ESD_CH, ESD_CH),))
+    assert checks.PAIR_SETS[1] == (ESD_CH, ESD_CH)
+    ok, detail = checks.entangle_optimum_oracle(None, 2)
     assert ok, detail
     _done(
         2,

@@ -1,11 +1,13 @@
 """Array calls of the closed forms, and of the key-distribution pipeline,
-equal scalar calls bit for bit, over strength arrays and channel arrays.
+equal scalar calls bit for bit, over strength arrays and channel arrays;
+calls on numpy float64 scalars equal calls on Python floats.
 
 Each property evaluates a function once on numpy arrays and once per
 point on Python floats. Where every point succeeds, each array entry must
 have the bits of the scalar result at that point, and every scalar result
 must be a plain Python float or complex; where some point raises, the
-array call must raise one of the same error types.
+array call must raise one of the same error types. A call on numpy
+scalars is checked the same way, as the one point of the float call.
 """
 
 import cmath
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from decoshield.channels import GadParams, gad_channel
 from decoshield.entangle import (
     EntangledInput,
+    XStateCoefficients,
     concurrence_lambda2,
     measured_coefficients,
     optimal_reversal,
@@ -70,6 +73,10 @@ def fields(*names):
     return [lambda r, k=k: getattr(r, k) for k in names]
 
 
+def as_f64(params):
+    return GadParams(np.float64(params.p), np.float64(params.r))
+
+
 @PROPERTY
 @given(channels, strengths, strengths, phases)
 def test_qubit_closed_forms(params, ms, ns, phi):
@@ -86,6 +93,15 @@ def test_qubit_closed_forms(params, ms, ns, phi):
     agree(outcome(average_fidelity_six, params, m, n), each,
           *fields("f0", "f1", "fe", "favg"))
 
+    # numpy scalars give plain floats with the bits of the float call
+    f64 = np.float64
+    agree(outcome(protect_equatorial, params, ms[0], ns[0], phi),
+          [outcome(protect_equatorial, as_f64(params), f64(ms[0]), f64(ns[0]), phi)],
+          *fields("fidelity", "success_prob"))
+    agree(outcome(average_fidelity_six, params, ms[0], ns[0]),
+          [outcome(average_fidelity_six, as_f64(params), f64(ms[0]), f64(ns[0]))],
+          *fields("f0", "f1", "fe", "favg"))
+
 
 @PROPERTY
 @given(channels, channels, unit, phases, strengths, strength)
@@ -98,11 +114,21 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
 
     coeffs = outcome(measured_coefficients, inp, ch1, ch2, m1, m2)
     each_coeffs = [outcome(measured_coefficients, inp, ch1, ch2, m, m2) for m in ms]
+    f64 = np.float64
+    agree(each_coeffs[0], [outcome(measured_coefficients, inp, as_f64(ch1), as_f64(ch2),
+                                   f64(ms[0]), f64(m2))], *xstate)
     if not agree(coeffs, each_coeffs, *xstate):
         return
 
     reversal = outcome(optimal_reversal, coeffs)
     each_reversal = [outcome(optimal_reversal, c) for c in each_coeffs]
+    first = each_coeffs[0]
+    first_f64 = XStateCoefficients(*(f64(v) for v in (first.a, first.b, first.c, first.d)), first.e)
+    if agree(each_reversal[0], [outcome(optimal_reversal, first_f64)],
+             lambda nn: nn[0], lambda nn: nn[1]):
+        n1, n2 = each_reversal[0]
+        agree(outcome(concurrence_lambda2, first, n1, n2),
+              [outcome(concurrence_lambda2, first, f64(n1), f64(n2))], lambda lam2: lam2)
     if not agree(reversal, each_reversal, lambda nn: nn[0], lambda nn: nn[1]):
         return
 
@@ -146,6 +172,15 @@ def test_pipeline_arrays(pairs, ms, ns, phi):
     # each channel against each m, at the first n
     each = [outcome(bb84_error_rate, ch, mi, ns[0]) for ch in channels for mi in ms]
     agree(outcome(bb84_error_rate, stack, np.array(ms), ns[0]), each, lambda err: err)
+    for fn, names in ((protect_equatorial, ("fidelity", "success_prob")),
+                      (average_fidelity_six, ("f0", "f1", "fe", "favg"))):
+        each = [outcome(fn, ch, mi, ns[0]) for ch in channels for mi in ms]
+        agree(outcome(fn, stack, np.array(ms), ns[0]), each, *fields(*names))
+    bell = EntangledInput.from_alpha_sq(0.5)
+    each = [outcome(measured_coefficients, bell, ch, channels[0], mi, ns[0])
+            for ch in channels for mi in ms]
+    agree(outcome(measured_coefficients, bell, stack, channels[0], np.array(ms), ns[0]), each,
+          *fields("a", "b", "c", "d", "e"))
 
     params = channels[0]
     m, n = np.array(ms)[:, None], np.array(ns)[None, :]

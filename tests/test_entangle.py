@@ -211,8 +211,10 @@ def test_negative_strengths_rejected():
         with pytest.raises(ValueError, match="n2 must be finite"):
             reversed_state(coeffs, 0.44, bad)
     # so are strengths whose products overflow; the pipeline still takes them
-    with pytest.raises(ValueError, match="strengths m1, m2 = 1e.100, 1e.100 overflow"):
-        measured_coefficients(BELL, REF1, REF2, 1e100, 1e100)
+    # numpy scalars take the float path, so they overflow as floats do
+    for big in (1e100, np.float64(1e100)):
+        with pytest.raises(ValueError, match="strengths m1, m2 = 1e.100, 1e.100 overflow"):
+            measured_coefficients(BELL, REF1, REF2, big, big)
     with pytest.raises(ValueError, match="strengths m1, m2 = 1e.100, 1e.100 overflow"):
         measured_coefficients(BELL, REF1, REF2, np.array([0.5, 1e100]), np.array([1.0, 1e100]))
     with pytest.raises(ValueError, match="strengths n1, n2 = 1e.100, 1e.100 overflow"):

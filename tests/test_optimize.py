@@ -33,6 +33,7 @@ def test_box_helpers():
     assert np.allclose(axes[0], [0.0, 0.5, 1.0, 1.5, 2.0])
     assert box.contains(np.array([0.0, 2.0, 1.0]))
     assert not box.contains(np.array([0.0, 2.1, 1.0]))
+    assert not box.contains(np.array([0.0, math.nan, 1.0]))
 
 
 def test_grid_finds_quadratic_peak():

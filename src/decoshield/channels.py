@@ -54,17 +54,23 @@ def gad_channel(params: GadParams) -> np.ndarray:
     xp, (p, r) = namespace(params.p, params.r)
     sp, sq = xp.sqrt(p), xp.sqrt(1.0 - p)
     kr, kd = xp.sqrt(r), xp.sqrt(1.0 - r)
-    # the sixteen entries of the (4, 2, 2) stack, in C order
-    entries = (
-        sp, 0.0, 0.0, sp * kd,
-        0.0, sp * kr, 0.0, 0.0,
-        sq * kd, 0.0, 0.0, sq,
-        0.0, 0.0, sq * kr, 0.0,
-    )
     if xp is SCALAR:
-        return np.array(entries, dtype=complex).reshape(4, 2, 2)
-    flat = np.stack(np.broadcast_arrays(*entries), axis=-1)
-    return flat.reshape(flat.shape[:-1] + (4, 2, 2)).astype(complex)
+        # the sixteen entries of the (4, 2, 2) stack, in C order
+        return np.array((
+            sp, 0.0, 0.0, sp * kd,
+            0.0, sp * kr, 0.0, 0.0,
+            sq * kd, 0.0, 0.0, sq,
+            0.0, 0.0, sq * kr, 0.0,
+        ), dtype=complex).reshape(4, 2, 2)
+    # a stack of channels: its six nonzero entries, written into zeros
+    ops = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(r)) + (4, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0] = sp
+    ops[..., 0, 1, 1] = sp * kd
+    ops[..., 1, 0, 1] = sp * kr
+    ops[..., 2, 0, 0] = sq * kd
+    ops[..., 2, 1, 1] = sq
+    ops[..., 3, 1, 0] = sq * kr
+    return ops
 
 
 def apply_channel(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:

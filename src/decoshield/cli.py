@@ -278,7 +278,12 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value defaults file; explicit flags win")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first entry() call and then shared: parsing
+    writes only into a fresh Namespace, the string default of --sweep-m is
+    converted anew on every parse, and the defaults set per subcommand are
+    tuples and functions, so no call sees another's state."""
     # flags must be spelled out: a prefix of a flag is not that flag, so an
     # abbreviated --config key is reported as unknown
     parser = argparse.ArgumentParser(

@@ -175,8 +175,11 @@ def protected_state(
     Zero strengths are allowed (projective limits); negatives are not.
     """
     coeffs = measured_coefficients(inp, ch1, ch2, m1, m2)
-    xp, (m1, m2, n1, n2, _) = namespace(m1, m2, n1, n2, coeffs.a)  # a carries p, r arrays
-    return coeffs, _success_probability(_reversed_trace(coeffs, n1, n2, xp), m1, m2, n1, n2, xp)
+    xp, (m1, m2, n1, n2, a, b, c, d) = namespace(
+        m1, m2, n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d
+    )
+    prob = _reversed_trace(a, b, c, d, n1, n2, xp)
+    return coeffs, _success_probability(prob, m1, m2, n1, n2, xp)
 
 
 def _success_probability(prob, m1, m2, n1, n2, xp):
@@ -188,31 +191,32 @@ def _success_probability(prob, m1, m2, n1, n2, xp):
     return require_postselection(prob)
 
 
-def _reversed_trace(coeffs: XStateCoefficients, n1, n2, xp):
-    """Unnormalized trace after the reversal (n1, n2): where the reversal
-    strengths enter the chain, so where they and their trace are checked."""
+def _reversed_trace(a, b, c, d, n1, n2, xp):
+    """Unnormalized trace of the X state with diagonal a, b, c, d after the
+    reversal (n1, n2): where the reversal strengths enter the chain, so
+    where they and their trace are checked."""
     check_strength("n1", n1, zero_ok=True)
     check_strength("n2", n2, zero_ok=True)
     # an ARRAY call runs quietly; plain floats never warn
-    trace = quietly(_reversed_sum, coeffs, n1, n2) if xp is ARRAY else _reversed_sum(coeffs, n1, n2)
+    args = (a, b, c, d, n1, n2)
+    trace = quietly(_reversed_sum, *args) if xp is ARRAY else _reversed_sum(*args)
     if xp is not ARRAY and trace <= FLOAT_MAX:  # a finite float skips the call
         return trace
     return check_finite(trace, "n1, n2", n1, n2)
 
 
-def _reversed_sum(coeffs: XStateCoefficients, n1, n2):
-    return n1 * n1 * n2 * n2 * coeffs.a + n1 * n1 * coeffs.b + n2 * n2 * coeffs.c + coeffs.d
+def _reversed_sum(a, b, c, d, n1, n2):
+    return n1 * n1 * n2 * n2 * a + n1 * n1 * b + n2 * n2 * c + d
 
 
 def reversed_state(
     coeffs: XStateCoefficients, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Final normalized 4x4 state after the reversal, with its raw trace."""
-    xp, (n1, n2, _) = namespace(n1, n2, coeffs.a)
-    raw = require_postselection(_reversed_trace(coeffs, n1, n2, xp))
+    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
+    raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
     reversed_coeffs = XStateCoefficients(
-        n1 * n1 * n2 * n2 * coeffs.a, n1 * n1 * coeffs.b, n2 * n2 * coeffs.c, coeffs.d,
-        n1 * n2 * coeffs.e,
+        n1 * n1 * n2 * n2 * a, n1 * n1 * b, n2 * n2 * c, d, n1 * n2 * coeffs.e
     )
     return reversed_coeffs.matrix() / raw, raw
 
@@ -231,14 +235,15 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     Equals 2 n1 n2 (|e| - sqrt(bc)) divided by the reversed trace, so it
     reduces to the unprotected value at unit strengths.
     """
-    xp, (n1, n2, _) = namespace(n1, n2, coeffs.a)
-    return _lambda2(coeffs, n1, n2, require_postselection(_reversed_trace(coeffs, n1, n2, xp)), xp)
+    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
+    raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
+    return _lambda2(coeffs.e, b, c, n1, n2, raw, xp)
 
 
-def _lambda2(coeffs: XStateCoefficients, n1, n2, raw, xp):
-    """concurrence_lambda2 from the raw reversed trace, once it has passed
-    the cutoff."""
-    return 2.0 * n1 * n2 * (xp.modulus(coeffs.e) - xp.sqrt(coeffs.b * coeffs.c)) / raw
+def _lambda2(e, b, c, n1, n2, raw, xp):
+    """concurrence_lambda2 from the coherence e, the weights b, c and the
+    raw reversed trace, once it has passed the cutoff."""
+    return 2.0 * n1 * n2 * (xp.modulus(e) - xp.sqrt(b * c)) / raw
 
 
 def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
@@ -261,12 +266,13 @@ def optimized_protection(inp: EntangledInput, ch1: GadParams, ch2: GadParams, m)
     m = m1 (m2 = 1), with the reversal optimized at each m; scalar or array.
     The reversed trace is computed and checked once, for both results."""
     coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
-    xp, (m, _) = namespace(m, coeffs.a)
+    xp, (m, a, b, c, d) = namespace(m, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     n1, n2 = optimal_reversal(coeffs)
     # both strengths are at most about 1e77, so their sum is finite unless one is not
     check_finite(n1 + n2, "m", m)
-    raw = require_postselection(_reversed_trace(coeffs, n1, n2, xp))
-    return n1, n2, _lambda2(coeffs, n1, n2, raw, xp), _success_probability(raw, m, 1.0, n1, n2, xp)
+    raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
+    lam2 = _lambda2(coeffs.e, b, c, n1, n2, raw, xp)
+    return n1, n2, lam2, _success_probability(raw, m, 1.0, n1, n2, xp)
 
 
 def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:

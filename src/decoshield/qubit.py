@@ -187,6 +187,7 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     parameters p, r may be arrays that broadcast together, each entry equal
     to the scalar call at that point bit for bit.
     """
+    _, (m, n) = namespace(m, n)
     check_strength("m", m)
     check_strength("n", n)
     # the four states run as one stack, on an axis after the other axes;

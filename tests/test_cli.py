@@ -1,10 +1,15 @@
+import argparse
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decoshield
 from decoshield.channels import GadParams
 from decoshield.checks import CHECKS
 from decoshield.cli import entry
@@ -403,3 +408,60 @@ def test_verify_stdout_matches_record(capsys):
     record = Path(__file__).with_name("data") / "verify_stdout.txt"
     assert entry(["verify"]) == 0
     assert capsys.readouterr().out.encode() == record.read_bytes()
+
+
+def test_shared_parser_holds_no_state(tmp_path, capsys):
+    # entry() builds its parser once per process: in either order, every
+    # call gives the same exit code, stdout and stderr
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("p = 0.8\nr = 0.3\nbogus = 1\n")
+    calls = [
+        ["optimal", "--p", "0.5"],
+        ["optimal", "--config", str(cfg)],
+        ["optimal", "-h"],
+        ["optimal", "--p", "0.8", "--r", "0.3"],
+        ["optimal", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"],
+        ["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--grid", "3", "--out", "-"],
+        ["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3", "--out", "-"],
+    ]
+
+    def run(argv):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    forward = [run(argv) for argv in calls]
+    backward = [run(argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [2, 2, 0, 0, 0, 0, 0]
+
+
+def test_parser_is_built_once_and_lazily(monkeypatch):
+    argv = ["optimal", "--p", "0.8", "--r", "0.3"]
+    assert entry(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert entry(argv) == 0
+    assert built == []
+    # nor does importing the package build one, in a fresh interpreter
+    count = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(init(*a, **k))\n"
+        "import decoshield, decoshield.cli\n"
+        "print(len(built))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(decoshield.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", count], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "0\n"

@@ -221,6 +221,13 @@ def test_negative_strengths_rejected():
         protected_state(BELL, REF1, REF2, 1.0, 1.0, 1e100, 1e100)
     with pytest.raises(ValueError, match="strengths n1, n2 = 1e.100, 1e.100 overflow"):
         concurrence_lambda2(coeffs, np.array([0.5, 1e100]), 1e100)
+    # numpy-scalar coefficients take the float path as well
+    f64 = np.float64
+    huge = XStateCoefficients(f64(1e300), f64(0.1), f64(0.1), f64(0.2), 0.1 + 0j)
+    overflow = r"strengths n1, n2 = 10000000000\.0, 10000000000\.0 overflow"
+    for reversal in (concurrence_lambda2, reversed_state):
+        with pytest.raises(ValueError, match=overflow):
+            reversal(huge, 1e10, 1e10)
     assert pipeline_state(BELL, REF1, REF2, 1.0, 1.0, 1e100, 1e100)[1] > 0.0
     # above m of about 1e77 the optimal reversal overflows: the error names m
     with pytest.raises(ValueError, match=r"strengths m = 5e\+99 overflow"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,9 @@ def test_strength_validation():
             average_fidelity_six(half, np.array([[0.5], [bad]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="n must be finite"):
             bb84_error_rate(half, 0.5, bad)
+        # a numpy scalar is named as the float it holds
+        with pytest.raises(ValueError, match=f"m must be finite.*got {re.escape(repr(bad))}$"):
+            bb84_error_rate(half, np.float64(bad), 0.5)
     # strengths whose products overflow are rejected by name as well; the
     # pipeline rescales its operators, so it still takes them
     overflow = r"strengths m, n = 1e\+100, 1e\+100 overflow the float range"

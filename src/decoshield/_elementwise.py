@@ -15,8 +15,9 @@ through libm as well. Complex values are assembled from real and
 imaginary parts computed in real arithmetic, because numpy's complex
 product can differ from Python's in the sign of a zero part.
 
-The Kraus pipeline runs on stacks of matrices instead; the stack helpers
-here give each matrix of a stack the bits it gets on its own.
+The Kraus pipeline's measurement diagonals take the same two paths; its
+matrix stages run on stacks, where the helpers here give each matrix the
+bits it gets on its own.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ SCALAR = SimpleNamespace(
     complex=complex,
 )
 ARRAY = SimpleNamespace(
-    all=np.all,
+    all=functools.partial(np.logical_and.reduce, axis=None),  # np.all without its wrapper
     minimum=np.minimum,
     maximum=np.maximum,
     sqrt=np.sqrt,
@@ -86,17 +87,6 @@ def namespace(*values):
     return SCALAR, scalars
 
 
-def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of (..., d, d) stacks that broadcast together.
-
-    Each entry is the sum over the inner index, in index order, of
-    elementwise products, so a matrix gets the same bits in a stack of any
-    shape, and in any memory layout, as on its own; matmul picks BLAS or
-    its own loop from the strides of its operands.
-    """
-    return ordered_sum(a[..., :, j, None] * b[..., None, j, :] for j in range(a.shape[-1]))
-
-
 def ordered_sum(terms):
     """terms[0] + terms[1] + ..., added left to right: numpy's reductions
     pick their summation order from the layout of the array."""
@@ -105,12 +95,15 @@ def ordered_sum(terms):
 
 def real_trace(x: np.ndarray):
     """Real part of the trace of each matrix in a (..., d, d) stack, d a
-    power of two. The diagonal is added in pairs, then pairs of pairs, as
-    numpy's trace adds the diagonal of a lone 2x2 or 4x4 matrix."""
-    diag = x.diagonal(axis1=-2, axis2=-1).real
-    while diag.shape[-1] > 1:
-        diag = diag[..., 0::2] + diag[..., 1::2]
-    return diag[..., 0]
+    power of two: a float for one matrix. The diagonal is added in pairs,
+    then pairs of pairs, as numpy's trace adds the diagonal of a lone 2x2
+    or 4x4 matrix."""
+    diag = x.diagonal(0, -2, -1).real
+    # one matrix: its diagonal as floats; a stack: one array per diagonal entry
+    terms = diag.tolist() if diag.ndim == 1 else [diag[..., i] for i in range(diag.shape[-1])]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])]
+    return terms[0]
 
 
 def first_failure(values, ok):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import SCALAR, first_failure, namespace, ordered_sum, stack_matmul
+from ._elementwise import SCALAR, first_failure, namespace, ordered_sum
 from .linalg import dagger
 
 
@@ -35,12 +35,6 @@ class GadParams:
                     raise ValueError(f"{name} must be in [0, 1], got {failed}")
         if isinstance(self.p, np.ndarray) or isinstance(self.r, np.ndarray):
             np.broadcast_shapes(np.shape(self.p), np.shape(self.r))
-
-
-# for each qubit, the order of the (a, b, a', b') axes of a two-qubit state
-# that puts the other qubit's pair first and this qubit's pair last, and the
-# order that undoes it
-_BLOCK_ORDER = (((1, 3, 0, 2), (2, 0, 3, 1)), ((0, 2, 1, 3), (0, 2, 1, 3)))
 
 
 def gad_channel(params: GadParams) -> np.ndarray:
@@ -84,35 +78,43 @@ def apply_channel(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     dim = ops.shape[-1]
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"dimension mismatch: channel {dim}, rho {rho.shape}")
-    terms = stack_matmul(stack_matmul(ops, rho[..., None, :, :]), dagger(ops))
-    return ordered_sum(terms[..., i, :, :] for i in range(ops.shape[-3]))
+    return _kraus_sum(ops, rho, 1, 1)
 
 
 def apply_on_qubit(ops: np.ndarray, rho: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a single-qubit channel to one side of a two-qubit state, or of
-    each state in a (..., 4, 4) stack; ops is one channel or a stack of
-    them, as for apply_channel.
+    """Apply a single-qubit channel to one side of a two-qubit state.
 
-    The state is viewed as (..., a, b, a', b') and transposed so that the
-    qubit's row and column indices come last: each 2x2 block over them is
-    one state for apply_channel.
+    rho is a (4, 4) state or a (..., 4, 4) stack, ops a (k, 2, 2) channel or
+    a (..., k, 2, 2) stack, and their leading axes broadcast together: one
+    channel serves a stack of states, a stack of channels a lone state, and
+    each result has the bits of the call on its own state and channel.
     """
     if ops.shape[-2:] != (2, 2) or rho.shape[-2:] != (4, 4):
         raise ValueError("expected a single-qubit channel and a 4x4 state")
     if qubit not in (0, 1):
         raise ValueError(f"qubit must be 0 or 1, got {qubit}")
-    lead = tuple(range(rho.ndim - 2))
-    to_blocks, back = (lead + tuple(len(lead) + i for i in axes) for axes in _BLOCK_ORDER[qubit])
-    blocks = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).transpose(to_blocks)
-    # the channel is the same for the 2x2 blocks of one state
-    out = apply_channel(ops[..., None, None, :, :, :], blocks)
-    return out.transpose(back).reshape(rho.shape)
+    return _kraus_sum(ops, rho, (1, 2)[qubit], (2, 1)[qubit])  # (outer, qubit, inner)
+
+
+def _kraus_sum(ops, rho, outer, inner):
+    # sum_i E_i rho E_i^dag, E_i on the middle factor of an (outer, d, inner)
+    # space: row j of rho times E_i[r, j] on axes (i, outer, r, inner), then
+    # column c of E_i rho times conj(E_i[s, c]) on axes (i, s), in index order
+    d = ops.shape[-1]
+    size = outer * d * inner
+    rows = rho.reshape(rho.shape[:-2] + (1, outer, 1, d, inner * size))
+    half = ordered_sum(ops[..., :, None, :, j, None] * rows[..., j, :] for j in range(d))
+    cols = half.reshape(half.shape[:-3] + (size * outer, 1, d, inner))
+    dag = ops.conj()
+    terms = ordered_sum(cols[..., c, :] * dag[..., :, None, :, c, None] for c in range(d))
+    out = ordered_sum(terms[..., i, :, :, :] for i in range(ops.shape[-3]))
+    return out.reshape(out.shape[:-3] + (size, size))
 
 
 def check_trace_preserving(ops: np.ndarray) -> float:
-    """Max-norm completeness defect ||sum E^dag E - I||_max."""
-    acc = ordered_sum(stack_matmul(dagger(ops), ops))
-    return float(np.abs(acc - np.eye(ops.shape[-1])).max())
+    """Max-norm completeness defect ||sum E^dag E - I||_max (the adjoint channel on I)."""
+    eye = np.eye(ops.shape[-1])
+    return float(np.abs(apply_channel(dagger(ops), eye) - eye).max())
 
 
 def _dilation_isometry(params: GadParams) -> np.ndarray:

@@ -36,6 +36,9 @@ class EntangledInput:
     beta: complex
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):  # a numpy scalar: the number it holds, as for strengths
+            if isinstance(getattr(self, name), np.generic):
+                object.__setattr__(self, name, getattr(self, name).item())
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(norm - 1.0) <= NORM_ATOL:
             for name, amp in (("alpha", self.alpha), ("beta", self.beta)):
@@ -57,7 +60,7 @@ class EntangledInput:
 
     def density(self) -> np.ndarray:
         vec = self.ket()
-        return np.outer(vec, vec.conj())
+        return vec[:, None] * vec.conj()  # np.outer's product, without its wrapper
 
 
 @dataclass(frozen=True)
@@ -298,9 +301,7 @@ def pipeline_state(
 ) -> tuple[np.ndarray, float]:
     """Generic route: local pre-measurements, one Kraus channel per qubit,
     local reversals. Returns the final state and joint success probability."""
-    return kraus_pipeline_state(
-        inp.density(), gad_channel(ch1), gad_channel(ch2), m1, m2, n1, n2
-    )
+    return kraus_pipeline_state(inp.density(), gad_channel(ch1), gad_channel(ch2), m1, m2, n1, n2)
 
 
 def kraus_pipeline_state(
@@ -308,12 +309,12 @@ def kraus_pipeline_state(
 ) -> tuple[np.ndarray, float]:
     """pipeline_state from the input density matrix and the Kraus operators
     of the two channels. Every argument may also be a stack, the states
-    (..., 4, 4) and the channels (..., k, 2, 2), all broadcasting together:
-    runs through different channels then go as one call, each with the
-    bits of its own call."""
+    (..., 4, 4), the channels (..., k, 2, 2) and the strengths, all
+    broadcasting together as for apply_on_qubit, a channel stack with a
+    lone state included: runs through different channels then go as one
+    call, each with the bits of its own call."""
     state, prob_pre = postselect(pre_diagonal(m1, m2), rho)
-    state = apply_on_qubit(ops1, state, 0)
-    state = apply_on_qubit(ops2, state, 1)
+    state = apply_on_qubit(ops2, apply_on_qubit(ops1, state, 0), 1)
     state, prob_post = postselect(post_diagonal(n1, n2), state)
     return state, require_postselection(prob_pre * prob_post)
 

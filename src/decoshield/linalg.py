@@ -71,8 +71,7 @@ def fidelity(psi: np.ndarray, rho: np.ndarray):
         raise ValueError(f"reference state is not pure: tr(psi^2) = {failed}")
     # matmul hands each contiguous matrix, alone or in a stack, to the same
     # BLAS call, as the recorded outputs were computed
-    overlap = real_trace(psi @ rho)
-    return overlap if np.ndim(overlap) else float(overlap)
+    return real_trace(psi @ rho)
 
 
 def _herm_sqrt(rho: np.ndarray) -> np.ndarray:

@@ -79,8 +79,7 @@ def apply_protection(
 def _kraus_protection(ops, m, n, rho):
     # apply_protection from a Kraus stack whose extra axes broadcast against the states
     state, prob_pre = postselect(pre_diagonal(m), rho)
-    state = apply_channel(ops, state)
-    state, prob_post = postselect(post_diagonal(n), state)
+    state, prob_post = postselect(post_diagonal(n), apply_channel(ops, state))
     return state, require_postselection(prob_pre * prob_post)
 
 

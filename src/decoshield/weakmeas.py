@@ -8,11 +8,12 @@ measurement is given by its diagonal and applied entry by entry.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from ._elementwise import first_failure, real_trace
+from ._elementwise import SCALAR, first_failure, namespace, real_trace
 
 MIN_POSTSELECT_PROB = 1e-14
 
@@ -42,20 +43,23 @@ def pre_diagonal(*m) -> np.ndarray:
     """Diagonal of diag(1, m) on each qubit, tensored together (the first
     strength on the leftmost factor). Strengths may be broadcasting arrays,
     giving a (..., 2 ** len(m)) stack of diagonals."""
-    return _tensored((1.0, strength) for strength in m)
+    return _tensored(m)
 
 
 def post_diagonal(*n) -> np.ndarray:
-    """Diagonal of diag(n, 1) on each qubit, tensored together, like
-    pre_diagonal."""
-    return _tensored((strength, 1.0) for strength in n)
+    """Diagonal of diag(n, 1) on each qubit, tensored together: the entries
+    of pre_diagonal(*n) in reverse order."""
+    return _tensored(n)[..., ::-1]
 
 
-def _tensored(factors) -> np.ndarray:
+def _tensored(strengths) -> np.ndarray:
+    xp, strengths = namespace(*strengths)
     # kron order: entry i of the running product spawns entries 2i and 2i + 1
     entries = [1.0]
-    for lo, hi in factors:
-        entries = [entry * x for entry in entries for x in (lo, hi)]
+    for strength in strengths:
+        entries = [entry * x for entry in entries for x in (1.0, strength)]
+    if xp is SCALAR:
+        return np.array(entries)
     diag = np.empty(np.broadcast(*entries).shape + (len(entries),))
     for i, entry in enumerate(entries):
         diag[..., i] = entry
@@ -88,17 +92,19 @@ def postselect(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
     dim = diagonal.shape[-1]
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"dimension mismatch: diagonal of {dim} vs rho {rho.shape}")
-    top = diagonal.max(axis=-1, keepdims=True)
-    if not (0.0 <= diagonal.min() and top.max() < math.inf):  # NaN fails both
+    # one diagonal: its entries as floats; a stack: one (..., 1) array per entry
+    cols = diagonal.tolist() if diagonal.ndim == 1 else [diagonal[..., i, None] for i in range(dim)]
+    xp, entries = namespace(*cols)
+    if not all(xp.all((0.0 <= entry) & (entry < math.inf)) for entry in entries):  # NaN fails both
         ok = (0.0 <= diagonal) & (diagonal < math.inf)
         raise ValueError(
             f"strengths must be finite and non-negative, got {first_failure(diagonal, ok)!r}"
         )
-    k = diagonal * (1.0 / np.maximum(1.0, top))
+    k = diagonal * (1.0 / functools.reduce(xp.maximum, entries, 1.0))
     # row by row, then column by column: K rho K^dag with no zero terms
+    k = k.astype(np.result_type(rho, k))  # cast once, not in both products
     raw = rho * k[..., :, None] * k[..., None, :]
     prob = real_trace(raw)
-    if np.ndim(prob):
+    if isinstance(prob, np.ndarray):
         return raw / np.where(prob > 0.0, prob, 1.0)[..., None, None], prob
-    prob = float(prob)
     return raw / (prob if prob > 0.0 else 1.0), prob

@@ -9,6 +9,7 @@ from decoshield.channels import (
     check_trace_preserving,
     gad_channel,
 )
+from decoshield.entangle import EntangledInput, pipeline_state
 from decoshield.linalg import validate_density
 
 RNG = np.random.default_rng(77103)
@@ -163,6 +164,31 @@ def test_apply_on_qubit_leaves_other_factor_alone():
         out = apply_on_qubit(gad_channel(params), stack, qubit)
         for i in range(2):
             assert out[i].tobytes() == apply_on_qubit(gad_channel(params), stack[i], qubit).tobytes()
+
+
+def test_channel_stack_on_lone_state():
+    # the output has the broadcast leading shape of channels and states,
+    # each entry with the bits of the call on its own channel and state
+    p, r = np.array([0.3, 0.6, 1.0]), np.array([0.2, 0.5, 0.0])
+    stack = gad_channel(GadParams(p, r))
+    inp = EntangledInput.from_alpha_sq(0.4)
+    rho = inp.density()
+    states = np.stack([rho, random_density(RNG, dim=4)])
+    for qubit in (0, 1):
+        out = apply_on_qubit(stack, rho, qubit)
+        assert out.shape == (3, 4, 4)
+        grid = apply_on_qubit(stack[:, None], states, qubit)
+        assert grid.shape == (3, 2, 4, 4)
+        for i in range(3):
+            assert out[i].tobytes() == apply_on_qubit(stack[i], rho, qubit).tobytes()
+            for j in range(2):
+                assert grid[i, j].tobytes() == apply_on_qubit(stack[i], states[j], qubit).tobytes()
+    other = GadParams(0.5, 0.5)
+    state, prob = pipeline_state(inp, GadParams(p, r), other, 0.7, 1.1, 0.9, 1.2)
+    assert state.shape == (3, 4, 4) and prob.shape == (3,)
+    for i in range(3):
+        one, one_prob = pipeline_state(inp, GadParams(p[i], r[i]), other, 0.7, 1.1, 0.9, 1.2)
+        assert state[i].tobytes() == one.tobytes() and prob[i] == one_prob
 
 
 def test_dilation_isometry_matches_kraus_action():

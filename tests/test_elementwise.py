@@ -23,6 +23,7 @@ from decoshield.entangle import (
     XStateCoefficients,
     concurrence_lambda2,
     measured_coefficients,
+    optimal_parameters,
     optimal_reversal,
     protected_state,
 )
@@ -144,6 +145,26 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
         lambda res: res[1],
         *(lambda res, f=f: f(res[0]) for f in xstate),
     )
+
+
+@PROPERTY
+@given(channels, channels, unit, phases, strength)
+def test_numpy_scalar_amplitudes(ch1, ch2, alpha_sq, phase, m1):
+    # numpy amplitudes, complex and real, give plain floats with the bits
+    # of the call on the Python numbers they hold
+    alpha, beta = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * cmath.exp(1j * phase)
+    for amps in ((alpha, beta), (alpha, abs(beta))):
+        inp = EntangledInput(*amps)
+        as_numpy = EntangledInput(*(np.complex128(a) if type(a) is complex else np.float64(a)
+                                    for a in amps))
+        assert (type(as_numpy.alpha), type(as_numpy.beta)) == tuple(map(type, amps))
+        agree(outcome(measured_coefficients, inp, ch1, ch2, m1, 1.0),
+              [outcome(measured_coefficients, as_numpy, ch1, ch2, m1, 1.0)],
+              *fields("a", "b", "c", "d", "e"))
+        agree(outcome(optimal_parameters, inp, ch1, ch2),
+              [outcome(optimal_parameters, as_numpy, ch1, ch2)],
+              *fields("lambda1", "lambda2", "lambda2_max", "m_opt", "n1_opt", "n2_opt", "h",
+                      "alpha_sq_opt", "success_prob"))
 
 
 # the whole domain of the pipeline: channel boundaries drawn explicitly,

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, FLOAT_MAX, check_finite, check_strength, loud, namespace, quietly
+from ._elementwise import ARRAY, check_finite, check_strength, loud, namespace, quietly
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
-from .weakmeas import post_diagonal, postselect, pre_diagonal, require_postselection
+from .weakmeas import measure_damp_reverse, require_postselection
 
 NORM_ATOL = 1e-12
 # unit coefficients are products of channel weights; they vanish only at
@@ -203,8 +203,6 @@ def _reversed_trace(a, b, c, d, n1, n2, xp):
     # an ARRAY call runs quietly; plain floats never warn
     args = (a, b, c, d, n1, n2)
     trace = quietly(_reversed_sum, *args) if xp is ARRAY else _reversed_sum(*args)
-    if xp is not ARRAY and trace <= FLOAT_MAX:  # a finite float skips the call
-        return trace
     return check_finite(trace, "n1, n2", n1, n2)
 
 
@@ -308,15 +306,16 @@ def kraus_pipeline_state(
     rho: np.ndarray, ops1: np.ndarray, ops2: np.ndarray, m1, m2, n1, n2
 ) -> tuple[np.ndarray, float]:
     """pipeline_state from the input density matrix and the Kraus operators
-    of the two channels. Every argument may also be a stack, the states
-    (..., 4, 4), the channels (..., k, 2, 2) and the strengths, all
-    broadcasting together as for apply_on_qubit, a channel stack with a
-    lone state included: runs through different channels then go as one
-    call, each with the bits of its own call."""
-    state, prob_pre = postselect(pre_diagonal(m1, m2), rho)
-    state = apply_on_qubit(ops2, apply_on_qubit(ops1, state, 0), 1)
-    state, prob_post = postselect(post_diagonal(n1, n2), state)
-    return state, require_postselection(prob_pre * prob_post)
+    of the two channels, through weakmeas.measure_damp_reverse, which holds
+    the joint success probability to the cutoff once. Every argument may
+    also be a stack, the states (..., 4, 4), the channels (..., k, 2, 2) and
+    the strengths, all broadcasting together as for apply_on_qubit, a channel
+    stack with a lone state included: runs through different channels then
+    go as one call, each with the bits of its own call."""
+    def damp(state):
+        return apply_on_qubit(ops2, apply_on_qubit(ops1, state, 0), 1)
+
+    return measure_damp_reverse(rho, (m1, m2), (n1, n2), damp)
 
 
 def optimal_parameters(

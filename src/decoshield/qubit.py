@@ -15,17 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import (
-    ARRAY, FLOAT_MAX, check_finite, check_strength, failing_entries, loud, namespace, ordered_sum,
-    quietly,
+    ARRAY, check_finite, check_strength, failing_entries, loud, namespace, ordered_sum, quietly,
 )
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
-from .weakmeas import post_diagonal, postselect, pre_diagonal, require_postselection
+from .weakmeas import measure_damp_reverse, require_postselection
 
-# azimuths of the four key-distribution states, and for each state the
-# index of its conjugate partner (azimuth shifted by pi)
+# azimuths of the four key-distribution states, for each state the index of
+# its conjugate partner (azimuth shifted by pi), and their density matrices,
+# one stack built and checked once
 BB84_AZIMUTHS = (0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi)
 BB84_PARTNERS = (1, 0, 3, 2)
+BB84_STATES = np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
+fidelity(BB84_STATES, BB84_STATES)  # raises unless each is pure, as a reference must be
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,14 @@ def apply_protection(
 ) -> tuple[np.ndarray, float]:
     """Generic route: pre-measure diag(1, m), damp, reverse with diag(n, 1).
 
-    Returns the post-selected output state and the joint success
-    probability, which must reach the cutoff. m, n, the channel parameters
-    p, r and rho, a (..., 2, 2) stack, may all be arrays that broadcast
-    together: the result is then a stack of states and an array of
+    Returns the post-selected output state and the joint success probability,
+    held to the cutoff once, by weakmeas.measure_damp_reverse. m, n, the
+    channel's p, r and rho, a (..., 2, 2) stack, may all be arrays that
+    broadcast together: the result is then a stack of states and an array of
     probabilities, each entry with the bits of the scalar call there.
     """
-    return _kraus_protection(gad_channel(params), m, n, rho)
-
-
-def _kraus_protection(ops, m, n, rho):
-    # apply_protection from a Kraus stack whose extra axes broadcast against the states
-    state, prob_pre = postselect(pre_diagonal(m), rho)
-    state, prob_post = postselect(post_diagonal(n), apply_channel(ops, state))
-    return state, require_postselection(prob_pre * prob_post)
+    ops = gad_channel(params)
+    return measure_damp_reverse(rho, (m,), (n,), lambda state: apply_channel(ops, state))
 
 
 def protect_equatorial(
@@ -101,16 +97,12 @@ def protect_equatorial(
     xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
     if xp is ARRAY and loud():
         return quietly(protect_equatorial, params, m, n, phi)
-    # scalar fast path of the checks that check_strength spells out
-    if xp is ARRAY or not (0.0 < m * m < math.inf and 0.0 < n * n < math.inf and m > 0.0 < n):
-        check_strength("m", m)
-        check_strength("n", n)
+    check_strength("m", m)
+    check_strength("n", n)
     diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
     lost = m * m * (1.0 - p * r)
     leak = (1.0 - p) * r
-    t = diag0 + lost + leak
-    if xp is ARRAY or not t <= FLOAT_MAX:  # a finite float skips the call
-        check_finite(t, "m, n", m, n)
+    t = check_finite(diag0 + lost + leak, "m, n", m, n)
     success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
     require_postselection(success)
     coherence = m * n * xp.sqrt(1.0 - r)
@@ -191,15 +183,15 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     check_strength("n", n)
     # the four states run as one stack, on an axis after the other axes;
     # the channel, or each channel of a stack, serves all four
-    states = np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
-    outputs, _ = _kraus_protection(
-        gad_channel(params)[..., None, :, :, :],
-        np.asarray(m)[..., None],
-        np.asarray(n)[..., None],
-        states,
+    ops = gad_channel(params)[..., None, :, :, :]
+    outputs, _ = measure_damp_reverse(
+        BB84_STATES,
+        (np.asarray(m)[..., None],),
+        (np.asarray(n)[..., None],),
+        lambda state: apply_channel(ops, state),
     )
-    own = fidelity(states, outputs)
-    leaked = fidelity(states, outputs[..., BB84_PARTNERS, :, :])
+    own = fidelity(BB84_STATES, outputs)
+    leaked = fidelity(BB84_STATES, outputs[..., BB84_PARTNERS, :, :])
     terms = leaked / (own + leaked)
     error = ordered_sum(terms[..., i] for i in range(len(BB84_AZIMUTHS))) / len(BB84_AZIMUTHS)
     return error if np.ndim(error) else float(error)

@@ -66,6 +66,17 @@ def _tensored(strengths) -> np.ndarray:
     return diag
 
 
+def measure_damp_reverse(rho: np.ndarray, m: tuple, n: tuple, damp) -> tuple[np.ndarray, float]:
+    """The generic protection route: measure diag(1, m) on each qubit of rho,
+    damp, then reverse with diag(n, 1) on each qubit. Returns the state and
+    the joint success probability of both outcomes, which must reach the
+    cutoff. m and n hold one strength, float or array, per qubit; they, rho
+    and any channel stack in damp broadcast as for apply_postselected."""
+    state, prob_pre = _postselect(pre_diagonal(*m), rho)
+    state, prob_post = _postselect(post_diagonal(*n), damp(state))
+    return state, require_postselection(prob_pre * prob_post)
+
+
 def apply_postselected(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Post-selected update (K rho K^dag / w, w) of the diagonal measurement
     given by its raw entries, with K its physical form.
@@ -74,20 +85,18 @@ def apply_postselected(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
     K^dag K <= I; entries <= 1 are left untouched. The probability
     w = tr(K rho K^dag) uses the rescaled operator, so a strength c > 1
     suppresses the outcome by 1/c^2. A w below MIN_POSTSELECT_PROB raises
-    PostSelectionError.
+    PostSelectionError, which measure_damp_reverse applies to both outcomes.
 
     diagonal has shape (..., d) and rho (..., d, d); stacks broadcast
     together and give a stack of states and an array of probabilities.
     """
-    state, prob = postselect(diagonal, rho)
+    state, prob = _postselect(diagonal, rho)
     return state, require_postselection(prob)
 
 
-def postselect(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """apply_postselected without the cutoff: the pipelines apply it once,
-    to the joint probability of their two outcomes. A zero-probability
-    outcome leaves its zero weight unnormalized, so that joint probability
-    reads 0 rather than NaN."""
+def _postselect(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    # apply_postselected without the cutoff; a zero-probability outcome
+    # keeps its zero weight unnormalized, so a joint probability reads 0, not NaN
     diagonal = np.asarray(diagonal, dtype=float)
     dim = diagonal.shape[-1]
     if rho.shape[-2:] != (dim, dim):

@@ -95,6 +95,14 @@ def test_strength_validation():
     with pytest.raises(ValueError, match=overflow):
         average_fidelity_six(REF, np.array([[1.0], [1e100]]), np.array([1.0, 1e100]))
     assert bb84_error_rate(REF, 1e100, 1e100) == 0.5
+    # an int too large for a float is rejected as a strength, with the
+    # message bb84_error_rate gives, not an OverflowError from the formula
+    big = f" must be finite and positive with a finite nonzero square, got {10**200}$"
+    for call in (protect_equatorial, bb84_error_rate):
+        with pytest.raises(ValueError, match="^m" + big):
+            call(REF, 10**200, 1.0)
+    with pytest.raises(ValueError, match="^n" + big):
+        average_fidelity_six(REF, 1.0, 10**200)
 
 
 def test_reference_optimum_values():

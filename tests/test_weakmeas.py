@@ -5,8 +5,8 @@ from decoshield.linalg import equatorial_state
 from decoshield.weakmeas import (
     PostSelectionError,
     apply_postselected,
+    measure_damp_reverse,
     post_diagonal,
-    postselect,
     pre_diagonal,
 )
 
@@ -79,9 +79,12 @@ def test_impossible_postselection_raises():
     ground = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(PostSelectionError):
         apply_postselected(post_diagonal(0.0), ground)
-    # without the cutoff the void outcome keeps its zero weight, not NaN
-    state, prob = postselect(post_diagonal(0.0), ground)
-    assert prob == 0.0 and not np.any(state)
+    # the route keeps a void outcome's zero weight, not NaN, so the joint
+    # probability it names is 0.0, alone and as one entry of a stack
+    void = r"^success probability 0\.0 below cutoff$"
+    for n in (0.0, np.array([0.5, 0.0, 2.0])):
+        with pytest.raises(PostSelectionError, match=void):
+            measure_damp_reverse(ground, (1.0,), (n,), lambda state: state)
 
 
 def test_matched_reversal_restores_state():

@@ -18,6 +18,9 @@ product can differ from Python's in the sign of a zero part.
 The Kraus pipeline's measurement diagonals take the same two paths; its
 matrix stages run on stacks, where the helpers here give each matrix the
 bits it gets on its own.
+
+Every check that takes arrays refuses through `reject`, naming the first
+failing entry in C order as a Python scalar; NaN always fails.
 """
 
 from __future__ import annotations
@@ -106,12 +109,14 @@ def real_trace(x: np.ndarray):
     return terms[0]
 
 
-def first_failure(values, ok):
-    """The first entry of `values` where the mask `ok` is False, as a Python
-    scalar; None when every entry passes."""
-    if isinstance(ok, np.ndarray):
-        return None if ok.all() else values[~ok].flat[0].item()
-    return None if ok else values
+def reject(ok, error, message: str, *values) -> None:
+    """Return when every entry of the mask ok, a bool or an array, passes;
+    otherwise raise error(message.format(*entries)), with `values` broadcast
+    to ok and read at its first False entry in C order as Python scalars."""
+    if ok is True or (ok is not False and ARRAY.all(ok)):
+        return
+    at = np.argmin(ok)
+    raise error(message.format(*(np.broadcast_to(v, np.shape(ok)).item(at) for v in values)))
 
 
 # the closed forms square every strength: a strength in [SQUARE_MIN,
@@ -121,35 +126,29 @@ SQUARE_MAX = math.sqrt(sys.float_info.max)
 FLOAT_MAX = sys.float_info.max
 
 
-def check_strength(name: str, value, zero_ok: bool = False) -> None:
-    """Raise ValueError naming the strength unless every entry is positive,
-    or non-negative when zero_ok, with a finite square that is nonzero for
-    a positive entry. Compares only, so no entry can raise a numpy warning."""
+def check_strength(name: str, value, zero_ok: bool = False):
+    """value, a Python int as the float it holds, once every entry is
+    positive, or non-negative when zero_ok, with a finite square that is
+    nonzero for a positive entry; otherwise ValueError naming the strength.
+    Compares only, so no entry can raise a numpy warning."""
     ok = ((0.0 <= value) if zero_ok else (SQUARE_MIN <= value)) & (value <= SQUARE_MAX)
-    if ok is True:  # a valid Python float, without the call below
-        return
-    failed = first_failure(value, ok)
-    if failed is not None:
+    if ok is not True:  # a valid Python float skips the call below
         kind = "non-negative with a finite" if zero_ok else "positive with a finite nonzero"
-        raise ValueError(f"{name} must be finite and {kind} square, got {failed!r}")
+        reject(ok, ValueError, f"{name} must be finite and {kind} square, got {{!r}}", value)
+        return value  # an array, every entry valid
+    return value * 1.0  # an int, whose exact products can outgrow a float, as a float
 
 
 def check_finite(value, names: str, *strengths):
     """value, once every entry is finite; otherwise ValueError giving the
-    strengths `names` at the first entry that is not, where the closed form
-    built from them overflowed. value is non-negative; compares only."""
+    strengths `names` as floats at the first entry that is not, where the
+    closed form built from them overflowed. value is non-negative; compares only."""
     ok = value <= FLOAT_MAX
-    if ok is True or (ok is not False and ok.all()):
-        return value
-    point = ", ".join(repr(v) for v in failing_entries(ok, *strengths))
-    raise ValueError(f"strengths {names} = {point} overflow the float range")
-
-
-def failing_entries(ok, *values) -> tuple[float, ...]:
-    """The entries of `values`, broadcast to the shape of the mask `ok`, at
-    its first False entry in C order, as Python floats; ok may be a bool."""
-    at = np.argmin(ok)
-    return tuple(float(np.broadcast_to(v, np.shape(ok)).flat[at]) for v in values)
+    if ok is not True:  # a finite Python float skips the call below
+        point = ", ".join(["{!r}"] * len(strengths))
+        message = f"strengths {names} = {point} overflow the float range"
+        reject(ok, ValueError, message, *(np.asarray(s, dtype=float) for s in strengths))
+    return value
 
 
 def quietly(fn, *args):

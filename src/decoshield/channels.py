@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import SCALAR, first_failure, namespace, ordered_sum
+from ._elementwise import SCALAR, namespace, ordered_sum, reject
 from .linalg import dagger
 
 
@@ -30,9 +30,7 @@ class GadParams:
         for name, value in (("p", self.p), ("r", self.r)):
             ok = (0.0 <= value) & (value <= 1.0)
             if ok is not True:  # a valid Python float skips the call below
-                failed = first_failure(value, ok)
-                if failed is not None:
-                    raise ValueError(f"{name} must be in [0, 1], got {failed}")
+                reject(ok, ValueError, f"{name} must be in [0, 1], got {{}}", value)
         if isinstance(self.p, np.ndarray) or isinstance(self.r, np.ndarray):
             np.broadcast_shapes(np.shape(self.p), np.shape(self.r))
 

@@ -115,6 +115,11 @@ def _gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
+def _worst(*gaps) -> float:
+    """The largest gap, or NaN when any is NaN, which Python's max drops."""
+    return float(np.max(gaps))
+
+
 def _max_gap(gap: float, tol: float) -> tuple[bool, str]:
     return gap <= tol, f"max gap {gap:.2e} (tol {tol:.0e})"
 
@@ -136,18 +141,19 @@ def kraus_completeness(rng: np.random.Generator, count: int) -> tuple[bool, str]
     for params in corners + [_channel(rng, i) for i in range(count)]:
         ch = gad_channel(params)
         thermal = np.diag([params.p, 1.0 - params.p]).astype(complex)
-        defect = max(defect, check_trace_preserving(ch), _gap(apply_channel(ch, thermal), thermal))
+        kept = _gap(apply_channel(ch, thermal), thermal)
+        defect = _worst(defect, check_trace_preserving(ch), kept)
     return defect <= 1e-12, f"max defect {defect:.2e} (tol 1e-12)"
 
 
 def dilation_vs_kraus(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """Kraus sum and environment dilation act alike on random mixed states."""
-    gap = 0.0
+    gaps = []
     for i in range(count):
         params = _channel(rng, i)
         rho = _density(rng)
-        gap = max(gap, _gap(apply_channel(gad_channel(params), rho), apply_via_dilation(params, rho)))
-    return _max_gap(gap, 1e-12)
+        gaps.append(_gap(apply_channel(gad_channel(params), rho), apply_via_dilation(params, rho)))
+    return _max_gap(_worst(*gaps), 1e-12)
 
 
 def qubit_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple[bool, str]:
@@ -165,7 +171,7 @@ def qubit_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple
     psi = np.stack([equatorial_state(azimuth) for azimuth in phi])
     stack = GadParams(np.array([ch.p for ch in channels]), np.array([ch.r for ch in channels]))
     states, probs = apply_protection(stack, np.array(m), np.array(n), psi)
-    gap = max(
+    gap = _worst(
         _gap(np.stack([res.output_state for res in closed]), states),
         _gap(np.array([res.success_prob for res in closed]), probs),
         _gap(np.array([res.fidelity for res in closed]), fidelity(psi, states)),
@@ -196,7 +202,7 @@ def entangle_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tu
         np.stack([gad_channel(ch) for ch in ch2s]),
         *(np.array(values) for values in strengths),
     )
-    return _max_gap(max(_gap(np.stack(closed), generic), _gap(np.array(success), probs)), 1e-12)
+    return _max_gap(_worst(_gap(np.stack(closed), generic), _gap(np.array(success), probs)), 1e-12)
 
 
 def xstate_vs_wootters(rng: np.random.Generator, count: int) -> tuple[bool, str]:
@@ -210,10 +216,10 @@ def xstate_vs_wootters(rng: np.random.Generator, count: int) -> tuple[bool, str]
         m1, n1, n2 = _strengths(rng, 3)
         coeffs = measured_coefficients(inp, ch1, ch2, m1, 1.0)
         rho, _ = reversed_state(coeffs, n1, n2)
-        gap = max(
+        gap = _worst(  # clipped as max(lambda, 0.0), which keeps a NaN lambda
             gap,
-            abs(max(0.0, concurrence_lambda1(base)) - wootters_concurrence(base.matrix())),
-            abs(max(0.0, concurrence_lambda2(coeffs, n1, n2)) - wootters_concurrence(rho)),
+            abs(max(concurrence_lambda1(base), 0.0) - wootters_concurrence(base.matrix())),
+            abs(max(concurrence_lambda2(coeffs, n1, n2), 0.0) - wootters_concurrence(rho)),
         )
     return _max_gap(gap, 1e-10)
 
@@ -243,8 +249,8 @@ def qubit_optimum_oracle(rng: np.random.Generator, count: int) -> tuple[bool, st
     for params in points:
         best = optimal_strengths(params)
         found = _search(lambda pt: protect_equatorial(params, pt[0], pt[1]).fidelity, QUBIT_BOX)
-        arg_gap = max(arg_gap, _gap(found.argmax, np.array([best.m, best.n])))
-        val_gap = max(val_gap, abs(found.value - best.f_max))
+        arg_gap = _worst(arg_gap, _gap(found.argmax, np.array([best.m, best.n])))
+        val_gap = _worst(val_gap, abs(found.value - best.f_max))
         converged += found.converged
     ok = arg_gap <= 1e-3 and val_gap <= 1e-6 and converged == len(points)
     return ok, (
@@ -267,7 +273,7 @@ def entangle_optimum_oracle(rng: np.random.Generator, count: int) -> tuple[bool,
             ),
             PAIR_BOX,
         )
-        val_gap = max(val_gap, abs(found.value - lambda2_max(ch1, ch2)))
+        val_gap = _worst(val_gap, abs(found.value - lambda2_max(ch1, ch2)))
         converged += found.converged
     ok = val_gap <= 1e-6 and converged == len(pairs)
     return ok, f"value gap {val_gap:.2e} (tol 1e-6), {converged}/{len(pairs)} converged"
@@ -279,14 +285,11 @@ def average_optimum_stationary(rng: np.random.Generator, count: int) -> tuple[bo
     slope = 0.0
     for params in _qubit_points(count):
         best = optimal_strengths(params)
-        slope = max(
-            slope,
-            stationarity_check(
-                lambda pt: average_fidelity_six(params, pt[0], pt[1]).favg,
-                np.array([best.m, best.n]),
-                1e-5,
-            ),
-        )
+        slope = _worst(slope, stationarity_check(
+            lambda pt: average_fidelity_six(params, pt[0], pt[1]).favg,
+            np.array([best.m, best.n]),
+            1e-5,
+        ))
     return slope <= 1e-6, f"max slope {slope:.2e} (tol 1e-6)"
 
 
@@ -336,7 +339,7 @@ def output_density_validity(rng: np.random.Generator, count: int) -> tuple[bool,
             probs += [res.success_prob, success]
     except ValueError as exc:
         return False, f"invalid output: {exc}"
-    lo, hi = min(probs), max(probs)
+    lo, hi = float(np.min(probs)), float(np.max(probs))  # unlike min and max, keep a NaN
     return (
         0.0 < lo and hi <= 1.0 + 1e-12,
         f"{len(probs)} states valid, success probability in [{lo:.2e}, {hi:.4f}]",
@@ -350,11 +353,11 @@ def alpha_weight_independence(rng: np.random.Generator, count: int) -> tuple[boo
         optimal_parameters(EntangledInput.from_alpha_sq((2 * k + 1) / (2 * count)), *REF_PAIR)
         for k in range(count)
     ]
-    spread = max(
+    spread = _worst(*(
         abs(getattr(rep, field) - getattr(reports[0], field))
         for rep in reports
         for field in ("lambda2_max", "n1_opt", "n2_opt")
-    )
+    ))
     return spread <= 1e-10, f"max spread {spread:.2e} (tol 1e-10)"
 
 

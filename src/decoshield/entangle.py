@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, check_finite, check_strength, loud, namespace, quietly
+from ._elementwise import ARRAY, check_finite, check_strength, loud, namespace, quietly, reject
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
 from .weakmeas import measure_damp_reverse, require_postselection
@@ -139,8 +139,8 @@ def measured_coefficients(
     channels act; the reversal is not applied here.
     """
     xp, (p1, r1, p2, r2, m1, m2) = namespace(ch1.p, ch1.r, ch2.p, ch2.r, m1, m2)
-    check_strength("m1", m1, zero_ok=True)
-    check_strength("m2", m2, zero_ok=True)
+    m1 = check_strength("m1", m1, zero_ok=True)
+    m2 = check_strength("m2", m2, zero_ok=True)
     lo, hi = _unit_coefficients(p1, r1, p2, r2)
     wa = abs(inp.alpha) ** 2
     wb = abs(inp.beta) ** 2
@@ -198,8 +198,8 @@ def _reversed_trace(a, b, c, d, n1, n2, xp):
     """Unnormalized trace of the X state with diagonal a, b, c, d after the
     reversal (n1, n2): where the reversal strengths enter the chain, so
     where they and their trace are checked."""
-    check_strength("n1", n1, zero_ok=True)
-    check_strength("n2", n2, zero_ok=True)
+    n1 = check_strength("n1", n1, zero_ok=True)
+    n2 = check_strength("n2", n2, zero_ok=True)
     # an ARRAY call runs quietly; plain floats never warn
     args = (a, b, c, d, n1, n2)
     trace = quietly(_reversed_sum, *args) if xp is ARRAY else _reversed_sum(*args)
@@ -257,8 +257,8 @@ def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     xp, (a, b, c, d) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     if xp is ARRAY and loud():
         return quietly(optimal_reversal, coeffs)
-    if not xp.all((a * b > 0.0) & (a * c > 0.0)):
-        raise ValueError("degenerate coefficients, reversal optimum undefined")
+    ok = (a * b > 0.0) & (a * c > 0.0)
+    reject(ok, ValueError, "degenerate coefficients, reversal optimum undefined")
     return xp.pow(c * d / (a * b), 0.25), xp.pow(b * d / (a * c), 0.25)
 
 

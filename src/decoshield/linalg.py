@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ._elementwise import first_failure, real_trace
+from ._elementwise import real_trace, reject
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -66,9 +66,8 @@ def fidelity(psi: np.ndarray, rho: np.ndarray):
     if psi.shape[-2:] != rho.shape[-2:]:
         raise ValueError(f"dimension mismatch: {psi.shape} vs {rho.shape}")
     purity = real_trace(psi @ psi)
-    failed = first_failure(purity, purity >= 1.0 - PURITY_ATOL)
-    if failed is not None:
-        raise ValueError(f"reference state is not pure: tr(psi^2) = {failed}")
+    message = "reference state is not pure: tr(psi^2) = {}"
+    reject(purity >= 1.0 - PURITY_ATOL, ValueError, message, purity)
     # matmul hands each contiguous matrix, alone or in a stack, to the same
     # BLAS call, as the recorded outputs were computed
     return real_trace(psi @ rho)

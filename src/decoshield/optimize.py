@@ -194,12 +194,12 @@ def stationarity_check(
 ) -> float:
     """Largest central-difference gradient component at an interior point."""
     point = np.asarray(point, dtype=float)
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    worst = 0.0
+    if not 0.0 < step < math.inf:  # NaN fails too
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    slopes = []
     for axis in range(point.size):
         offset = np.zeros_like(point)
         offset[axis] = step
-        slope = (objective(point + offset) - objective(point - offset)) / (2.0 * step)
-        worst = max(worst, abs(float(slope)))
-    return worst
+        slopes.append((objective(point + offset) - objective(point - offset)) / (2.0 * step))
+    # NaN when any slope is NaN, which Python's max would drop
+    return float(np.max(np.abs(slopes), initial=0.0))

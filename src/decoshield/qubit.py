@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import (
-    ARRAY, check_finite, check_strength, failing_entries, loud, namespace, ordered_sum, quietly,
+    ARRAY, check_finite, check_strength, loud, namespace, ordered_sum, quietly, reject,
 )
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
@@ -97,8 +97,8 @@ def protect_equatorial(
     xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
     if xp is ARRAY and loud():
         return quietly(protect_equatorial, params, m, n, phi)
-    check_strength("m", m)
-    check_strength("n", n)
+    m = check_strength("m", m)
+    n = check_strength("n", n)
     diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
     lost = m * m * (1.0 - p * r)
     leak = (1.0 - p) * r
@@ -141,16 +141,13 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
         return quietly(optimal_strengths, params)
     if xp is ARRAY:  # so that projective, too, has the shape of the channels
         p, r = np.broadcast_arrays(p, r)
-    if not xp.all(p != 0.0):
-        raise ValueError("p = 0: optimal pre-measurement strength diverges")
-    if not xp.all((p != 1.0) | (r != 1.0)):
-        raise ValueError("p = 1 with r = 1: optimum is degenerate")
+    reject(p != 0.0, ValueError, "p = 0: optimal pre-measurement strength diverges")
+    reject((p != 1.0) | (r != 1.0), ValueError, "p = 1 with r = 1: optimum is degenerate")
     stay0 = 1.0 - r + p * r
     stay1 = 1.0 - p * r
-    nonzero = p * stay0 != 0.0  # a tiny p underflows it, e.g. p^2 at r = 1
-    if not xp.all(nonzero):
-        at = failing_entries(nonzero, p, r)
-        raise ValueError("p = {!r} with r = {!r}: optimal reversal strength overflows".format(*at))
+    # a tiny p underflows p stay0, e.g. p^2 at r = 1; p and r are named as floats
+    message = "p = {!r} with r = {!r}: optimal reversal strength overflows"
+    reject(p * stay0 != 0.0, ValueError, message, p * 1.0, r * 1.0)
     m = xp.pow((1.0 - p) * stay0 / (p * stay1), 0.25)
     n = xp.pow((1.0 - p) * stay1 / (p * stay0), 0.25)
     f_max = 0.5 * (1.0 + xp.sqrt(1.0 - r) / g_value(params))
@@ -179,8 +176,8 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     to the scalar call at that point bit for bit.
     """
     _, (m, n) = namespace(m, n)
-    check_strength("m", m)
-    check_strength("n", n)
+    m = check_strength("m", m)
+    n = check_strength("n", n)
     # the four states run as one stack, on an axis after the other axes;
     # the channel, or each channel of a stack, serves all four
     ops = gad_channel(params)[..., None, :, :, :]

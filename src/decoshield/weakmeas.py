@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from ._elementwise import SCALAR, first_failure, namespace, real_trace
+from ._elementwise import FLOAT_MAX, SCALAR, namespace, real_trace, reject
 
 MIN_POSTSELECT_PROB = 1e-14
+_BAD_STRENGTH = "strengths must be finite and non-negative, got {!r}"
 
 
 class PostSelectionError(ValueError):
@@ -33,9 +34,7 @@ def require_postselection(prob):
     """
     ok = prob >= MIN_POSTSELECT_PROB
     if ok is not True:  # a passing Python float skips the call below
-        failed = first_failure(prob, ok)
-        if failed is not None:
-            raise PostSelectionError(f"success probability {failed} below cutoff")
+        reject(ok, PostSelectionError, "success probability {} below cutoff", prob)
     return prob
 
 
@@ -54,6 +53,9 @@ def post_diagonal(*n) -> np.ndarray:
 
 def _tensored(strengths) -> np.ndarray:
     xp, strengths = namespace(*strengths)
+    for strength in strengths:  # an int past the float range has no float to become
+        if type(strength) is int:
+            reject(abs(strength) <= FLOAT_MAX, ValueError, _BAD_STRENGTH, strength)
     # kron order: entry i of the running product spawns entries 2i and 2i + 1
     entries = [1.0]
     for strength in strengths:
@@ -105,10 +107,7 @@ def _postselect(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
     cols = diagonal.tolist() if diagonal.ndim == 1 else [diagonal[..., i, None] for i in range(dim)]
     xp, entries = namespace(*cols)
     if not all(xp.all((0.0 <= entry) & (entry < math.inf)) for entry in entries):  # NaN fails both
-        ok = (0.0 <= diagonal) & (diagonal < math.inf)
-        raise ValueError(
-            f"strengths must be finite and non-negative, got {first_failure(diagonal, ok)!r}"
-        )
+        reject((0.0 <= diagonal) & (diagonal < math.inf), ValueError, _BAD_STRENGTH, diagonal)
     k = diagonal * (1.0 / functools.reduce(xp.maximum, entries, 1.0))
     # row by row, then column by column: K rho K^dag with no zero terms
     k = k.astype(np.result_type(rho, k))  # cast once, not in both products

@@ -40,6 +40,13 @@ def test_params_validation():
         GadParams(np.array([0.2, 1.5, -1.0]), 0.5)
     with pytest.raises(ValueError, match="r must be in .0, 1., got nan"):
         GadParams(0.5, np.array([[0.2], [np.nan]]))
+    # the value is shown as given: an int stays an int, a numpy scalar or
+    # an array entry is the Python number it holds
+    with pytest.raises(ValueError, match=r"^r must be in \[0, 1\], got 2$"):
+        GadParams(0.5, 2)
+    for p in (np.float64(1.5), np.array([[0.5, 1.5]])):
+        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got 1\.5$"):
+            GadParams(p, 0.5)
     with pytest.raises(ValueError, match="broadcast"):
         GadParams(np.array([0.2, 0.5]), np.array([0.2, 0.5, 0.7]))
 
@@ -158,6 +165,8 @@ def test_apply_on_qubit_leaves_other_factor_alone():
     assert np.max(np.abs(out - want)) < 1e-14
     with pytest.raises(ValueError, match="qubit"):
         apply_on_qubit(gad_channel(params), joint, 2)
+    with pytest.raises(ValueError, match="^expected a single-qubit channel and a 4x4 state$"):
+        apply_on_qubit(gad_channel(params), target, 0)
     # on a stack, each state gets the bits it gets on its own
     stack = np.stack([joint, np.kron(other, target)])
     for qubit in (0, 1):

@@ -289,6 +289,9 @@ def test_config_with_underscore_keys(tmp_path, capsys):
 
 def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
+    bad.write_text("p =\n")
+    assert entry(["optimal", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:1: empty key or value\n"
     bad.write_text("p = 0.8\nno equals sign here\n")
     assert entry(["optimal", "--config", str(bad)]) == 2
     assert "bad.cfg:2" in capsys.readouterr().err
@@ -314,6 +317,8 @@ def test_out_of_range_parameters(capsys):
     assert entry(["entangle", "--p1", "0.9", "--r1", "0.5",
                   "--p2", "0.95", "--r2", "0.3", "--alpha-sq", "1.5"]) == 2
     assert "error: --alpha-sq: alpha_sq must lie in [0, 1]" in capsys.readouterr().err
+    assert entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--grid", "1"]) == 2
+    assert capsys.readouterr().err == "error: --grid: need at least 2 points, got 1\n"
 
 
 def test_zero_strengths_rejected_in_qubit_sweeps(capsys):
@@ -380,7 +385,7 @@ def test_library_errors_exit_with_usage(capsys):
 
 
 def test_malformed_range_exits_with_usage(capsys):
-    for bad in ("0.1-1-5", "1:0:5", "0.1:1:0", "nan:1:2", "1:inf:2"):
+    for bad in ("0.1-1-5", "1:0:5", "0.1:1:0", "nan:1:2", "1:inf:2", "a:b:3"):
         with pytest.raises(SystemExit) as exc:
             entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--m-range", bad])
         assert exc.value.code == 2
@@ -400,6 +405,15 @@ def test_verify_command_passes(capsys):
     assert [line.split(":", 1)[0] for line in lines[:-1]] == [
         f"[ok] {name}" for name, _, _ in CHECKS
     ]
+
+
+def test_verify_reports_failures(monkeypatch, capsys):
+    failing = (("always-fails", lambda rng, count: (False, "gap 1.00e+00 (tol 1e-12)"), 1),)
+    monkeypatch.setattr(decoshield.cli, "CHECKS", failing)
+    assert entry(["verify"]) == 1
+    assert capsys.readouterr().out == (
+        "[FAIL] always-fails: gap 1.00e+00 (tol 1e-12)\n1 check(s) failed\n"
+    )
 
 
 def test_verify_stdout_matches_record(capsys):

@@ -211,10 +211,17 @@ def test_negative_strengths_rejected():
         with pytest.raises(ValueError, match="n2 must be finite"):
             reversed_state(coeffs, 0.44, bad)
     # so are strengths whose products overflow; the pipeline still takes them
-    # numpy scalars take the float path, so they overflow as floats do
-    for big in (1e100, np.float64(1e100)):
-        with pytest.raises(ValueError, match="strengths m1, m2 = 1e.100, 1e.100 overflow"):
+    # numpy scalars take the float path, so they overflow as floats do, and
+    # a Python int is computed with and named as the float it holds
+    for big in (1e100, np.float64(1e100), 10**100):
+        with pytest.raises(ValueError, match="^strengths m1, m2 = 1e.100, 1e.100 overflow"):
             measured_coefficients(BELL, REF1, REF2, big, big)
+        reversal = "^strengths n1, n2 = 1e.100, 1e.100 overflow the float range$"
+        with pytest.raises(ValueError, match=reversal):
+            protected_state(BELL, REF1, REF2, 1.0, 1.0, big, big)
+        for fn in (concurrence_lambda2, reversed_state):
+            with pytest.raises(ValueError, match=reversal):
+                fn(coeffs, big, big)
     with pytest.raises(ValueError, match="strengths m1, m2 = 1e.100, 1e.100 overflow"):
         measured_coefficients(BELL, REF1, REF2, np.array([0.5, 1e100]), np.array([1.0, 1e100]))
     with pytest.raises(ValueError, match="strengths n1, n2 = 1e.100, 1e.100 overflow"):
@@ -265,6 +272,9 @@ def test_optimal_reversal_degenerate_coefficients():
     flat = XStateCoefficients(0.0, 0.2, 0.2, 0.6, 0.1)
     with pytest.raises(ValueError, match="degenerate"):
         optimal_reversal(flat)
+    stack = XStateCoefficients(np.array([0.1, 0.0]), 0.2, 0.2, 0.6, 0.1)
+    with pytest.raises(ValueError, match="^degenerate coefficients, reversal optimum undefined$"):
+        optimal_reversal(stack)
 
 
 def test_reference_optimum_report():

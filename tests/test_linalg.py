@@ -74,7 +74,7 @@ def test_fidelity_basic_properties():
     assert got.shape == (2, 3)
     for i, j in np.ndindex(2, 3):
         assert got[i, j] == fidelity(psis[i, 0], rhos[j])
-    with pytest.raises(ValueError, match="pure"):
+    with pytest.raises(ValueError, match=r"^reference state is not pure: tr\(psi\^2\) = 0\.5$"):
         fidelity(np.stack([psi, mixed]), rhos[:2])
 
 

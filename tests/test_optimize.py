@@ -197,3 +197,8 @@ def test_stationarity_check():
     assert flat < 1e-9
     with pytest.raises(ValueError, match="positive"):
         stationarity_check(lambda x: 0.0, np.zeros(1), 0.0)
+    # a NaN slope is kept, not dropped as Python's max drops it
+    assert math.isnan(stationarity_check(lambda x: math.nan, np.zeros(2), 1e-4))
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^step must be finite and positive, got {step!r}$"):
+            stationarity_check(lambda x: 0.0, np.zeros(1), step)

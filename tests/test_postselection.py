@@ -144,6 +144,9 @@ def test_pipelines_name_what_they_reject():
                 stacked[pos] = np.array([base[pos], value, base[pos]])
                 assert raised(fn, *args, *lone, *tail) == bad + shown
                 assert raised(fn, *args, *stacked, *tail) == bad + shown
+            # an int past the float range has no float to become: named as given
+            lone[pos] = 10**400
+            assert raised(fn, *args, *lone, *tail) == bad + str(10**400)
     # a voided run names its joint probability, alone or in an array
     far = EntangledInput(0.8950040009737983 + 0.10538606826855873j,
                          -0.4299332915525276 - 0.05494524247464101j)

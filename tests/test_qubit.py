@@ -92,6 +92,8 @@ def test_strength_validation():
     overflow = r"strengths m, n = 1e\+100, 1e\+100 overflow the float range"
     with pytest.raises(ValueError, match=overflow):
         protect_equatorial(REF, 1e100, 1e100)
+    with pytest.raises(ValueError, match=f"^{overflow}$"):  # ints are named as floats here
+        protect_equatorial(REF, 10**100, 10**100)
     with pytest.raises(ValueError, match=overflow):
         average_fidelity_six(REF, np.array([[1.0], [1e100]]), np.array([1.0, 1e100]))
     assert bb84_error_rate(REF, 1e100, 1e100) == 0.5
@@ -145,6 +147,10 @@ def test_degenerate_parameter_rejection():
     # p (1 - r + p r) = p^2 underflows to zero here
     with pytest.raises(ValueError, match="p = 1e-200 with r = 1.0"):
         optimal_strengths(GadParams(1e-200, 1.0))
+    # an int r is named as the float it holds
+    underflow = r"^p = 1e-200 with r = 1\.0: optimal reversal strength overflows$"
+    with pytest.raises(ValueError, match=underflow):
+        optimal_strengths(GadParams(1e-200, 1))
     # an array of channels raises where any channel does, naming the first
     with pytest.raises(ValueError, match="p = 0"):
         optimal_strengths(GadParams(np.array([0.5, 0.0]), 0.4))

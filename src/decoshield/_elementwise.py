@@ -1,11 +1,17 @@
 """Scalar-or-array evaluation of the closed forms.
 
 Each closed form is written once and runs on Python floats or on numpy
-arrays of strengths: scalar in, float out; array in, array out. The few
-operations whose spelling depends on the type come from one of two
+arrays of strengths: scalar in, float out; array in, array out. Every
+operation whose spelling depends on the type comes from one of two
 namespaces, picked once per call by `namespace` from the strengths and
 channel parameters: SCALAR keeps plain float arithmetic (no 0-d arrays,
-no numpy scalars in results), ARRAY broadcasts.
+no numpy scalars in results), ARRAY broadcasts; the closed forms branch on
+nothing else. Besides the arithmetic (`all`, `minimum`, `maximum`, `sqrt`,
+`modulus`, `pow`, `complex`), each has `assemble(entries, shape, dtype)`,
+an array of that shape from its entries in C order (for ARRAY a stack, one
+per point, each `ZERO` entry left to np.zeros), `broadcast(*values)`,
+`per_matrix(value)`, a value per point shaped to divide a stack of
+matrices, and `loud()`, whether an array call re-runs inside `quietly`.
 
 Every array entry equals the scalar call at that point bit for bit. Real
 `+ - * /` and sqrt are correctly rounded and minimum and maximum exact
@@ -49,6 +55,35 @@ def _complex_array(re, im) -> np.ndarray:
     return out
 
 
+def loud() -> bool:
+    """ARRAY's loud: whether numpy's overflow or invalid-value warnings are
+    on, as outside quietly. SCALAR's is bool, False: floats never warn."""
+    state = np.geterr()
+    return not state["over"] == state["invalid"] == "ignore"
+
+
+def quietly(fn, *args):
+    """fn(*args) with numpy's overflow and invalid-value warnings off, so an
+    entry that overflows turns inf or NaN for check_finite to name. A closed
+    form re-runs itself here: `if xp.loud(): return quietly(<itself>, ...)`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)
+
+
+ZERO = 0.0  # an entry ARRAY.assemble leaves to np.zeros, by identity: -0.0 is written
+
+
+def _assemble_array(entries, shape, dtype):
+    shapes = {entry.shape for entry in entries if type(entry) is not float}
+    # the common stack has one shape, its own broadcast: skip the slow call
+    lead = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    flat = np.zeros(lead + (len(entries),), dtype)
+    for i, entry in enumerate(entries):
+        if entry is not ZERO:
+            flat[..., i] = entry
+    return flat.reshape(lead + shape)
+
+
 SCALAR = SimpleNamespace(
     all=bool,
     minimum=min,
@@ -57,6 +92,10 @@ SCALAR = SimpleNamespace(
     modulus=abs,
     pow=pow,
     complex=complex,
+    assemble=lambda entries, shape, dtype: np.array(entries, dtype).reshape(shape),
+    broadcast=lambda *values: values,
+    per_matrix=float,
+    loud=bool,
 )
 ARRAY = SimpleNamespace(
     all=functools.partial(np.logical_and.reduce, axis=None),  # np.all without its wrapper
@@ -66,28 +105,34 @@ ARRAY = SimpleNamespace(
     modulus=_libm_modulus,
     pow=_libm_pow,
     complex=_complex_array,
+    assemble=_assemble_array,
+    broadcast=np.broadcast_arrays,
+    per_matrix=operator.itemgetter((..., None, None)),  # a value per point, against (..., d, d)
+    loud=loud,
 )
 
 
 def namespace(*values):
-    """(xp, values): ARRAY and the values as given when any value is a
-    numpy array; otherwise SCALAR and the values with each numpy scalar
-    turned into the Python float it holds, so that it overflows as floats
-    do."""
+    """(xp, values): ARRAY when any value is a numpy array, otherwise
+    SCALAR. Each numpy scalar becomes the Python float it holds, so that it
+    overflows as floats do, and each array becomes float64, so that an
+    integer array cannot wrap and a float32 one is computed as its numpy
+    scalars are. Other values are passed on as given."""
     for value in values:  # plain floats, the common call, test nothing else
         if type(value) is not float:
             break
     else:
         return SCALAR, values
-    scalars = []
+    xp, converted = SCALAR, []
     for value in values:
-        if type(value) is float:
-            scalars.append(value)
+        if type(value) is float:  # tested first: the common value
+            pass
         elif isinstance(value, np.ndarray):
-            return ARRAY, values
-        else:
-            scalars.append(float(value) if isinstance(value, np.generic) else value)
-    return SCALAR, scalars
+            xp, value = ARRAY, np.asarray(value, float)
+        elif isinstance(value, np.generic):
+            value = float(value)
+        converted.append(value)
+    return xp, converted
 
 
 def ordered_sum(terms):
@@ -149,18 +194,3 @@ def check_finite(value, names: str, *strengths):
         message = f"strengths {names} = {point} overflow the float range"
         reject(ok, ValueError, message, *(np.asarray(s, dtype=float) for s in strengths))
     return value
-
-
-def quietly(fn, *args):
-    """fn(*args) with numpy's overflow and invalid-value warnings off. Array
-    calls of the closed forms run through here, so an entry that overflows
-    turns inf or NaN without a warning, for check_finite to name."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return fn(*args)
-
-
-def loud() -> bool:
-    """Whether numpy's overflow or invalid-value warnings are on, as outside
-    quietly, where an ARRAY call of a closed form calls itself again."""
-    state = np.geterr()
-    return not state["over"] == state["invalid"] == "ignore"

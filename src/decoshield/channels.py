@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import SCALAR, namespace, ordered_sum, reject
+from ._elementwise import ZERO, namespace, ordered_sum, reject
 from .linalg import dagger
 
 
@@ -46,23 +46,12 @@ def gad_channel(params: GadParams) -> np.ndarray:
     xp, (p, r) = namespace(params.p, params.r)
     sp, sq = xp.sqrt(p), xp.sqrt(1.0 - p)
     kr, kd = xp.sqrt(r), xp.sqrt(1.0 - r)
-    if xp is SCALAR:
-        # the sixteen entries of the (4, 2, 2) stack, in C order
-        return np.array((
-            sp, 0.0, 0.0, sp * kd,
-            0.0, sp * kr, 0.0, 0.0,
-            sq * kd, 0.0, 0.0, sq,
-            0.0, 0.0, sq * kr, 0.0,
-        ), dtype=complex).reshape(4, 2, 2)
-    # a stack of channels: its six nonzero entries, written into zeros
-    ops = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(r)) + (4, 2, 2), dtype=complex)
-    ops[..., 0, 0, 0] = sp
-    ops[..., 0, 1, 1] = sp * kd
-    ops[..., 1, 0, 1] = sp * kr
-    ops[..., 2, 0, 0] = sq * kd
-    ops[..., 2, 1, 1] = sq
-    ops[..., 3, 1, 0] = sq * kr
-    return ops
+    return xp.assemble((
+        sp, ZERO, ZERO, sp * kd,
+        ZERO, sp * kr, ZERO, ZERO,
+        sq * kd, ZERO, ZERO, sq,
+        ZERO, ZERO, sq * kr, ZERO,
+    ), (4, 2, 2), complex)
 
 
 def apply_channel(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:

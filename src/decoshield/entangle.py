@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ARRAY, check_finite, check_strength, loud, namespace, quietly, reject
+from ._elementwise import check_finite, check_strength, namespace, quietly, reject
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
 from .weakmeas import measure_damp_reverse, require_postselection
@@ -198,16 +198,12 @@ def _reversed_trace(a, b, c, d, n1, n2, xp):
     """Unnormalized trace of the X state with diagonal a, b, c, d after the
     reversal (n1, n2): where the reversal strengths enter the chain, so
     where they and their trace are checked."""
+    if xp.loud():
+        return quietly(_reversed_trace, a, b, c, d, n1, n2, xp)
     n1 = check_strength("n1", n1, zero_ok=True)
     n2 = check_strength("n2", n2, zero_ok=True)
-    # an ARRAY call runs quietly; plain floats never warn
-    args = (a, b, c, d, n1, n2)
-    trace = quietly(_reversed_sum, *args) if xp is ARRAY else _reversed_sum(*args)
+    trace = n1 * n1 * n2 * n2 * a + n1 * n1 * b + n2 * n2 * c + d
     return check_finite(trace, "n1, n2", n1, n2)
-
-
-def _reversed_sum(a, b, c, d, n1, n2):
-    return n1 * n1 * n2 * n2 * a + n1 * n1 * b + n2 * n2 * c + d
 
 
 def reversed_state(
@@ -255,7 +251,7 @@ def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     above about 1e77, a strength is inf or NaN; optimized_protection names
     the strength that caused it."""
     xp, (a, b, c, d) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d)
-    if xp is ARRAY and loud():
+    if xp.loud():
         return quietly(optimal_reversal, coeffs)
     ok = (a * b > 0.0) & (a * c > 0.0)
     reject(ok, ValueError, "degenerate coefficients, reversal optimum undefined")

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import (
-    ARRAY, check_finite, check_strength, loud, namespace, ordered_sum, quietly, reject,
-)
+from ._elementwise import check_finite, check_strength, namespace, ordered_sum, quietly, reject
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
 from .weakmeas import measure_damp_reverse, require_postselection
@@ -95,7 +93,7 @@ def protect_equatorial(
     (..., 2, 2). Each entry equals the scalar call at that point bit for bit.
     """
     xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
-    if xp is ARRAY and loud():
+    if xp.loud():
         return quietly(protect_equatorial, params, m, n, phi)
     m = check_strength("m", m)
     n = check_strength("n", n)
@@ -108,16 +106,9 @@ def protect_equatorial(
     coherence = m * n * xp.sqrt(1.0 - r)
     rot = cmath.exp(-1j * phi)
     off = xp.complex(coherence * rot.real, coherence * rot.imag)
-    diag1 = lost + leak
-    if xp is ARRAY:
-        state = np.empty(np.shape(t) + (2, 2), dtype=complex)
-        state[..., 0, 0] = diag0
-        state[..., 0, 1] = off
-        state[..., 1, 0] = off.conjugate()
-        state[..., 1, 1] = diag1
-        state /= t[..., None, None]
-    else:
-        state = np.array([[diag0, off], [off.conjugate(), diag1]], dtype=complex) / t
+    diag1 = lost + leak  # before the conjugate: on a grid this order keeps peak RSS down
+    state = xp.assemble((diag0, off, off.conjugate(), diag1), (2, 2), complex)
+    state /= xp.per_matrix(t)  # in place: on a grid, the largest array here
     return ProtectionResult(0.5 + coherence / t, success, state)
 
 
@@ -137,10 +128,9 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
     channel would, naming the first such channel for the underflow.
     """
     xp, (p, r) = namespace(params.p, params.r)
-    if xp is ARRAY and loud():
+    if xp.loud():
         return quietly(optimal_strengths, params)
-    if xp is ARRAY:  # so that projective, too, has the shape of the channels
-        p, r = np.broadcast_arrays(p, r)
+    p, r = xp.broadcast(p, r)  # so that projective, too, has the shape of the channels
     reject(p != 0.0, ValueError, "p = 0: optimal pre-measurement strength diverges")
     reject((p != 1.0) | (r != 1.0), ValueError, "p = 1 with r = 1: optimum is degenerate")
     stay0 = 1.0 - r + p * r
@@ -203,8 +193,7 @@ def average_fidelity_six(params: GadParams, m: float, n: float) -> AverageFideli
     """
     xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
     fe = protect_equatorial(params, m, n).fidelity
-    if xp is ARRAY:
-        m, n = np.broadcast_arrays(m, n)  # f0 and f1 do not depend on m
+    m, n = xp.broadcast(m, n)  # f0 and f1 do not depend on m
     stay0 = 1.0 - r + r * p
     f0 = n * n * stay0 / (r - r * p + n * n * stay0)
     f1 = (1.0 - r * p) / (1.0 - r * p + n * n * r * p)

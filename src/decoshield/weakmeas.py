@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ._elementwise import FLOAT_MAX, SCALAR, namespace, real_trace, reject
+from ._elementwise import FLOAT_MAX, namespace, real_trace, reject
 
 MIN_POSTSELECT_PROB = 1e-14
 _BAD_STRENGTH = "strengths must be finite and non-negative, got {!r}"
@@ -60,12 +60,7 @@ def _tensored(strengths) -> np.ndarray:
     entries = [1.0]
     for strength in strengths:
         entries = [entry * x for entry in entries for x in (1.0, strength)]
-    if xp is SCALAR:
-        return np.array(entries)
-    diag = np.empty(np.broadcast(*entries).shape + (len(entries),))
-    for i, entry in enumerate(entries):
-        diag[..., i] = entry
-    return diag
+    return xp.assemble(entries, (len(entries),), float)
 
 
 def measure_damp_reverse(rho: np.ndarray, m: tuple, n: tuple, damp) -> tuple[np.ndarray, float]:

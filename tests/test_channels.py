@@ -60,6 +60,13 @@ def test_kraus_channel_shape_checks():
     assert stack.shape == (3, 2, 4, 2, 2)
     for i, j in np.ndindex(3, 2):
         assert stack[i, j].tobytes() == gad_channel(GadParams(p[i, 0], r[j])).tobytes()
+    # a float parameter against an array: float and array entries mixed
+    mixed = GadParams(0.3, np.array([0.0, 0.6, 1.0])), GadParams(np.array([0.0, 0.3, 1.0]), 0.6)
+    lone = [(0.3, ri) for ri in (0.0, 0.6, 1.0)], [(pi, 0.6) for pi in (0.0, 0.3, 1.0)]
+    for params, points in zip(mixed, lone):
+        assert [kraus.tobytes() for kraus in gad_channel(params)] == [
+            gad_channel(GadParams(pi, ri)).tobytes() for pi, ri in points
+        ]
     # a stack of states is a stack of channel outputs, state by state
     rhos = np.stack([random_density(RNG) for _ in range(6)]).reshape(2, 3, 2, 2)
     out = apply_channel(ops, rhos)

@@ -328,7 +328,7 @@ def test_zero_strengths_rejected_in_qubit_sweeps(capsys):
     assert "--m-range" in capsys.readouterr().err
 
 
-def test_entangle_reports_dead_sweep_points(capsys):
+def test_entangle_reports_dead_sweep_points(monkeypatch, capsys):
     # |11> input killed by a zero-strength pre-measurement cannot be
     # post-selected, and the failing m is named
     assert entry(
@@ -346,6 +346,21 @@ def test_entangle_reports_dead_sweep_points(capsys):
         "error: --sweep-m: at m=2.5e+07: success probability "
         "4.800000000000003e-18 below cutoff\n"
     )
+    # an array call that fails where every lone point passes is reported
+    # with the array call's own message
+    lone_only = decoshield.cli.optimized_protection
+
+    def refuse_arrays(inp, ch1, ch2, m):
+        if isinstance(m, np.ndarray):
+            raise ValueError("array call refused")
+        return lone_only(inp, ch1, ch2, m)
+
+    monkeypatch.setattr(decoshield.cli, "optimized_protection", refuse_arrays)
+    assert entry(
+        ["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3",
+         "--sweep-m", "0.5:1:3"]
+    ) == 2
+    assert capsys.readouterr() == ("", "error: --sweep-m: array call refused\n")
 
 
 def test_library_errors_exit_with_usage(capsys):

@@ -25,7 +25,9 @@ from decoshield.entangle import (
     measured_coefficients,
     optimal_parameters,
     optimal_reversal,
+    optimized_protection,
     protected_state,
+    reversed_state,
 )
 from decoshield.linalg import equatorial_state
 from decoshield.qubit import (
@@ -76,6 +78,36 @@ def fields(*names):
 
 def as_f64(params):
     return GadParams(np.float64(params.p), np.float64(params.r))
+
+
+def test_quiet_rule_keeps_numpy_settings():
+    # an array call with an overflowing entry raises the ValueError it raises
+    # under numpy's default settings when overflow and invalid values raise,
+    # and leaves those settings as they were
+    big = np.array([1.0, 1e100])
+    ref, ch1, ch2 = GadParams(0.8, 0.3), GadParams(0.9, 0.5), GadParams(0.95, 0.3)
+    bell = EntangledInput.from_alpha_sq(0.5)
+    coeffs = measured_coefficients(bell, ch1, ch2, 1.0, 1.0)
+    calls = [
+        (protect_equatorial, ref, big, big),
+        (average_fidelity_six, ref, big, big),
+        (optimal_strengths, GadParams(np.array([0.5, 1e-300]), 1.0)),
+        (measured_coefficients, bell, ch1, ch2, big, big),
+        (concurrence_lambda2, coeffs, big, big),
+        (protected_state, bell, ch1, ch2, 1.0, 1.0, big, big),
+        (reversed_state, coeffs, big, big),
+        (optimized_protection, bell, ch1, ch2, big),
+    ]
+    before = np.geterr()
+    for fn, *args in calls:
+        default = outcome(fn, *args)
+        assert type(default) is ValueError, (fn, default)
+        with np.errstate(over="raise", invalid="raise"):
+            raising = np.geterr()
+            err = outcome(fn, *args)
+            assert np.geterr() == raising, fn
+        assert (type(err), str(err)) == (ValueError, str(default)), fn
+        assert np.geterr() == before, fn
 
 
 @PROPERTY

@@ -105,6 +105,16 @@ def test_strength_validation():
             call(REF, 10**200, 1.0)
     with pytest.raises(ValueError, match="^n" + big):
         average_fidelity_six(REF, 1.0, 10**200)
+    # an integer array is computed as float64, as its ints are, not wrapped
+    # in int64; a float32 array as its float32 scalars are, not in float32
+    wide = protect_equatorial(REF, np.array([10**10]), np.array([1]))
+    assert wide.fidelity.tolist() == [protect_equatorial(REF, 1e10, 1.0).fidelity]
+    f32 = np.float32
+    point = average_fidelity_six(REF, f32(0.3), f32(0.7))
+    narrow = average_fidelity_six(REF, np.array([0.3], f32), np.array([0.7], f32))
+    assert {k: v.tolist() for k, v in vars(narrow).items()} == {
+        k: [v] for k, v in vars(point).items()
+    }
 
 
 def test_reference_optimum_values():

@@ -21,6 +21,10 @@ def test_pre_measurement_diagonal_layout():
     stack = pre_diagonal(np.array([0.3, 0.5]), 0.7)
     assert stack.shape == (2, 4)
     assert stack[1].tolist() == pre_diagonal(0.5, 0.7).tolist()
+    # a float entry of a stack keeps its bits, the sign of a zero included
+    stack = pre_diagonal(np.array([0.3, 0.5]), -0.0)
+    want = [pre_diagonal(m, -0.0).tobytes() for m in (0.3, 0.5)]
+    assert [row.tobytes() for row in stack] == want
 
 
 def test_reversal_diagonal_layout():
@@ -28,6 +32,9 @@ def test_reversal_diagonal_layout():
     # every basis state keeps a nonzero retention weight
     assert np.allclose(post_diagonal(0.4, 0.9), [0.36, 0.4, 0.9, 1.0])
     assert post_diagonal(np.array([[0.4], [0.5]]), np.array([0.9, 0.8])).shape == (2, 2, 4)
+    stack = post_diagonal(-0.0, np.array([0.5, 0.9]))
+    want = [post_diagonal(-0.0, n).tobytes() for n in (0.5, 0.9)]
+    assert [row.tobytes() for row in stack] == want
 
 
 def test_strength_validation():

@@ -117,7 +117,8 @@ def namespace(*values):
     SCALAR. Each numpy scalar becomes the Python float it holds, so that it
     overflows as floats do, and each array becomes float64, so that an
     integer array cannot wrap and a float32 one is computed as its numpy
-    scalars are. Other values are passed on as given."""
+    scalars are. A complex value becomes a complex array, not truncated, for
+    its check to refuse by name. Other values are passed on as given."""
     for value in values:  # plain floats, the common call, test nothing else
         if type(value) is not float:
             break
@@ -128,7 +129,9 @@ def namespace(*values):
         if type(value) is float:  # tested first: the common value
             pass
         elif isinstance(value, np.ndarray):
-            xp, value = ARRAY, np.asarray(value, float)
+            xp, value = ARRAY, value if value.dtype.kind == "c" else np.asarray(value, float)
+        elif isinstance(value, (complex, np.complexfloating)):
+            value = np.asarray(value)
         elif isinstance(value, np.generic):
             value = float(value)
         converted.append(value)
@@ -179,6 +182,7 @@ def check_strength(name: str, value, zero_ok: bool = False):
     ok = ((0.0 <= value) if zero_ok else (SQUARE_MIN <= value)) & (value <= SQUARE_MAX)
     if ok is not True:  # a valid Python float skips the call below
         kind = "non-negative with a finite" if zero_ok else "positive with a finite nonzero"
+        ok = ok & np.isrealobj(value)  # a complex strength fails at every entry
         reject(ok, ValueError, f"{name} must be finite and {kind} square, got {{!r}}", value)
         return value  # an array, every entry valid
     return value * 1.0  # an int, whose exact products can outgrow a float, as a float

@@ -28,8 +28,12 @@ class GadParams:
 
     def __post_init__(self) -> None:
         for name, value in (("p", self.p), ("r", self.r)):
-            ok = (0.0 <= value) & (value <= 1.0)
+            try:
+                ok = (0.0 <= value) & (value <= 1.0)
+            except TypeError:  # a Python complex has no order
+                ok = False
             if ok is not True:  # a valid Python float skips the call below
+                ok = ok & np.isrealobj(value)  # a complex value fails at every entry
                 reject(ok, ValueError, f"{name} must be in [0, 1], got {{}}", value)
         if isinstance(self.p, np.ndarray) or isinstance(self.r, np.ndarray):
             np.broadcast_shapes(np.shape(self.p), np.shape(self.r))

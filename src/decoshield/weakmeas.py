@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ._elementwise import FLOAT_MAX, namespace, real_trace, reject
+from ._elementwise import FLOAT_MAX, check_finite, namespace, quietly, real_trace, reject
 
 MIN_POSTSELECT_PROB = 1e-14
 _BAD_STRENGTH = "strengths must be finite and non-negative, got {!r}"
@@ -42,24 +42,30 @@ def pre_diagonal(*m) -> np.ndarray:
     """Diagonal of diag(1, m) on each qubit, tensored together (the first
     strength on the leftmost factor). Strengths may be broadcasting arrays,
     giving a (..., 2 ** len(m)) stack of diagonals."""
-    return _tensored(m)
+    return _tensored(m, "m")
 
 
 def post_diagonal(*n) -> np.ndarray:
     """Diagonal of diag(n, 1) on each qubit, tensored together: the entries
     of pre_diagonal(*n) in reverse order."""
-    return _tensored(n)[..., ::-1]
+    return _tensored(n, "n")[..., ::-1]
 
 
-def _tensored(strengths) -> np.ndarray:
+def _tensored(strengths, name) -> np.ndarray:
     xp, strengths = namespace(*strengths)
-    for strength in strengths:  # an int past the float range has no float to become
-        if type(strength) is int:
-            reject(abs(strength) <= FLOAT_MAX, ValueError, _BAD_STRENGTH, strength)
+    if len(strengths) > 1 and xp.loud():  # only a product of strengths can overflow
+        return quietly(_tensored, strengths, name)
+    for strength in strengths:  # NaN fails both; an int past the float range keeps its value
+        ok = (0.0 <= strength) & (strength <= FLOAT_MAX)
+        if ok is not True:  # a valid Python float skips the call below; a complex one fails
+            reject(ok & np.isrealobj(strength), ValueError, _BAD_STRENGTH, strength)
     # kron order: entry i of the running product spawns entries 2i and 2i + 1
     entries = [1.0]
     for strength in strengths:
         entries = [entry * x for entry in entries for x in (1.0, strength)]
+    top = functools.reduce(xp.maximum, entries[2:], 1.0)  # past 1.0 and the last strength
+    if (top <= FLOAT_MAX) is not True:
+        check_finite(top, ", ".join(f"{name}{i + 1}" for i in range(len(strengths))), *strengths)
     return xp.assemble(entries, (len(entries),), float)
 
 
@@ -87,12 +93,15 @@ def apply_postselected(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
     diagonal has shape (..., d) and rho (..., d, d); stacks broadcast
     together and give a stack of states and an array of probabilities.
     """
+    diagonal = np.asarray(diagonal)  # NaN fails both compares; a complex diagonal, every entry
+    reject((0.0 <= diagonal) & (diagonal < math.inf) & np.isrealobj(diagonal), ValueError,
+           _BAD_STRENGTH, diagonal)
     state, prob = _postselect(diagonal, rho)
     return state, require_postselection(prob)
 
 
 def _postselect(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    # apply_postselected without the cutoff; a zero-probability outcome
+    # apply_postselected without its entry checks and cutoff; a void outcome
     # keeps its zero weight unnormalized, so a joint probability reads 0, not NaN
     diagonal = np.asarray(diagonal, dtype=float)
     dim = diagonal.shape[-1]
@@ -101,8 +110,6 @@ def _postselect(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
     # one diagonal: its entries as floats; a stack: one (..., 1) array per entry
     cols = diagonal.tolist() if diagonal.ndim == 1 else [diagonal[..., i, None] for i in range(dim)]
     xp, entries = namespace(*cols)
-    if not all(xp.all((0.0 <= entry) & (entry < math.inf)) for entry in entries):  # NaN fails both
-        reject((0.0 <= diagonal) & (diagonal < math.inf), ValueError, _BAD_STRENGTH, diagonal)
     k = diagonal * (1.0 / functools.reduce(xp.maximum, entries, 1.0))
     # row by row, then column by column: K rho K^dag with no zero terms
     k = k.astype(np.result_type(rho, k))  # cast once, not in both products

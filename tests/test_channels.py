@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from decoshield.channels import (
     GadParams,
@@ -28,27 +27,8 @@ def random_params(rng):
 def test_params_validation():
     GadParams(0.0, 0.0)
     GadParams(1.0, 1.0)
-    with pytest.raises(ValueError, match="p"):
-        GadParams(-0.01, 0.5)
-    with pytest.raises(ValueError, match="p"):
-        GadParams(1.01, 0.5)
-    with pytest.raises(ValueError, match="r"):
-        GadParams(0.5, 1.2)
-    # arrays are checked entry by entry; the error names the first bad one
+    # arrays that broadcast together, every entry in [0, 1]
     GadParams(np.array([0.0, 1.0]), np.array([[0.5], [1.0]]))
-    with pytest.raises(ValueError, match="p must be in .0, 1., got 1.5"):
-        GadParams(np.array([0.2, 1.5, -1.0]), 0.5)
-    with pytest.raises(ValueError, match="r must be in .0, 1., got nan"):
-        GadParams(0.5, np.array([[0.2], [np.nan]]))
-    # the value is shown as given: an int stays an int, a numpy scalar or
-    # an array entry is the Python number it holds
-    with pytest.raises(ValueError, match=r"^r must be in \[0, 1\], got 2$"):
-        GadParams(0.5, 2)
-    for p in (np.float64(1.5), np.array([[0.5, 1.5]])):
-        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got 1\.5$"):
-            GadParams(p, 0.5)
-    with pytest.raises(ValueError, match="broadcast"):
-        GadParams(np.array([0.2, 0.5]), np.array([0.2, 0.5, 0.7]))
 
 
 def test_kraus_channel_shape_checks():
@@ -73,8 +53,6 @@ def test_kraus_channel_shape_checks():
     assert out.shape == (2, 3, 2, 2)
     for idx in np.ndindex(2, 3):
         assert out[idx].tobytes() == apply_channel(ops, rhos[idx]).tobytes()
-    with pytest.raises(ValueError, match="mismatch"):
-        apply_channel(ops, np.eye(4)[None] / 4)
 
 
 def test_completeness_over_parameter_range():
@@ -144,11 +122,6 @@ def test_p_equal_one_reduces_to_plain_damping():
         assert np.max(np.abs(out - want)) < 1e-14
 
 
-def test_apply_channel_dimension_check():
-    with pytest.raises(ValueError, match="mismatch"):
-        apply_channel(gad_channel(GadParams(0.5, 0.5)), np.eye(4) / 4)
-
-
 def test_apply_on_qubit_matches_kron_lift():
     for qubit in (0, 1):
         params = random_params(RNG)
@@ -170,10 +143,6 @@ def test_apply_on_qubit_leaves_other_factor_alone():
     out = apply_on_qubit(gad_channel(params), joint, 0)
     want = np.kron(apply_channel(gad_channel(params), target), other)
     assert np.max(np.abs(out - want)) < 1e-14
-    with pytest.raises(ValueError, match="qubit"):
-        apply_on_qubit(gad_channel(params), joint, 2)
-    with pytest.raises(ValueError, match="^expected a single-qubit channel and a 4x4 state$"):
-        apply_on_qubit(gad_channel(params), target, 0)
     # on a stack, each state gets the bits it gets on its own
     stack = np.stack([joint, np.kron(other, target)])
     for qubit in (0, 1):
@@ -216,8 +185,3 @@ def test_dilation_isometry_matches_kraus_action():
         via_env = apply_via_dilation(params, rho)
         worst = max(worst, float(np.max(np.abs(via_kraus - via_env))))
     assert worst < 1e-12
-
-
-def test_dilation_requires_single_qubit_state():
-    with pytest.raises(ValueError, match="2x2"):
-        apply_via_dilation(GadParams(0.5, 0.5), np.eye(4) / 4)

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 import decoshield.optimize as optimize
 from decoshield.channels import GadParams
@@ -14,15 +13,6 @@ from decoshield.optimize import (
     stationarity_check,
 )
 from decoshield.qubit import optimal_strengths, protect_equatorial
-
-
-def test_box_validation():
-    with pytest.raises(ValueError, match="share a length"):
-        SearchBox((0.0,), (1.0, 2.0), (5, 5))
-    with pytest.raises(ValueError, match="lower < upper"):
-        SearchBox((1.0,), (1.0,), (5,))
-    with pytest.raises(ValueError, match="at least 2"):
-        SearchBox((0.0,), (1.0,), (1,))
 
 
 def test_box_helpers():
@@ -170,14 +160,6 @@ def test_simplex_respects_box():
     assert abs(res.value - 2.0) < 1e-6
 
 
-def test_simplex_start_validation():
-    box = SearchBox.cube(0.0, 1.0, 2, 2)
-    with pytest.raises(ValueError, match="shape"):
-        simplex_maximize(lambda x: 0.0, np.zeros(3), box)
-    with pytest.raises(ValueError, match="inside"):
-        simplex_maximize(lambda x: 0.0, np.array([2.0, 0.5]), box)
-
-
 def test_simplex_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(optimize, "SIMPLEX_MAX_EVALS", 20)
     box = SearchBox.cube(-2.0, 2.0, 2, 2)
@@ -195,10 +177,5 @@ def test_stationarity_check():
         lambda x: -((x[0] - 0.25) ** 2), np.array([0.25]), 1e-5
     )
     assert flat < 1e-9
-    with pytest.raises(ValueError, match="positive"):
-        stationarity_check(lambda x: 0.0, np.zeros(1), 0.0)
     # a NaN slope is kept, not dropped as Python's max drops it
     assert math.isnan(stationarity_check(lambda x: math.nan, np.zeros(2), 1e-4))
-    for step in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^step must be finite and positive, got {step!r}$"):
-            stationarity_check(lambda x: 0.0, np.zeros(1), step)

@@ -110,55 +110,3 @@ def test_require_postselection():
     assert require_postselection(0.25) == 0.25
     probs = np.array([0.5, MIN_POSTSELECT_PROB])
     assert require_postselection(probs) is probs
-    for bad, shown in ((0.0, "0.0"), (math.nan, "nan"), (np.array([1.0, math.nan, 0.0]), "nan")):
-        with pytest.raises(PostSelectionError) as exc:
-            require_postselection(bad)
-        assert str(exc.value) == f"success probability {shown} below cutoff"
-
-
-def raised(fn, *args):
-    with pytest.raises(ValueError) as exc:
-        fn(*args)
-    return f"{exc.type.__name__}: {exc.value}"
-
-
-def test_pipelines_name_what_they_reject():
-    # each bad strength, NaN included, in every position, alone and as the
-    # middle entry of a strength array: Python's min and max skip a NaN
-    # depending on where it sits. The message names the first failing entry
-    # of the measurement diagonal, which for a negative n1 or n2 is a product
-    inp = EntangledInput(math.sqrt(0.4), math.sqrt(0.6) * cmath.exp(0.7j))
-    ch1, ch2 = GadParams(0.3, 0.6), GadParams(0.8, 0.2)
-    rho = equatorial_state(0.4)
-    bad = "ValueError: strengths must be finite and non-negative, got "
-    for fn, args, base, negative in (
-        (pipeline_state, (inp, ch1, ch2), (0.7, 1.1, 0.9, 1.2), ("-0.5", "-0.5", "-0.6", "-0.45")),
-        (apply_protection, (ch1,), (0.7, 1.3), ("-0.5", "-0.5")),
-    ):
-        tail = (rho,) if fn is apply_protection else ()
-        for pos, shown_negative in enumerate(negative):
-            for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (-0.5, shown_negative)):
-                lone = list(base)
-                lone[pos] = value
-                stacked = list(base)
-                stacked[pos] = np.array([base[pos], value, base[pos]])
-                assert raised(fn, *args, *lone, *tail) == bad + shown
-                assert raised(fn, *args, *stacked, *tail) == bad + shown
-            # an int past the float range has no float to become: named as given
-            lone[pos] = 10**400
-            assert raised(fn, *args, *lone, *tail) == bad + str(10**400)
-    # a voided run names its joint probability, alone or in an array
-    far = EntangledInput(0.8950040009737983 + 0.10538606826855873j,
-                         -0.4299332915525276 - 0.05494524247464101j)
-    pair = (GadParams(0.0, 0.03840773339449355), GadParams(0.2758230999922594, 0.8356820104143213))
-    void = (2057857.551848744, 3014949.7326913644, 2087442.8317731714, 3040626.2231780947)
-    voided_run = "PostSelectionError: success probability 9.93757819293463e-15 below cutoff"
-    assert raised(pipeline_state, far, *pair, *void) == voided_run
-    stacked = [np.array([1.0, s, 1.0]) for s in void]
-    assert raised(pipeline_state, far, *pair, *stacked) == voided_run
-    excited = GadParams(0.0, 1.0)
-    voided_run = "PostSelectionError: success probability 1.8624999999999994e-15 below cutoff"
-    assert raised(apply_protection, excited, 0.7, 2e7, rho) == voided_run
-    assert raised(apply_protection, excited, 0.7, np.array([1.0, 2e7, 3e7]), rho) == voided_run
-    mixed = GadParams(np.array([0.5, 0.0]), 1.0)
-    assert raised(apply_protection, mixed, 0.7, 2e7, np.stack([rho, rho])) == voided_run

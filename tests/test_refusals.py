@@ -1,0 +1,296 @@
+"""Every library refusal, pinned once: one row (entry point name, call, error
+type, message) per refusal, each message in full, or by an anchored regex
+where numpy writes the text."""
+
+import cmath
+import math
+import re
+from functools import partial
+
+import numpy as np
+import pytest
+
+import decoshield
+from decoshield import (
+    EntangledInput, GadParams, PostSelectionError, SearchBox, XStateCoefficients, apply_channel,
+    apply_on_qubit, apply_postselected, apply_protection, apply_via_dilation, average_fidelity_six,
+    bb84_error_rate, concurrence_lambda2, equatorial_state, fidelity, gad_channel,
+    kraus_pipeline_state, measured_coefficients, optimal_parameters, optimal_reversal,
+    optimal_strengths, pipeline_state, post_diagonal, pre_diagonal, protect_equatorial,
+    protected_state, reversed_state, simplex_maximize, stationarity_check, validate_density,
+    wootters_concurrence,
+)
+from decoshield.entangle import optimized_protection
+from decoshield.weakmeas import measure_damp_reverse, require_postselection
+
+REF, HALF, STILL = GadParams(0.8, 0.3), GadParams(0.5, 0.5), GadParams(0.5, 0.0)
+BELL = EntangledInput.from_alpha_sq(0.5)
+PAIR = (BELL, GadParams(0.9, 0.5), GadParams(0.95, 0.3))
+COEFFS = measured_coefficients(*PAIR, 0.5, 1.0)
+# a state with no |11> weight, and numpy-scalar entries whose reversed trace overflows
+GROUND = measured_coefficients(EntangledInput.from_alpha_sq(1.0), STILL, STILL, 1.0, 1.0)
+HUGE = XStateCoefficients(*map(np.float64, (1e300, 0.1, 0.1, 0.2)), 0.1 + 0j)
+EXCITED = (EntangledInput.from_alpha_sq(0.0), *PAIR[1:])
+RHO = equatorial_state(0.4)
+PURE_GROUND = np.diag([1.0, 0.0]).astype(complex)
+MIXED, MIXED4 = np.diag([0.5, 0.5]).astype(complex), np.eye(4) / 4
+BOX = SearchBox.cube(0.0, 1.0, 2, 2)
+TILTED = (EntangledInput(math.sqrt(0.4), math.sqrt(0.6) * cmath.exp(0.7j)),
+          GadParams(0.3, 0.6), GadParams(0.8, 0.2))
+# whole-domain inputs whose pipeline voids below the cutoff
+FAR = (EntangledInput(0.8950040009737983 + 0.10538606826855873j,
+                      -0.4299332915525276 - 0.05494524247464101j),
+       GadParams(0.0, 0.03840773339449355), GadParams(0.2758230999922594, 0.8356820104143213))
+FAR_VOID = (2057857.551848744, 3014949.7326913644, 2087442.8317731714, 3040626.2231780947)
+
+positive = "{} must be finite and positive with a finite nonzero square, got {!r}".format
+non_negative = "{} must be finite and non-negative with a finite square, got {!r}".format
+overflow = "strengths {} overflow the float range".format
+bad_strength = "strengths must be finite and non-negative, got {!r}".format
+unit = "{} must be in [0, 1], got {}".format
+P_ZERO = "p = 0: optimal pre-measurement strength diverges"
+P_R_ONE = "p = 1 with r = 1: optimum is degenerate"
+UNDERFLOW = "p = 1e-200 with r = 1.0: optimal reversal strength overflows"
+DEGENERATE = "degenerate coefficients, reversal optimum undefined"
+NOT_PURE = "reference state is not pure: tr(psi^2) = 0.5"
+# non-finite strengths, and ones whose square underflows or overflows
+BAD_SQUARES = (math.nan, math.inf, 1e-200, 1e160)
+# a Python complex, a numpy complex scalar and a complex array, whose first
+# entry is shown: each is refused as given, never truncated to its real part
+COMPLEX = (0.5 + 1j, np.complex128(0.5 + 1j), np.array([0.5 + 1j, 0.7]))
+
+
+def row(message, fn, *args, error=ValueError):
+    """(entry point name, call, error type, message)."""
+    return fn.__qualname__, partial(fn, *args), error, message
+
+
+def void(prob, fn, *args):
+    """A run voided below the cutoff, named by its joint success probability."""
+    return row(f"success probability {prob} below cutoff", fn, *args, error=PostSelectionError)
+
+
+def pipeline_rows(fn, args, base, tail=()):
+    """Each bad strength, NaN included, in every position of a pipeline,
+    alone and as the middle entry of a strength array (Python's min and max
+    skip a NaN depending on where it sits), and an int past the float range."""
+    rows = []
+    for pos in range(len(base)):
+        for value in (math.nan, math.inf, -0.5, 10**400):
+            lone = [*base[:pos], value, *base[pos + 1:]]
+            rows.append(row(bad_strength(value), fn, *args, *lone, *tail))
+            if value != 10**400:
+                lone[pos] = np.array([base[pos], value, base[pos]])
+                rows.append(row(bad_strength(value), fn, *args, *lone, *tail))
+    return rows
+
+
+ROWS = [
+    # the qubit closed forms take strengths that are positive and finite with
+    # a finite nonzero square; a numpy scalar or an int is named as it holds
+    row(positive("m", 0.0), protect_equatorial, REF, 0.0, 0.5),
+    row(positive("n", -1.0), protect_equatorial, REF, 0.5, -1.0),
+    row(positive("m", 0.0), bb84_error_rate, REF, 0.0, 0.5),
+    row(positive("n", 0.0), average_fidelity_six, REF, 0.5, 0.0),
+    *(r for bad in BAD_SQUARES for r in (
+        row(positive("m", bad), protect_equatorial, HALF, bad, 1.0),
+        row(positive("m", bad), average_fidelity_six, HALF, bad, 1.0),
+        row(positive("n", bad), protect_equatorial, HALF, np.array([0.5, 1.0]),
+            np.array([1.0, bad])),
+        row(positive("m", bad), average_fidelity_six, HALF, np.array([[0.5], [bad]]),
+            np.array([1.0, 2.0])),
+        row(positive("n", bad), bb84_error_rate, HALF, 0.5, bad),
+        row(positive("m", bad), bb84_error_rate, HALF, np.float64(bad), 0.5),
+    )),
+    row(positive("m", 10**200), protect_equatorial, REF, 10**200, 1.0),
+    row(positive("m", 10**200), bb84_error_rate, REF, 10**200, 1.0),
+    row(positive("n", 10**200), average_fidelity_six, REF, 1.0, 10**200),
+    # products that overflow are named by their strengths, ints as floats
+    row(overflow("m, n = 1e+100, 1e+100"), protect_equatorial, REF, 1e100, 1e100),
+    row(overflow("m, n = 1e+100, 1e+100"), protect_equatorial, REF, 10**100, 10**100),
+    row(overflow("m, n = 1e+100, 1e+100"), average_fidelity_six, REF,
+        np.array([[1.0], [1e100]]), np.array([1.0, 1e100])),
+    # the qubit optimum: p = 0, the degenerate corner and an underflowing
+    # p (1 - r + p r), alone and as the first failing channel of an array
+    row(P_ZERO, optimal_strengths, GadParams(0.0, 0.4)),
+    row(P_R_ONE, optimal_strengths, GadParams(1.0, 1.0)),
+    row(UNDERFLOW, optimal_strengths, GadParams(1e-200, 1.0)),
+    row(UNDERFLOW, optimal_strengths, GadParams(1e-200, 1)),
+    row(P_ZERO, optimal_strengths, GadParams(np.array([0.5, 0.0]), 0.4)),
+    row(P_R_ONE, optimal_strengths, GadParams(np.array([0.5, 1.0]), np.array([1.0, 1.0]))),
+    row(UNDERFLOW, optimal_strengths,
+        GadParams(np.array([[0.5], [1e-200], [1e-300]]), np.array([0.4, 1.0]))),
+    # two-qubit inputs
+    row("|alpha|^2 + |beta|^2 = 1.62, expected 1", EntangledInput, 0.9, 0.9),
+    row("alpha_sq must lie in [0, 1], got 1.2", EntangledInput.from_alpha_sq, 1.2),
+    row("alpha must be finite, got nan", EntangledInput, math.nan, 0.0),
+    row("beta must be finite, got infj", EntangledInput, 1.0, complex(0.0, math.inf)),
+    # the two-qubit closed forms allow zero strengths, not negative ones; the
+    # reversal strengths are checked where the reversal enters, on every path
+    row(non_negative("m1", -0.5), measured_coefficients, *PAIR, -0.5, 1.0),
+    row(non_negative("n2", -0.1), protected_state, *PAIR, 0.5, 1.0, 0.5, -0.1),
+    *(r for bad in (math.nan, math.inf, 1e160) for r in (
+        row(non_negative("m1", bad), measured_coefficients, *PAIR, bad, 1.0),
+        row(non_negative("m2", bad), measured_coefficients, *PAIR, np.array([0.5, 1.0]),
+            np.array([1.0, bad])),
+        row(non_negative("n2", bad), protected_state, *PAIR, 0.5, 1.0, 0.5, bad),
+        row(non_negative("n1", bad), protected_state, *PAIR, np.array([0.5, 0.7]), 1.0,
+            np.array([bad, 0.5]), 0.5),
+    )),
+    *(r for bad in (-0.5, math.nan, math.inf) for r in (
+        row(non_negative("n1", bad), concurrence_lambda2, COEFFS, bad, 0.44),
+        row(non_negative("n2", bad), reversed_state, COEFFS, 0.44, bad),
+    )),
+    # overflowing products, from floats, numpy scalars and ints alike
+    *(r for big in (1e100, np.float64(1e100), 10**100) for r in (
+        row(overflow("m1, m2 = 1e+100, 1e+100"), measured_coefficients, *PAIR, big, big),
+        row(overflow("n1, n2 = 1e+100, 1e+100"), protected_state, *PAIR, 1.0, 1.0, big, big),
+        row(overflow("n1, n2 = 1e+100, 1e+100"), concurrence_lambda2, COEFFS, big, big),
+        row(overflow("n1, n2 = 1e+100, 1e+100"), reversed_state, COEFFS, big, big),
+    )),
+    row(overflow("m1, m2 = 1e+100, 1e+100"), measured_coefficients, *PAIR,
+        np.array([0.5, 1e100]), np.array([1.0, 1e100])),
+    row(overflow("n1, n2 = 1e+100, 1e+100"), concurrence_lambda2, COEFFS,
+        np.array([0.5, 1e100]), 1e100),
+    *(row(overflow("n1, n2 = 10000000000.0, 10000000000.0"), fn, HUGE, 1e10, 1e10)
+      for fn in (concurrence_lambda2, reversed_state)),
+    # above m of about 1e77 the optimal reversal overflows: the error names m
+    row(overflow("m = 5e+99"), optimized_protection, *PAIR, 5e99),
+    row(overflow("m = 5e+99"), optimized_protection, *PAIR, np.array([1.0, 5e99, 6e99])),
+    row(DEGENERATE, optimal_reversal, XStateCoefficients(0.0, 0.2, 0.2, 0.6, 0.1)),
+    row(DEGENERATE, optimal_reversal, XStateCoefficients(np.array([0.1, 0.0]), 0.2, 0.2, 0.6, 0.1)),
+    row(DEGENERATE, optimal_parameters, EntangledInput.from_alpha_sq(1e-300), *PAIR[1:]),
+    # a void run names its joint success probability; a void first stage
+    # keeps its zero weight, so that probability reads 0, not NaN
+    void(0.0, protected_state, *EXCITED, 0.0, 1.0, 1.0, 1.0),
+    void(0.0, pipeline_state, *EXCITED, 0.0, 1.0, 1.0, 1.0),
+    void(0.0, concurrence_lambda2, GROUND, 0.0, 0.0),
+    void(0.0, reversed_state, GROUND, 0.0, 0.0),
+    void(0.0, apply_postselected, post_diagonal(0.0), PURE_GROUND),
+    *(void(0.0, measure_damp_reverse, PURE_GROUND, (1.0,), (n,), lambda state: state)
+      for n in (0.0, np.array([0.5, 0.0, 2.0]))),
+    *(void(shown, require_postselection, prob)
+      for prob, shown in ((0.0, "0.0"), (math.nan, "nan"), (np.array([1, math.nan, 0]), "nan"))),
+    void(9.93757819293463e-15, pipeline_state, *FAR, *FAR_VOID),
+    void(9.93757819293463e-15, pipeline_state, *FAR, *(np.array([1.0, s, 1.0]) for s in FAR_VOID)),
+    void(1.8624999999999994e-15, apply_protection, GadParams(0.0, 1.0), 0.7, 2e7, RHO),
+    void(1.8624999999999994e-15, apply_protection, GadParams(0.0, 1.0), 0.7,
+         np.array([1.0, 2e7, 3e7]), RHO),
+    void(1.8624999999999994e-15, apply_protection, GadParams(np.array([0.5, 0.0]), 1.0), 0.7,
+         2e7, np.stack([RHO, RHO])),
+    # the Kraus pipelines name a bad strength as given, a negative reversal
+    # strength too (not its product with the other qubit's), and a product
+    # that overflows by its strengths, not as inf
+    *pipeline_rows(pipeline_state, TILTED, (0.7, 1.1, 0.9, 1.2)),
+    *pipeline_rows(apply_protection, (GadParams(0.3, 0.6),), (0.7, 1.3), (RHO,)),
+    row(overflow("m1, m2 = 1e+200, 1e+200"), pipeline_state, BELL, REF, REF, 1e200, 1e200, 1, 1),
+    row(overflow("n1, n2 = 1e+200, 1e+200"), pipeline_state, BELL, REF, REF, 1, 1, 1e200, 1e200),
+    row(overflow("m1, m2 = 1e+200, 1e+200"), pipeline_state, BELL, REF, REF,
+        np.array([1.0, 1e200]), 1e200, 1.0, 1.0),
+    row(overflow("n1, n2 = 1e+200, 1e+200"), kraus_pipeline_state, BELL.density(),
+        gad_channel(REF), gad_channel(REF), 1.0, 1.0, 10**200, 10**200),
+    row(overflow("m1, m2 = 1e+200, 1e+200"), pre_diagonal, 1e200, 1e200),
+    row(overflow("n1, n2 = 1e+200, 1e+200"), post_diagonal, np.array([1e200]), 1e200),
+    # measurement diagonals, built from strengths or given raw
+    *(row(bad_strength(bad), pre_diagonal, bad) for bad in (-0.1, math.inf, math.nan)),
+    *(row(bad_strength(bad), apply_postselected, [1.0, bad], RHO)
+      for bad in (-0.1, math.inf, math.nan)),
+    row("dimension mismatch: diagonal of 3 vs rho (2, 2)", apply_postselected, [1.0, 0.5, 0.2],
+        RHO),
+    row("dimension mismatch: diagonal of 2 vs rho (4, 4)", apply_postselected, [1.0, 0.5], MIXED4),
+    # channel parameters: the first bad entry of an array is named, and every
+    # value is shown as given, an int as an int
+    row(unit("p", -0.01), GadParams, -0.01, 0.5),
+    row(unit("p", 1.01), GadParams, 1.01, 0.5),
+    row(unit("r", 1.2), GadParams, 0.5, 1.2),
+    row(unit("p", 1.5), GadParams, np.array([0.2, 1.5, -1.0]), 0.5),
+    row(unit("r", "nan"), GadParams, 0.5, np.array([[0.2], [np.nan]])),
+    row(unit("r", 2), GadParams, 0.5, 2),
+    row(unit("p", 1.5), GadParams, np.float64(1.5), 0.5),
+    row(unit("p", 1.5), GadParams, np.array([[0.5, 1.5]]), 0.5),
+    row(re.compile(r"shape mismatch: objects cannot be broadcast to a single shape\.  Mismatch "
+                   r"is between arg 0 with shape \(2,\) and arg 1 with shape \(3,\)\."),
+        GadParams, np.array([0.2, 0.5]), np.array([0.2, 0.5, 0.7])),
+    # Kraus channels and their dilation
+    row("dimension mismatch: channel 2, rho (1, 4, 4)", apply_channel, gad_channel(REF),
+        MIXED4[None]),
+    row("dimension mismatch: channel 2, rho (4, 4)", apply_channel, gad_channel(HALF), MIXED4),
+    row("qubit must be 0 or 1, got 2", apply_on_qubit, gad_channel(REF), np.kron(RHO, RHO), 2),
+    row("expected a single-qubit channel and a 4x4 state", apply_on_qubit, gad_channel(REF),
+        RHO, 0),
+    row("expected a 2x2 state, got shape (4, 4)", apply_via_dilation, HALF, MIXED4),
+    # density matrices and their overlaps
+    row("not Hermitian: max |rho - rho^dag| = 5.000e-01", validate_density,
+        np.array([[0.5, 0.5], [0.0, 0.5]])),
+    row("trace is 1.4, expected 1", validate_density, np.diag([0.7, 0.7])),
+    row("negative eigenvalue -2.000e-01", validate_density, np.diag([1.2, -0.2])),
+    row("expected a 2x2 or 4x4 matrix, got shape (3, 3)", validate_density, np.eye(3) / 3),
+    row("expected a 4x4 matrix, got shape (2, 2)", wootters_concurrence, np.eye(2)),
+    row("state is not positive: eigenvalue -5.000e-01", wootters_concurrence,
+        np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)),
+    row(NOT_PURE, fidelity, MIXED, RHO),
+    row("dimension mismatch: (2, 2) vs (4, 4)", fidelity, RHO, MIXED4),
+    row(NOT_PURE, fidelity, np.stack([RHO, MIXED]), np.stack([RHO, RHO])),
+    # search boxes and the oracles
+    row("lower, upper and resolution must share a length", SearchBox, (0.0,), (1.0, 2.0), (5, 5)),
+    row("need lower < upper, got [1.0, 1.0]", SearchBox, (1.0,), (1.0,), (5,)),
+    row("resolution must be at least 2, got 1", SearchBox, (0.0,), (1.0,), (1,)),
+    row("start must have shape (2,), got (3,)", simplex_maximize, lambda x: 0.0, np.zeros(3), BOX),
+    row("start must lie inside the box", simplex_maximize, lambda x: 0.0, np.array([2, 0.5]), BOX),
+    *(row(f"step must be finite and positive, got {step!r}", stationarity_check, lambda x: 0.0,
+          np.zeros(1), step) for step in (0.0, math.nan, math.inf)),
+    # complex strengths, channel parameters and diagonals, by name where the
+    # refusing check knows it
+    *(r for z in COMPLEX for r in (
+        row(positive("m", 0.5 + 1j), protect_equatorial, REF, z, 1.0),
+        row(positive("n", 0.5 + 1j), bb84_error_rate, REF, 1.0, z),
+        row(positive("n", 0.5 + 1j), average_fidelity_six, REF, 1.0, z),
+        row(non_negative("m2", 0.5 + 1j), measured_coefficients, *PAIR, 1.0, z),
+        row(non_negative("n1", 0.5 + 1j), protected_state, *PAIR, 1.0, 1.0, z, 1.0),
+        row(non_negative("n2", 0.5 + 1j), concurrence_lambda2, COEFFS, 1.0, z),
+        row(non_negative("m1", 0.5 + 1j), optimized_protection, *PAIR, z),
+        row(bad_strength(0.5 + 1j), pipeline_state, BELL, REF, REF, z, 1.0, 1.0, 1.0),
+        row(bad_strength(0.5 + 1j), pipeline_state, BELL, REF, REF, 1.0, 1.0, 1.0, z),
+        row(bad_strength(0.5 + 1j), apply_protection, REF, z, 1.0, RHO),
+        row(bad_strength(0.5 + 1j), post_diagonal, 1.0, z),
+        row(unit("p", 0.5 + 1j), GadParams, z, 0.3),
+        row(unit("r", 0.5 + 1j), GadParams, 0.3, z),
+    )),
+    *(row(bad_strength(0.5 + 1j), apply_postselected, diagonal, RHO)
+      for diagonal in ([0.5 + 1j, 1.0], [np.complex128(0.5 + 1j), 1.0], COMPLEX[2])),
+]
+
+
+@pytest.mark.parametrize("name, call, error, message", ROWS,
+                         ids=[f"{r[0]}-{i}" for i, r in enumerate(ROWS)])
+def test_refusal(name, call, error, message):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert exc.type is error
+    text = str(exc.value)
+    assert message.fullmatch(text) if isinstance(message, re.Pattern) else text == message
+
+
+# every other public function or class, and why it has no row
+EXEMPT = (
+    *((name, "a result record") for name in (
+        "AverageFidelityReport", "ConcurrenceReport", "OptimalStrengths", "ProtectionResult",
+        "SearchResult")),
+    ("XStateCoefficients", "a record of X-state entries; its readers check their strengths"),
+    ("PostSelectionError", "the error type of a void run, not an entry point"),
+    *((name, "takes only already-validated GadParams") for name in (
+        "baseline_fidelity", "g_value", "gad_channel", "lambda2_max", "component_coefficients")),
+    ("channel_degraded_state", "takes only validated inputs, at unit strengths"),
+    ("concurrence_lambda1", "a closed form of X-state entries, with no strength to check"),
+    ("check_trace_preserving", "a defect measure of any operator stack"),
+    ("equatorial_state", "any real azimuth wraps into [0, 2 pi)"),
+    ("grid_maximize", "takes an already-validated SearchBox; a failing point scores -inf"),
+)
+
+
+def test_every_public_entry_point_has_a_row_or_an_exemption():
+    rows, exempt = {r[0] for r in ROWS}, dict(EXEMPT)
+    assert not rows & exempt.keys(), "an exempt name has a row"
+    public = {name for name in decoshield.__all__ if callable(getattr(decoshield, name))}
+    assert exempt.keys() <= public
+    assert public - rows - exempt.keys() == set()

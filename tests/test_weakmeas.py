@@ -1,14 +1,7 @@
 import numpy as np
-import pytest
 
 from decoshield.linalg import equatorial_state
-from decoshield.weakmeas import (
-    PostSelectionError,
-    apply_postselected,
-    measure_damp_reverse,
-    post_diagonal,
-    pre_diagonal,
-)
+from decoshield.weakmeas import apply_postselected, post_diagonal, pre_diagonal
 
 RNG = np.random.default_rng(90412)
 
@@ -35,15 +28,6 @@ def test_reversal_diagonal_layout():
     stack = post_diagonal(-0.0, np.array([0.5, 0.9]))
     want = [post_diagonal(-0.0, n).tobytes() for n in (0.5, 0.9)]
     assert [row.tobytes() for row in stack] == want
-
-
-def test_strength_validation():
-    rho = equatorial_state(0.0)
-    for bad in (-0.1, np.inf, np.nan):
-        with pytest.raises(ValueError, match="non-negative"):
-            apply_postselected(pre_diagonal(bad), rho)
-    with pytest.raises(ValueError, match="mismatch"):
-        apply_postselected([1.0, 0.5, 0.2], rho)
 
 
 def test_physical_form_rescales_only_above_one():
@@ -82,18 +66,6 @@ def test_postselected_state_is_normalized():
         assert abs(out.trace() - 1.0) < 1e-12
 
 
-def test_impossible_postselection_raises():
-    ground = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(PostSelectionError):
-        apply_postselected(post_diagonal(0.0), ground)
-    # the route keeps a void outcome's zero weight, not NaN, so the joint
-    # probability it names is 0.0, alone and as one entry of a stack
-    void = r"^success probability 0\.0 below cutoff$"
-    for n in (0.0, np.array([0.5, 0.0, 2.0])):
-        with pytest.raises(PostSelectionError, match=void):
-            measure_damp_reverse(ground, (1.0,), (n,), lambda state: state)
-
-
 def test_matched_reversal_restores_state():
     # diag(1, m) followed by diag(m, 1) is proportional to the identity
     for m in (0.2, 0.5, 0.9):
@@ -102,8 +74,3 @@ def test_matched_reversal_restores_state():
         out, p2 = apply_postselected(post_diagonal(m), mid)
         assert np.max(np.abs(out - rho)) < 1e-12
         assert abs(p1 * p2 - m * m) < 1e-12
-
-
-def test_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        apply_postselected(pre_diagonal(0.5), np.eye(4) / 4)

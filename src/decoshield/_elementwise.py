@@ -6,7 +6,7 @@ operation whose spelling depends on the type comes from one of two
 namespaces, picked once per call by `namespace` from the strengths and
 channel parameters: SCALAR keeps plain float arithmetic (no 0-d arrays,
 no numpy scalars in results), ARRAY broadcasts; the closed forms branch on
-nothing else. Besides the arithmetic (`all`, `minimum`, `maximum`, `sqrt`,
+nothing else. Besides the arithmetic (`minimum`, `maximum`, `sqrt`,
 `modulus`, `pow`, `complex`), each has `assemble(entries, shape, dtype)`,
 an array of that shape from its entries in C order (for ARRAY a stack, one
 per point, each `ZERO` entry left to np.zeros), `broadcast(*values)`,
@@ -85,7 +85,6 @@ def _assemble_array(entries, shape, dtype):
 
 
 SCALAR = SimpleNamespace(
-    all=bool,
     minimum=min,
     maximum=max,
     sqrt=math.sqrt,
@@ -98,7 +97,6 @@ SCALAR = SimpleNamespace(
     loud=bool,
 )
 ARRAY = SimpleNamespace(
-    all=functools.partial(np.logical_and.reduce, axis=None),  # np.all without its wrapper
     minimum=np.minimum,
     maximum=np.maximum,
     sqrt=np.sqrt,
@@ -112,13 +110,15 @@ ARRAY = SimpleNamespace(
 )
 
 
-def namespace(*values):
+def namespace(*values, real=()):
     """(xp, values): ARRAY when any value is a numpy array, otherwise
     SCALAR. Each numpy scalar becomes the Python float it holds, so that it
     overflows as floats do, and each array becomes float64, so that an
     integer array cannot wrap and a float32 one is computed as its numpy
     scalars are. A complex value becomes a complex array, not truncated, for
-    its check to refuse by name. Other values are passed on as given."""
+    its check to refuse by name; the last len(real) values, which no check
+    reads, are refused here when complex, each by its name in real. Other
+    values are passed on as given."""
     for value in values:  # plain floats, the common call, test nothing else
         if type(value) is not float:
             break
@@ -135,6 +135,10 @@ def namespace(*values):
         elif isinstance(value, np.generic):
             value = float(value)
         converted.append(value)
+    for name, value in zip(real, converted[len(converted) - len(real):]):
+        if np.iscomplexobj(value):  # every entry fails: the first is named
+            message = f"{name} must be real, got {{!r}}"
+            reject(np.zeros(np.shape(value), bool), ValueError, message, value)
     return xp, converted
 
 
@@ -157,11 +161,14 @@ def real_trace(x: np.ndarray):
     return terms[0]
 
 
+_all = functools.partial(np.logical_and.reduce, axis=None)  # np.all without its wrapper
+
+
 def reject(ok, error, message: str, *values) -> None:
     """Return when every entry of the mask ok, a bool or an array, passes;
     otherwise raise error(message.format(*entries)), with `values` broadcast
     to ok and read at its first False entry in C order as Python scalars."""
-    if ok is True or (ok is not False and ARRAY.all(ok)):
+    if ok is True or (ok is not False and _all(ok)):
         return
     at = np.argmin(ok)
     raise error(message.format(*(np.broadcast_to(v, np.shape(ok)).item(at) for v in values)))

@@ -48,7 +48,11 @@ class EntangledInput:
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> EntangledInput:
-        if not 0.0 <= alpha_sq <= 1.0:
+        try:
+            ok = 0.0 <= alpha_sq <= 1.0
+        except TypeError:  # a Python complex has no order
+            ok = False
+        if ok is not True and not (ok and np.isrealobj(alpha_sq)):  # a float skips the call
             raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
         return cls(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq))
 
@@ -210,7 +214,9 @@ def reversed_state(
     coeffs: XStateCoefficients, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Final normalized 4x4 state after the reversal, with its raw trace."""
-    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
+    xp, (n1, n2, a, b, c, d) = namespace(
+        n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d, real="abcd"
+    )
     raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
     reversed_coeffs = XStateCoefficients(
         n1 * n1 * n2 * n2 * a, n1 * n1 * b, n2 * n2 * c, d, n1 * n2 * coeffs.e
@@ -232,7 +238,9 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     Equals 2 n1 n2 (|e| - sqrt(bc)) divided by the reversed trace, so it
     reduces to the unprotected value at unit strengths.
     """
-    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
+    xp, (n1, n2, a, b, c, d) = namespace(
+        n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d, real="abcd"
+    )
     raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
     return _lambda2(coeffs.e, b, c, n1, n2, raw, xp)
 
@@ -250,7 +258,7 @@ def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     Where a product of coefficients overflows, at pre-measurement strengths
     above about 1e77, a strength is inf or NaN; optimized_protection names
     the strength that caused it."""
-    xp, (a, b, c, d) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d)
+    xp, (a, b, c, d) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d, real="abcd")
     if xp.loud():
         return quietly(optimal_reversal, coeffs)
     ok = (a * b > 0.0) & (a * c > 0.0)

@@ -31,6 +31,10 @@ class SearchBox:
         for lo, hi, res in zip(self.lower, self.upper, self.resolution):
             if not lo < hi:
                 raise ValueError(f"need lower < upper, got [{lo}, {hi}]")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"bounds must be finite, got [{lo}, {hi}]")
+            if not isinstance(res, (int, np.integer)):
+                raise ValueError(f"resolution must be an integer, got {res!r}")
             if res < 2:
                 raise ValueError(f"resolution must be at least 2, got {res}")
 
@@ -194,7 +198,11 @@ def stationarity_check(
 ) -> float:
     """Largest central-difference gradient component at an interior point."""
     point = np.asarray(point, dtype=float)
-    if not 0.0 < step < math.inf:  # NaN fails too
+    try:
+        ok = 0.0 < step < math.inf  # NaN fails too
+    except TypeError:  # a Python complex has no order
+        ok = False
+    if ok is not True and not (ok and np.isrealobj(step)):  # a float skips the call
         raise ValueError(f"step must be finite and positive, got {step!r}")
     slopes = []
     for axis in range(point.size):

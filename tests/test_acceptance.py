@@ -129,6 +129,7 @@ def test_criterion_7_invariants():
         (checks.protection_never_hurts, 50),
         (checks.alpha_weight_independence, 5),
         (checks.success_peak_location, 99),
+        (checks.average_optimum_stationary, 10),
     )
     _done(7, detail, t0)
 

@@ -67,9 +67,13 @@ def test_completeness_over_parameter_range():
 
 
 def test_channel_outputs_are_valid_states():
+    # each also equals the dilation's output: here p, r span [0, 1), where the
+    # dilation-vs-kraus family draws [0.02, 0.98] and the endpoints only
     for _ in range(50):
-        rho = apply_channel(gad_channel(random_params(RNG)), random_density(RNG))
+        params, state = random_params(RNG), random_density(RNG)
+        rho = apply_channel(gad_channel(params), state)
         validate_density(rho)
+        assert np.max(np.abs(rho - apply_via_dilation(params, state))) < 1e-12
 
 
 def test_population_transfer_weights():
@@ -174,14 +178,3 @@ def test_channel_stack_on_lone_state():
     for i in range(3):
         one, one_prob = pipeline_state(inp, GadParams(p[i], r[i]), other, 0.7, 1.1, 0.9, 1.2)
         assert state[i].tobytes() == one.tobytes() and prob[i] == one_prob
-
-
-def test_dilation_isometry_matches_kraus_action():
-    worst = 0.0
-    for _ in range(200):
-        params = random_params(RNG)
-        rho = random_density(RNG)
-        via_kraus = apply_channel(gad_channel(params), rho)
-        via_env = apply_via_dilation(params, rho)
-        worst = max(worst, float(np.max(np.abs(via_kraus - via_env))))
-    assert worst < 1e-12

@@ -46,19 +46,6 @@ def test_unit_strengths_reduce_to_bare_channel():
         assert abs(res.success_prob - 1.0) < 1e-12
 
 
-def test_closed_form_matches_pipeline():
-    for _ in range(60):
-        params = random_params()
-        m, n = RNG.uniform(0.05, 2.0, size=2)
-        phi = float(RNG.uniform(0.0, 2.0 * np.pi))
-        res = protect_equatorial(params, float(m), float(n), phi)
-        state, prob = apply_protection(params, float(m), float(n), equatorial_state(phi))
-        assert np.max(np.abs(res.output_state - state)) < 1e-12
-        assert abs(res.success_prob - prob) < 1e-12
-        assert abs(res.fidelity - fidelity(equatorial_state(phi), state)) < 1e-12
-        validate_density(res.output_state)
-
-
 def test_strength_validation():
     # the pipeline rescales its operators: it takes what the closed form refuses
     assert bb84_error_rate(REF, 1e100, 1e100) == 0.5
@@ -130,15 +117,6 @@ def test_g_value_special_points():
     assert abs(g_value(GadParams(0.5, 0.7)) - 1.0) < 1e-15
     assert abs(g_value(GadParams(0.3, 0.0)) - 1.0) < 1e-15
     assert abs(g_value(GadParams(1.0, 0.7)) - math.sqrt(0.3)) < 1e-15
-
-
-def test_key_distribution_error_complements_fidelity():
-    for _ in range(25):
-        params = random_params()
-        m, n = RNG.uniform(0.05, 2.0, size=2)
-        err = bb84_error_rate(params, float(m), float(n))
-        fid = protect_equatorial(params, float(m), float(n)).fidelity
-        assert abs(err - (1.0 - fid)) < 1e-12
 
 
 def test_pole_fidelities_match_pipeline():

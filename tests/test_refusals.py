@@ -30,6 +30,7 @@ COEFFS = measured_coefficients(*PAIR, 0.5, 1.0)
 # a state with no |11> weight, and numpy-scalar entries whose reversed trace overflows
 GROUND = measured_coefficients(EntangledInput.from_alpha_sq(1.0), STILL, STILL, 1.0, 1.0)
 HUGE = XStateCoefficients(*map(np.float64, (1e300, 0.1, 0.1, 0.2)), 0.1 + 0j)
+COMPLEX_A = XStateCoefficients(np.complex128(0.3 + 0.1j), 0.2, 0.2, 0.3, 0.1)
 EXCITED = (EntangledInput.from_alpha_sq(0.0), *PAIR[1:])
 RHO = equatorial_state(0.4)
 PURE_GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -258,6 +259,22 @@ ROWS = [
     )),
     *(row(bad_strength(0.5 + 1j), apply_postselected, diagonal, RHO)
       for diagonal in ([0.5 + 1j, 1.0], [np.complex128(0.5 + 1j), 1.0], COMPLEX[2])),
+    # (rows are appended here, so that every earlier row keeps its test id)
+    # complex values that no strength check reads: diagonal weights, the
+    # input weight and a difference step
+    row("a must be real, got (0.3+0.1j)", concurrence_lambda2, COMPLEX_A, 0.5, 0.5),
+    row("a must be real, got (0.3+0.1j)", optimal_reversal, COMPLEX_A),
+    row("c must be real, got (0.2+0.1j)", reversed_state,
+        XStateCoefficients(0.3, 0.2, 0.2 + 0.1j, 0.3, 0.1), 0.5, 0.5),
+    *(row("alpha_sq must lie in [0, 1], got (0.5+1j)", EntangledInput.from_alpha_sq, z)
+      for z in COMPLEX[:2]),
+    row("step must be finite and positive, got (0.0001+1j)", stationarity_check,
+        lambda x: 0.0, np.zeros(1), 1e-4 + 1j),
+    # search boxes the oracles cannot walk: a resolution that is no integer,
+    # NaN included, and an infinite bound
+    row("resolution must be an integer, got 2.5", SearchBox, (0.0,), (1.0,), (2.5,)),
+    row("resolution must be an integer, got nan", SearchBox, (0.0,), (1.0,), (math.nan,)),
+    row("bounds must be finite, got [0.0, inf]", SearchBox, (0.0,), (math.inf,), (3,)),
 ]
 
 

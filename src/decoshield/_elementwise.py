@@ -26,7 +26,8 @@ matrix stages run on stacks, where the helpers here give each matrix the
 bits it gets on its own.
 
 Every check that takes arrays refuses through `reject`, naming the first
-failing entry in C order as a Python scalar; NaN always fails.
+failing entry in C order as a Python scalar; NaN always fails. A range is
+checked by `check_range`, on closed ends only (0 < x is x >= math.ulp(0.0)).
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ def namespace(*values, real=()):
         converted.append(value)
     for name, value in zip(real, converted[len(converted) - len(real):]):
         if np.iscomplexobj(value):  # every entry fails: the first is named
-            message = f"{name} must be real, got {{!r}}"
-            reject(np.zeros(np.shape(value), bool), ValueError, message, value)
+            check_range(value, -math.inf, math.inf, f"{name} must be real, got {{!r}}")
     return xp, converted
 
 
@@ -181,18 +181,30 @@ SQUARE_MAX = math.sqrt(sys.float_info.max)
 FLOAT_MAX = sys.float_info.max
 
 
+def check_range(value, lower: float, upper: float, message: str, *shown):
+    """value, once every entry is real and in [lower, upper]; otherwise
+    ValueError(message.format(*shown)), `shown` (by default value) read as
+    for reject. Compares only: a valid Python float makes no numpy call."""
+    try:
+        ok = (lower <= value) & (value <= upper)
+    except TypeError:  # a Python complex has no order
+        ok = False
+    if ok is not True:  # a valid Python float skips the call below
+        reject(ok & np.isrealobj(value), ValueError, message, *(shown or (value,)))
+    return value
+
+
 def check_strength(name: str, value, zero_ok: bool = False):
     """value, a Python int as the float it holds, once every entry is
     positive, or non-negative when zero_ok, with a finite square that is
-    nonzero for a positive entry; otherwise ValueError naming the strength.
-    Compares only, so no entry can raise a numpy warning."""
-    ok = ((0.0 <= value) if zero_ok else (SQUARE_MIN <= value)) & (value <= SQUARE_MAX)
-    if ok is not True:  # a valid Python float skips the call below
-        kind = "non-negative with a finite" if zero_ok else "positive with a finite nonzero"
-        ok = ok & np.isrealobj(value)  # a complex strength fails at every entry
-        reject(ok, ValueError, f"{name} must be finite and {kind} square, got {{!r}}", value)
-        return value  # an array, every entry valid
-    return value * 1.0  # an int, whose exact products can outgrow a float, as a float
+    nonzero for a positive entry; otherwise ValueError naming the strength."""
+    lower = 0.0 if zero_ok else SQUARE_MIN
+    if type(value) is float and lower <= value <= SQUARE_MAX:  # the common call: no more tests
+        return value
+    kind = "non-negative with a finite" if zero_ok else "positive with a finite nonzero"
+    message = f"{name} must be finite and {kind} square, got {{!r}}"
+    value = check_range(value, lower, SQUARE_MAX, message)
+    return value if type(value) is np.ndarray else value * 1.0  # an int, to overflow as a float
 
 
 def check_finite(value, names: str, *strengths):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ZERO, namespace, ordered_sum, reject
+from ._elementwise import ZERO, check_range, namespace, ordered_sum
 from .linalg import dagger
 
 
@@ -27,14 +27,8 @@ class GadParams:
     r: float
 
     def __post_init__(self) -> None:
-        for name, value in (("p", self.p), ("r", self.r)):
-            try:
-                ok = (0.0 <= value) & (value <= 1.0)
-            except TypeError:  # a Python complex has no order
-                ok = False
-            if ok is not True:  # a valid Python float skips the call below
-                ok = ok & np.isrealobj(value)  # a complex value fails at every entry
-                reject(ok, ValueError, f"{name} must be in [0, 1], got {{}}", value)
+        check_range(self.p, 0.0, 1.0, "p must be in [0, 1], got {}")
+        check_range(self.r, 0.0, 1.0, "r must be in [0, 1], got {}")
         if isinstance(self.p, np.ndarray) or isinstance(self.r, np.ndarray):
             np.broadcast_shapes(np.shape(self.p), np.shape(self.r))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import check_finite, check_strength, namespace, quietly, reject
+from ._elementwise import check_finite, check_range, check_strength, namespace, quietly, reject
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
 from .weakmeas import measure_damp_reverse, require_postselection
@@ -48,12 +48,7 @@ class EntangledInput:
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> EntangledInput:
-        try:
-            ok = 0.0 <= alpha_sq <= 1.0
-        except TypeError:  # a Python complex has no order
-            ok = False
-        if ok is not True and not (ok and np.isrealobj(alpha_sq)):  # a float skips the call
-            raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
+        check_range(alpha_sq, 0.0, 1.0, "alpha_sq must lie in [0, 1], got {}")
         return cls(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq))
 
     def ket(self) -> np.ndarray:
@@ -229,7 +224,8 @@ def concurrence_lambda1(coeffs: XStateCoefficients) -> float:
 
     Negative values mean the state is separable (the caller clips at zero).
     """
-    return 2.0 * (abs(coeffs.e) - math.sqrt(coeffs.b * coeffs.c))
+    _, (b, c) = namespace(coeffs.b, coeffs.c, real="bc")
+    return 2.0 * (abs(coeffs.e) - math.sqrt(b * c))
 
 
 def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> float:
@@ -261,8 +257,11 @@ def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     xp, (a, b, c, d) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d, real="abcd")
     if xp.loud():
         return quietly(optimal_reversal, coeffs)
-    ok = (a * b > 0.0) & (a * c > 0.0)
-    reject(ok, ValueError, "degenerate coefficients, reversal optimum undefined")
+    ok = (a * b > 0.0) & (a * c > 0.0) & (a > 0.0) & (d >= 0.0)  # so no weight is negative
+    if ok is not True and not np.all(ok):  # valid floats and arrays skip the checks below
+        for name, weight in zip("abcd", (a, b, c, d)):
+            check_range(weight, 0.0, math.inf, f"{name} must be non-negative, got {{!r}}")
+        reject(ok, ValueError, "degenerate coefficients, reversal optimum undefined")
     return xp.pow(c * d / (a * b), 0.25), xp.pow(b * d / (a * c), 0.25)
 
 

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._elementwise import FLOAT_MAX, check_range
+
 SIMPLEX_DIAMETER_TOL = 1e-9
 SIMPLEX_MAX_EVALS = 100_000
 
@@ -29,10 +31,10 @@ class SearchBox:
         if not len(self.lower) == len(self.upper) == len(self.resolution):
             raise ValueError("lower, upper and resolution must share a length")
         for lo, hi, res in zip(self.lower, self.upper, self.resolution):
+            for x in (lo, hi):  # NaN and complex bounds fail here, before the order
+                check_range(x, -FLOAT_MAX, FLOAT_MAX, "bounds must be finite, got [{}, {}]", lo, hi)
             if not lo < hi:
                 raise ValueError(f"need lower < upper, got [{lo}, {hi}]")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"bounds must be finite, got [{lo}, {hi}]")
             if not isinstance(res, (int, np.integer)):
                 raise ValueError(f"resolution must be an integer, got {res!r}")
             if res < 2:
@@ -198,12 +200,7 @@ def stationarity_check(
 ) -> float:
     """Largest central-difference gradient component at an interior point."""
     point = np.asarray(point, dtype=float)
-    try:
-        ok = 0.0 < step < math.inf  # NaN fails too
-    except TypeError:  # a Python complex has no order
-        ok = False
-    if ok is not True and not (ok and np.isrealobj(step)):  # a float skips the call
-        raise ValueError(f"step must be finite and positive, got {step!r}")
+    check_range(step, math.ulp(0.0), FLOAT_MAX, "step must be finite and positive, got {!r}")
     slopes = []
     for axis in range(point.size):
         offset = np.zeros_like(point)

@@ -181,7 +181,7 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     leaked = fidelity(BB84_STATES, outputs[..., BB84_PARTNERS, :, :])
     terms = leaked / (own + leaked)
     error = ordered_sum(terms[..., i] for i in range(len(BB84_AZIMUTHS))) / len(BB84_AZIMUTHS)
-    return error if np.ndim(error) else float(error)
+    return namespace(error)[1][0]  # one point's numpy scalar as a float
 
 
 def average_fidelity_six(params: GadParams, m: float, n: float) -> AverageFidelityReport:

@@ -9,11 +9,12 @@ measurement is given by its diagonal and applied entry by entry.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from ._elementwise import FLOAT_MAX, check_finite, namespace, quietly, real_trace, reject
+from ._elementwise import (
+    FLOAT_MAX, check_finite, check_range, namespace, quietly, real_trace, reject,
+)
 
 MIN_POSTSELECT_PROB = 1e-14
 _BAD_STRENGTH = "strengths must be finite and non-negative, got {!r}"
@@ -55,13 +56,10 @@ def _tensored(strengths, name) -> np.ndarray:
     xp, strengths = namespace(*strengths)
     if len(strengths) > 1 and xp.loud():  # only a product of strengths can overflow
         return quietly(_tensored, strengths, name)
-    for strength in strengths:  # NaN fails both; an int past the float range keeps its value
-        ok = (0.0 <= strength) & (strength <= FLOAT_MAX)
-        if ok is not True:  # a valid Python float skips the call below; a complex one fails
-            reject(ok & np.isrealobj(strength), ValueError, _BAD_STRENGTH, strength)
-    # kron order: entry i of the running product spawns entries 2i and 2i + 1
-    entries = [1.0]
-    for strength in strengths:
+    entries = [1.0]  # kron order: entry i of the running product spawns entries 2i and 2i + 1
+    for strength in strengths:  # an int past the float range is named with its value
+        if not (type(strength) is float and 0.0 <= strength <= FLOAT_MAX):  # floats skip the call
+            check_range(strength, 0.0, FLOAT_MAX, _BAD_STRENGTH)
         entries = [entry * x for entry in entries for x in (1.0, strength)]
     top = functools.reduce(xp.maximum, entries[2:], 1.0)  # past 1.0 and the last strength
     if (top <= FLOAT_MAX) is not True:
@@ -93,10 +91,7 @@ def apply_postselected(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
     diagonal has shape (..., d) and rho (..., d, d); stacks broadcast
     together and give a stack of states and an array of probabilities.
     """
-    diagonal = np.asarray(diagonal)  # NaN fails both compares; a complex diagonal, every entry
-    reject((0.0 <= diagonal) & (diagonal < math.inf) & np.isrealobj(diagonal), ValueError,
-           _BAD_STRENGTH, diagonal)
-    state, prob = _postselect(diagonal, rho)
+    state, prob = _postselect(check_range(np.asarray(diagonal), 0.0, FLOAT_MAX, _BAD_STRENGTH), rho)
     return state, require_postselection(prob)
 
 

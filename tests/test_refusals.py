@@ -14,8 +14,8 @@ import decoshield
 from decoshield import (
     EntangledInput, GadParams, PostSelectionError, SearchBox, XStateCoefficients, apply_channel,
     apply_on_qubit, apply_postselected, apply_protection, apply_via_dilation, average_fidelity_six,
-    bb84_error_rate, concurrence_lambda2, equatorial_state, fidelity, gad_channel,
-    kraus_pipeline_state, measured_coefficients, optimal_parameters, optimal_reversal,
+    bb84_error_rate, concurrence_lambda1, concurrence_lambda2, equatorial_state, fidelity,
+    gad_channel, kraus_pipeline_state, measured_coefficients, optimal_parameters, optimal_reversal,
     optimal_strengths, pipeline_state, post_diagonal, pre_diagonal, protect_equatorial,
     protected_state, reversed_state, simplex_maximize, stationarity_check, validate_density,
     wootters_concurrence,
@@ -53,6 +53,7 @@ P_ZERO = "p = 0: optimal pre-measurement strength diverges"
 P_R_ONE = "p = 1 with r = 1: optimum is degenerate"
 UNDERFLOW = "p = 1e-200 with r = 1.0: optimal reversal strength overflows"
 DEGENERATE = "degenerate coefficients, reversal optimum undefined"
+NEGATIVE = "d must be non-negative, got -0.3"
 NOT_PURE = "reference state is not pure: tr(psi^2) = 0.5"
 # non-finite strengths, and ones whose square underflows or overflows
 BAD_SQUARES = (math.nan, math.inf, 1e-200, 1e160)
@@ -275,6 +276,20 @@ ROWS = [
     row("resolution must be an integer, got 2.5", SearchBox, (0.0,), (1.0,), (2.5,)),
     row("resolution must be an integer, got nan", SearchBox, (0.0,), (1.0,), (math.nan,)),
     row("bounds must be finite, got [0.0, inf]", SearchBox, (0.0,), (math.inf,), (3,)),
+    # complex weights of the unprotected concurrence and complex, NaN or
+    # too-large search bounds and steps, each named; a negative X-state weight
+    *(row("b must be real, got (0.5+1j)", concurrence_lambda1,
+          XStateCoefficients(0.3, z, 0.2, 0.3, 0.1)) for z in COMPLEX),
+    *(row("bounds must be finite, got [(0.5+1j), 1.0]", SearchBox, (z,), (1.0,), (3,))
+      for z in COMPLEX[:2]),
+    row("bounds must be finite, got [nan, 1.0]", SearchBox, (math.nan,), (1.0,), (3,)),
+    row(f"bounds must be finite, got [0.0, {10**400}]", SearchBox, (0.0,), (10**400,), (3,)),
+    *(row(f"step must be finite and positive, got {shown}", stationarity_check, lambda x: 0.0,
+          np.zeros(1), step) for step, shown in ((10**400, 10**400), (np.float64("nan"), "nan"))),
+    row(NEGATIVE, optimal_reversal, XStateCoefficients(0.3, 0.2, 0.2, -0.3, 0.1)),
+    row(NEGATIVE, optimal_reversal, XStateCoefficients(0.3, 0.2, 0.2, np.array([0.3, -0.3]), 0.1)),
+    row("b must be non-negative, got -0.2", optimal_reversal,
+        XStateCoefficients(0.3, -0.2, 0.2, 0.3, 0.1)),
 ]
 
 
@@ -298,11 +313,26 @@ EXEMPT = (
     *((name, "takes only already-validated GadParams") for name in (
         "baseline_fidelity", "g_value", "gad_channel", "lambda2_max", "component_coefficients")),
     ("channel_degraded_state", "takes only validated inputs, at unit strengths"),
-    ("concurrence_lambda1", "a closed form of X-state entries, with no strength to check"),
     ("check_trace_preserving", "a defect measure of any operator stack"),
     ("equatorial_state", "any real azimuth wraps into [0, 2 pi)"),
     ("grid_maximize", "takes an already-validated SearchBox; a failing point scores -inf"),
 )
+
+
+def test_valid_floats_never_reach_the_refusal_path(monkeypatch):
+    """Each site that checks through `_elementwise.check_range` passes valid
+    Python floats by its compares alone, without calling reject."""
+    def refuse(*args):
+        raise AssertionError("a valid float reached reject")
+
+    monkeypatch.setattr("decoshield._elementwise.reject", refuse)
+    GadParams(0.9, 0.5)
+    EntangledInput.from_alpha_sq(0.5)
+    stationarity_check(lambda x: 0.0, np.zeros(1), 1e-4)
+    SearchBox((0.0, -1.0), (1.0, 2.0), (3, 4))
+    protect_equatorial(REF, 0.5, 1.2)
+    pipeline_state(BELL, REF, REF, 0.5, 1.0, 1.2, 1.0)
+    concurrence_lambda1(COEFFS)
 
 
 def test_every_public_entry_point_has_a_row_or_an_exemption():

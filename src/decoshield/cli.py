@@ -196,6 +196,8 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         if args.p is None or args.r is None:
             raise CliError("--p and --r are both required for the one-qubit query")
         params = _call("--p/--r", GadParams, args.p, args.r)
+        if not 0.0 <= args.alpha_sq <= 1.0:  # unused here, but refused as the pair query does
+            _call("--alpha-sq", EntangledInput.from_alpha_sq, args.alpha_sq)
         best = _call("--p/--r", optimal_strengths, params)
         if best.projective:
             # m, n -> 0 pushes every one of the six fidelities to 1

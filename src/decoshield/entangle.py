@@ -219,12 +219,20 @@ def reversed_state(
     return reversed_coeffs.matrix() / raw, raw
 
 
+def _check_weights(names: str, *weights) -> None:
+    """Name the first weight, in names order, with a negative or NaN entry."""
+    for name, weight in zip(names, weights):
+        check_range(weight, 0.0, math.inf, f"{name} must be non-negative, got {{!r}}")
+
+
 def concurrence_lambda1(coeffs: XStateCoefficients) -> float:
     """Concurrence argument 2(|e| - sqrt(bc)) of a trace-one X state.
 
     Negative values mean the state is separable (the caller clips at zero).
     """
     _, (b, c) = namespace(coeffs.b, coeffs.c, real="bc")
+    if ((b >= 0.0) & (c >= 0.0)) is not True:  # valid floats skip the check
+        _check_weights("bc", b, c)
     return 2.0 * (abs(coeffs.e) - math.sqrt(b * c))
 
 
@@ -237,6 +245,8 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     xp, (n1, n2, a, b, c, d) = namespace(
         n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d, real="abcd"
     )
+    if ((b >= 0.0) & (c >= 0.0)) is not True:  # valid floats skip the check
+        _check_weights("bc", b, c)
     raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
     return _lambda2(coeffs.e, b, c, n1, n2, raw, xp)
 
@@ -259,8 +269,7 @@ def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
         return quietly(optimal_reversal, coeffs)
     ok = (a * b > 0.0) & (a * c > 0.0) & (a > 0.0) & (d >= 0.0)  # so no weight is negative
     if ok is not True and not np.all(ok):  # valid floats and arrays skip the checks below
-        for name, weight in zip("abcd", (a, b, c, d)):
-            check_range(weight, 0.0, math.inf, f"{name} must be non-negative, got {{!r}}")
+        _check_weights("abcd", a, b, c, d)
         reject(ok, ValueError, "degenerate coefficients, reversal optimum undefined")
     return xp.pow(c * d / (a * b), 0.25), xp.pow(b * d / (a * c), 0.25)
 

@@ -73,13 +73,6 @@ def fidelity(psi: np.ndarray, rho: np.ndarray):
     return real_trace(psi @ rho)
 
 
-def _herm_sqrt(rho: np.ndarray) -> np.ndarray:
-    # matrix square root via eigendecomposition; tiny negatives are clipped
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
 def wootters_concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence from the spin-flip eigenvalue construction.
 
@@ -89,10 +82,11 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     """
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    eig_rho = np.linalg.eigvalsh(rho)
-    if eig_rho.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"state is not positive: eigenvalue {eig_rho.min():.3e}")
-    root = _herm_sqrt(rho)
+    # one eigendecomposition serves the check and the root; tiny negatives pass and are clipped
+    w, v = np.linalg.eigh(rho)
+    if w.min() < EIGENVALUE_FLOOR:
+        raise ValueError(f"state is not positive: eigenvalue {w.min():.3e}")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
     flipped = YY @ rho.conj() @ YY
     w = np.linalg.eigvalsh(root @ flipped @ root)
     w = np.clip(w, 0.0, None)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ._elementwise import FLOAT_MAX, check_range
+from ._elementwise import FLOAT_MAX, check_range, ordered_sum
 
 SIMPLEX_DIAMETER_TOL = 1e-9
 SIMPLEX_MAX_EVALS = 100_000
@@ -54,9 +54,9 @@ class SearchBox:
             for lo, hi, res in zip(self.lower, self.upper, self.resolution)
         ]
 
-    def contains(self, point: np.ndarray) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
         # a NaN coordinate compares False, so it lies outside
-        return all(lo <= x <= hi for x, lo, hi in zip(point.tolist(), self.lower, self.upper))
+        return all(lo <= x <= hi for x, lo, hi in zip(point, self.lower, self.upper))
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,11 @@ def grid_maximize(
     return SearchResult(points[best].copy(), float(values[best]), len(points))
 
 
+def _toward(a: list[float], b: list[float], t: float) -> list[float]:
+    """a + t (a - b) per coordinate: every move of the simplex."""
+    return [x + t * (x - y) for x, y in zip(a, b)]
+
+
 def simplex_maximize(
     objective: Callable[[np.ndarray], float],
     start: np.ndarray,
@@ -128,69 +133,58 @@ def simplex_maximize(
     vertex spread drops below 1e-9 in every coordinate or the evaluation
     budget runs out (converged=False then). Points outside the box score
     -inf, which keeps the walk inside without gradient projections.
+
+    Each vertex is a (value, point) pair of Python floats; the objective
+    still gets each point as a (dim,) array.
     """
     start = np.asarray(start, dtype=float)
     if start.shape != (box.dim,):
         raise ValueError(f"start must have shape ({box.dim},), got {start.shape}")
-    if not box.contains(start):
+    first = start.tolist()
+    if not box.contains(first):
         raise ValueError("start must lie inside the box")
 
     evals = 0
 
-    def probe(point: np.ndarray) -> float:
+    def vertex(point: list[float]) -> tuple[float, list[float]]:
         nonlocal evals
         evals += 1
-        if not box.contains(point):
-            return -math.inf
-        return _safe_value(objective, point)
+        value = _safe_value(objective, np.array(point)) if box.contains(point) else -math.inf
+        return value, point
 
-    verts = [start.copy()]
-    for axis in range(box.dim):
-        step = 0.05 * (box.upper[axis] - box.lower[axis])
-        vert = start.copy()
+    simplex = [vertex(first)]
+    for axis, hi in enumerate(box.upper):
+        step = float(0.05 * (hi - box.lower[axis]))  # numpy-scalar bounds would give numpy points
+        point = first.copy()
         # step outward, flipping direction at the wall
-        vert[axis] += step if vert[axis] + step <= box.upper[axis] else -step
-        verts.append(vert)
-    verts = np.array(verts)
-    vals = np.array([probe(v) for v in verts])
+        point[axis] += step if point[axis] + step <= hi else -step
+        simplex.append(vertex(point))
 
-    while evals < SIMPLEX_MAX_EVALS:
-        order = np.argsort(-vals, kind="stable")
-        verts, vals = verts[order], vals[order]
-        if float(np.max(np.ptp(verts, axis=0))) < SIMPLEX_DIAMETER_TOL:
-            return SearchResult(verts[0].copy(), float(vals[0]), evals, True)
+    while True:
+        # stable: equal values keep their order, for the vertex returned out of budget too
+        simplex.sort(key=lambda pair: pair[0], reverse=True)
+        (top, best), (low, worst) = simplex[0], simplex[-1]
+        points = [p for _, p in simplex]
+        spread = max(max(x) - min(x) for x in zip(*points))
+        if spread < SIMPLEX_DIAMETER_TOL or evals >= SIMPLEX_MAX_EVALS:
+            return SearchResult(np.array(best), top, evals, evals < SIMPLEX_MAX_EVALS)
 
-        centroid = verts[:-1].mean(axis=0)
-        reflected = centroid + (centroid - verts[-1])
-        f_r = probe(reflected)
-        if f_r > vals[0]:
-            expanded = centroid + 2.0 * (centroid - verts[-1])
-            f_e = probe(expanded)
-            if f_e > f_r:
-                verts[-1], vals[-1] = expanded, f_e
-            else:
-                verts[-1], vals[-1] = reflected, f_r
-            continue
-        if f_r > vals[-2]:
-            verts[-1], vals[-1] = reflected, f_r
-            continue
-        if f_r > vals[-1]:
-            contracted = centroid + 0.5 * (reflected - centroid)
-            f_c = probe(contracted)
-            if f_c >= f_r:
-                verts[-1], vals[-1] = contracted, f_c
-                continue
-        else:
-            contracted = centroid - 0.5 * (centroid - verts[-1])
-            f_c = probe(contracted)
-            if f_c > vals[-1]:
-                verts[-1], vals[-1] = contracted, f_c
-                continue
-        verts[1:] = verts[0] + 0.5 * (verts[1:] - verts[0])
-        vals[1:] = [probe(v) for v in verts[1:]]
-
-    top = int(np.argmax(vals))
-    return SearchResult(verts[top].copy(), float(vals[top]), evals, False)
+        # rows added in order, then divided, as numpy's mean over axis 0 does
+        centroid = [ordered_sum(x) / box.dim for x in zip(*points[:-1])]
+        reflected = vertex(_toward(centroid, worst, 1))
+        if reflected[0] > top:
+            expanded = vertex(_toward(centroid, worst, 2))
+            simplex[-1] = expanded if expanded[0] > reflected[0] else reflected
+        elif reflected[0] > simplex[-2][0]:
+            simplex[-1] = reflected
+        else:  # contract toward the reflection when it beats the worst vertex, else toward that
+            outside = reflected[0] > low
+            contracted = vertex(_toward(centroid, reflected[1] if outside else worst, -0.5))
+            kept = contracted[0] >= reflected[0] if outside else contracted[0] > low
+            if kept:
+                simplex[-1] = contracted
+            else:  # shrink toward the best vertex
+                simplex[1:] = [vertex(_toward(best, p, -0.5)) for _, p in simplex[1:]]
 
 
 def stationarity_check(

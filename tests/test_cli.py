@@ -214,6 +214,12 @@ def test_out_of_range_parameters(capsys):
     assert entry(["entangle", "--p1", "0.9", "--r1", "0.5",
                   "--p2", "0.95", "--r2", "0.3", "--alpha-sq", "1.5"]) == 2
     assert "error: --alpha-sq: alpha_sq must lie in [0, 1]" in capsys.readouterr().err
+    # the one-qubit query reads no --alpha-sq, yet refuses a bad one
+    for alpha_sq in ("7", "nan"):
+        assert entry(["optimal", "--p", "0.8", "--r", "0.3", "--alpha-sq", alpha_sq]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --alpha-sq: alpha_sq must lie in [0, 1], got {float(alpha_sq)}\n"
+        )
     assert entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--grid", "1"]) == 2
     assert capsys.readouterr().err == "error: --grid: need at least 2 points, got 1\n"
 
@@ -310,15 +316,6 @@ def test_unknown_subcommand_exits_with_usage():
     assert exc.value.code == 2
 
 
-def test_verify_command_passes(capsys):
-    assert entry(["verify"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "all checks passed"
-    assert [line.split(":", 1)[0] for line in lines[:-1]] == [
-        f"[ok] {name}" for name, _, _ in CHECKS
-    ]
-
-
 def test_verify_reports_failures(monkeypatch, capsys):
     failing = (("always-fails", lambda rng, count: (False, "gap 1.00e+00 (tol 1e-12)"), 1),)
     monkeypatch.setattr(decoshield.cli, "CHECKS", failing)
@@ -334,6 +331,12 @@ def test_verify_stdout_matches_record(capsys):
     record = Path(__file__).with_name("data") / "verify_stdout.txt"
     assert entry(["verify"]) == 0
     assert capsys.readouterr().out.encode() == record.read_bytes()
+    # the record itself: one passing line per check, in CHECKS order
+    lines = record.read_text().splitlines()
+    assert lines[-1] == "all checks passed"
+    assert [line.split(":", 1)[0] for line in lines[:-1]] == [
+        f"[ok] {name}" for name, _, _ in CHECKS
+    ]
 
 
 def test_shared_parser_holds_no_state(tmp_path, capsys):

@@ -108,6 +108,26 @@ def test_grid_lattice_matches_point_by_point():
         assert lattice.evaluations == each.evaluations == math.prod(box.resolution)
 
 
+def test_reference_walks_are_pinned():
+    # grid, then simplex from its argmax: the evaluation count and argmax
+    # bytes of each, as recorded with the simplex on numpy arrays
+    cases = [
+        (_fidelity(GadParams(0.8, 0.3)), QUBIT_BOX, [
+            (1089, "2db29defa706e83ff4fdd478e906e43f"),
+            (123, "0079502ec4dce73faecdf430d574e53f"),
+        ]),
+        (_concurrence(*REF_PAIR), PAIR_BOX, [
+            (4913, "5a643bdf4f0dd83fa01a2fdd2406e03fa01a2fdd2406e03f"),
+            (196, "eec815a437fbd53fe77ebb629e1de03fc04add40824bdc3f"),
+        ]),
+    ]
+    for objective, box, pinned in cases:
+        seed = grid_maximize(objective, box)
+        walk = simplex_maximize(objective, seed.argmax, box)
+        assert walk.converged and walk.value >= seed.value
+        assert [(r.evaluations, r.argmax.tobytes().hex()) for r in (seed, walk)] == pinned
+
+
 def test_grid_locates_fidelity_optimum():
     params = GadParams(0.8, 0.3)
     best = optimal_strengths(params)

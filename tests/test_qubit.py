@@ -4,6 +4,7 @@ import numpy as np
 
 from decoshield.channels import GadParams
 from decoshield.linalg import equatorial_state, fidelity, validate_density
+from decoshield.optimize import stationarity_check
 from decoshield.qubit import (
     apply_protection,
     average_fidelity_six,
@@ -74,18 +75,10 @@ def test_reference_optimum_values():
 
 def test_optimum_is_stationary():
     best = optimal_strengths(REF)
-    h = 1e-6
     f0 = protect_equatorial(REF, best.m, best.n).fidelity
-    dm = (
-        protect_equatorial(REF, best.m + h, best.n).fidelity
-        - protect_equatorial(REF, best.m - h, best.n).fidelity
-    ) / (2 * h)
-    dn = (
-        protect_equatorial(REF, best.m, best.n + h).fidelity
-        - protect_equatorial(REF, best.m, best.n - h).fidelity
-    ) / (2 * h)
-    assert abs(dm) < 1e-6
-    assert abs(dn) < 1e-6
+    assert stationarity_check(
+        lambda x: protect_equatorial(REF, x[0], x[1]).fidelity, np.array([best.m, best.n]), 1e-6
+    ) < 1e-6
     # nearby points never beat the claimed maximum
     for _ in range(50):
         dm, dn = RNG.uniform(-0.05, 0.05, size=2)

@@ -290,6 +290,15 @@ ROWS = [
     row(NEGATIVE, optimal_reversal, XStateCoefficients(0.3, 0.2, 0.2, np.array([0.3, -0.3]), 0.1)),
     row("b must be non-negative, got -0.2", optimal_reversal,
         XStateCoefficients(0.3, -0.2, 0.2, 0.3, 0.1)),
+    # a negative or NaN weight under the concurrences' root, scalar or array
+    row("b must be non-negative, got -0.2", concurrence_lambda1,
+        XStateCoefficients(0.3, -0.2, 0.2, 0.3, 0.1)),
+    *(row("b must be non-negative, got -0.2", concurrence_lambda2,
+          XStateCoefficients(0.3, b, 0.2, 0.3, 0.1), 0.5, 0.5) for b in (-0.2, np.array([-0.2, 0.2]))),
+    row("c must be non-negative, got nan", concurrence_lambda1,
+        XStateCoefficients(0.3, 0.2, math.nan, 0.3, 0.1)),
+    row("c must be non-negative, got nan", concurrence_lambda2,
+        XStateCoefficients(0.3, 0.2, math.nan, 0.3, 0.1), 0.5, 0.5),
 ]
 
 
@@ -333,6 +342,7 @@ def test_valid_floats_never_reach_the_refusal_path(monkeypatch):
     protect_equatorial(REF, 0.5, 1.2)
     pipeline_state(BELL, REF, REF, 0.5, 1.0, 1.2, 1.0)
     concurrence_lambda1(COEFFS)
+    concurrence_lambda2(COEFFS, 0.5, 1.2)
 
 
 def test_every_public_entry_point_has_a_row_or_an_exemption():

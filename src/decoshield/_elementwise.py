@@ -28,6 +28,9 @@ bits it gets on its own.
 Every check that takes arrays refuses through `reject`, naming the first
 failing entry in C order as a Python scalar; NaN always fails. A range is
 checked by `check_range`, on closed ends only (0 < x is x >= math.ulp(0.0)).
+The checks here read strengths; a record checks its own entries once, when
+it is built (channel parameters in `GadParams`, X-state weights in
+`XStateCoefficients`), and the closed forms trust it.
 """
 
 from __future__ import annotations
@@ -111,15 +114,14 @@ ARRAY = SimpleNamespace(
 )
 
 
-def namespace(*values, real=()):
+def namespace(*values):
     """(xp, values): ARRAY when any value is a numpy array, otherwise
     SCALAR. Each numpy scalar becomes the Python float it holds, so that it
     overflows as floats do, and each array becomes float64, so that an
     integer array cannot wrap and a float32 one is computed as its numpy
     scalars are. A complex value becomes a complex array, not truncated, for
-    its check to refuse by name; the last len(real) values, which no check
-    reads, are refused here when complex, each by its name in real. Other
-    values are passed on as given."""
+    the check that reads it to refuse by name. Other values are passed on as
+    given."""
     for value in values:  # plain floats, the common call, test nothing else
         if type(value) is not float:
             break
@@ -136,9 +138,6 @@ def namespace(*values, real=()):
         elif isinstance(value, np.generic):
             value = float(value)
         converted.append(value)
-    for name, value in zip(real, converted[len(converted) - len(real):]):
-        if np.iscomplexobj(value):  # every entry fails: the first is named
-            check_range(value, -math.inf, math.inf, f"{name} must be real, got {{!r}}")
     return xp, converted
 
 
@@ -184,7 +183,11 @@ FLOAT_MAX = sys.float_info.max
 def check_range(value, lower: float, upper: float, message: str, *shown):
     """value, once every entry is real and in [lower, upper]; otherwise
     ValueError(message.format(*shown)), `shown` (by default value) read as
-    for reject. Compares only: a valid Python float makes no numpy call."""
+    for reject. Compares only: a valid Python float makes no numpy call. A
+    numpy value meets the bounds as float64, so that a float32 one is not
+    compared with FLOAT_MAX cast to its own type, which overflows."""
+    if type(value) is not float and isinstance(value, (np.ndarray, np.generic)):
+        lower, upper = np.float64(lower), np.float64(upper)
     try:
         ok = (lower <= value) & (value <= upper)
     except TypeError:  # a Python complex has no order

@@ -67,7 +67,10 @@ class XStateCoefficients:
     """X-state entries.
 
     a, b, c, d are the diagonal weights on |00>, |01>, |10>, |11> at the
-    current pipeline stage; e is the coherence between |00> and |11>.
+    current pipeline stage; e is the coherence between |00> and |11>. Each
+    weight, a float or an array, is checked here once, in abcd order: a
+    complex, negative or NaN entry is refused by the weight's name, so the
+    readers below trust the record.
     """
 
     a: float
@@ -75,6 +78,15 @@ class XStateCoefficients:
     c: float
     d: float
     e: complex
+
+    def __post_init__(self) -> None:
+        a, b, c, d = weights = self.a, self.b, self.c, self.d
+        if (type(a) is type(b) is type(c) is type(d) is float
+                and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0):
+            return  # the common record, four valid floats: no more tests
+        for name, weight in zip("abcd", weights):
+            kind = "real" if np.iscomplexobj(weight) else "non-negative"
+            check_range(weight, 0.0, math.inf, f"{name} must be {kind}, got {{!r}}")
 
     def matrix(self) -> np.ndarray:
         """Assemble the 4x4 X-state (unnormalized when trace != 1)."""
@@ -209,9 +221,7 @@ def reversed_state(
     coeffs: XStateCoefficients, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Final normalized 4x4 state after the reversal, with its raw trace."""
-    xp, (n1, n2, a, b, c, d) = namespace(
-        n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d, real="abcd"
-    )
+    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
     reversed_coeffs = XStateCoefficients(
         n1 * n1 * n2 * n2 * a, n1 * n1 * b, n2 * n2 * c, d, n1 * n2 * coeffs.e
@@ -219,21 +229,13 @@ def reversed_state(
     return reversed_coeffs.matrix() / raw, raw
 
 
-def _check_weights(names: str, *weights) -> None:
-    """Name the first weight, in names order, with a negative or NaN entry."""
-    for name, weight in zip(names, weights):
-        check_range(weight, 0.0, math.inf, f"{name} must be non-negative, got {{!r}}")
-
-
 def concurrence_lambda1(coeffs: XStateCoefficients) -> float:
     """Concurrence argument 2(|e| - sqrt(bc)) of a trace-one X state.
 
     Negative values mean the state is separable (the caller clips at zero).
     """
-    _, (b, c) = namespace(coeffs.b, coeffs.c, real="bc")
-    if ((b >= 0.0) & (c >= 0.0)) is not True:  # valid floats skip the check
-        _check_weights("bc", b, c)
-    return 2.0 * (abs(coeffs.e) - math.sqrt(b * c))
+    xp, (b, c) = namespace(coeffs.b, coeffs.c)
+    return 2.0 * (xp.modulus(coeffs.e) - xp.sqrt(b * c))
 
 
 def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> float:
@@ -242,11 +244,7 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     Equals 2 n1 n2 (|e| - sqrt(bc)) divided by the reversed trace, so it
     reduces to the unprotected value at unit strengths.
     """
-    xp, (n1, n2, a, b, c, d) = namespace(
-        n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d, real="abcd"
-    )
-    if ((b >= 0.0) & (c >= 0.0)) is not True:  # valid floats skip the check
-        _check_weights("bc", b, c)
+    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
     return _lambda2(coeffs.e, b, c, n1, n2, raw, xp)
 
@@ -264,13 +262,11 @@ def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
     Where a product of coefficients overflows, at pre-measurement strengths
     above about 1e77, a strength is inf or NaN; optimized_protection names
     the strength that caused it."""
-    xp, (a, b, c, d) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d, real="abcd")
+    xp, (a, b, c, d) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     if xp.loud():
         return quietly(optimal_reversal, coeffs)
-    ok = (a * b > 0.0) & (a * c > 0.0) & (a > 0.0) & (d >= 0.0)  # so no weight is negative
-    if ok is not True and not np.all(ok):  # valid floats and arrays skip the checks below
-        _check_weights("abcd", a, b, c, d)
-        reject(ok, ValueError, "degenerate coefficients, reversal optimum undefined")
+    ok = (a * b > 0.0) & (a * c > 0.0)
+    reject(ok, ValueError, "degenerate coefficients, reversal optimum undefined")
     return xp.pow(c * d / (a * b), 0.25), xp.pow(b * d / (a * c), 0.25)
 
 

@@ -21,6 +21,7 @@ from decoshield.channels import GadParams, gad_channel
 from decoshield.entangle import (
     EntangledInput,
     XStateCoefficients,
+    concurrence_lambda1,
     concurrence_lambda2,
     measured_coefficients,
     optimal_parameters,
@@ -150,7 +151,7 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
     f64 = np.float64
     agree(each_coeffs[0], [outcome(measured_coefficients, inp, as_f64(ch1), as_f64(ch2),
                                    f64(ms[0]), f64(m2))], *xstate)
-    if not agree(coeffs, each_coeffs, *xstate):
+    if not agree(coeffs, each_coeffs, *xstate, concurrence_lambda1):
         return
 
     reversal = outcome(optimal_reversal, coeffs)

@@ -24,6 +24,7 @@ def test_box_helpers():
     assert box.contains(np.array([0.0, 2.0, 1.0]))
     assert not box.contains(np.array([0.0, 2.1, 1.0]))
     assert not box.contains(np.array([0.0, math.nan, 1.0]))
+    assert SearchBox((np.float32(0.1),), (np.float32(1.0),), (3,)).dim == 1
 
 
 def test_grid_finds_quadratic_peak():
@@ -193,6 +194,7 @@ def test_simplex_budget_exhaustion(monkeypatch):
 def test_stationarity_check():
     grad = stationarity_check(lambda x: 3.0 * x[0] - 2.0 * x[1], np.zeros(2), 1e-4)
     assert abs(grad - 3.0) < 1e-9
+    assert abs(stationarity_check(lambda x: 3.0 * x[0], np.zeros(1), np.float32(1e-4)) - 3.0) < 1e-9
     flat = stationarity_check(
         lambda x: -((x[0] - 0.25) ** 2), np.array([0.25]), 1e-5
     )

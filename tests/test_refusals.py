@@ -30,7 +30,6 @@ COEFFS = measured_coefficients(*PAIR, 0.5, 1.0)
 # a state with no |11> weight, and numpy-scalar entries whose reversed trace overflows
 GROUND = measured_coefficients(EntangledInput.from_alpha_sq(1.0), STILL, STILL, 1.0, 1.0)
 HUGE = XStateCoefficients(*map(np.float64, (1e300, 0.1, 0.1, 0.2)), 0.1 + 0j)
-COMPLEX_A = XStateCoefficients(np.complex128(0.3 + 0.1j), 0.2, 0.2, 0.3, 0.1)
 EXCITED = (EntangledInput.from_alpha_sq(0.0), *PAIR[1:])
 RHO = equatorial_state(0.4)
 PURE_GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -53,7 +52,6 @@ P_ZERO = "p = 0: optimal pre-measurement strength diverges"
 P_R_ONE = "p = 1 with r = 1: optimum is degenerate"
 UNDERFLOW = "p = 1e-200 with r = 1.0: optimal reversal strength overflows"
 DEGENERATE = "degenerate coefficients, reversal optimum undefined"
-NEGATIVE = "d must be non-negative, got -0.3"
 NOT_PURE = "reference state is not pure: tr(psi^2) = 0.5"
 # non-finite strengths, and ones whose square underflows or overflows
 BAD_SQUARES = (math.nan, math.inf, 1e-200, 1e160)
@@ -261,12 +259,10 @@ ROWS = [
     *(row(bad_strength(0.5 + 1j), apply_postselected, diagonal, RHO)
       for diagonal in ([0.5 + 1j, 1.0], [np.complex128(0.5 + 1j), 1.0], COMPLEX[2])),
     # (rows are appended here, so that every earlier row keeps its test id)
-    # complex values that no strength check reads: diagonal weights, the
-    # input weight and a difference step
-    row("a must be real, got (0.3+0.1j)", concurrence_lambda2, COMPLEX_A, 0.5, 0.5),
-    row("a must be real, got (0.3+0.1j)", optimal_reversal, COMPLEX_A),
-    row("c must be real, got (0.2+0.1j)", reversed_state,
-        XStateCoefficients(0.3, 0.2, 0.2 + 0.1j, 0.3, 0.1), 0.5, 0.5),
+    # complex values no strength check reads: X-state weights, the input weight, a step
+    *(row("a must be real, got (0.3+0.1j)", XStateCoefficients, z, 0.2, 0.2, 0.3, 0.1)
+      for z in (np.complex128(0.3 + 0.1j), 0.3 + 0.1j)),
+    row("c must be real, got (0.2+0.1j)", XStateCoefficients, 0.3, 0.2, 0.2 + 0.1j, 0.3, 0.1),
     *(row("alpha_sq must lie in [0, 1], got (0.5+1j)", EntangledInput.from_alpha_sq, z)
       for z in COMPLEX[:2]),
     row("step must be finite and positive, got (0.0001+1j)", stationarity_check,
@@ -276,29 +272,26 @@ ROWS = [
     row("resolution must be an integer, got 2.5", SearchBox, (0.0,), (1.0,), (2.5,)),
     row("resolution must be an integer, got nan", SearchBox, (0.0,), (1.0,), (math.nan,)),
     row("bounds must be finite, got [0.0, inf]", SearchBox, (0.0,), (math.inf,), (3,)),
-    # complex weights of the unprotected concurrence and complex, NaN or
-    # too-large search bounds and steps, each named; a negative X-state weight
-    *(row("b must be real, got (0.5+1j)", concurrence_lambda1,
-          XStateCoefficients(0.3, z, 0.2, 0.3, 0.1)) for z in COMPLEX),
+    # complex X-state weights, and complex, NaN or too-large search bounds and steps
+    *(row("b must be real, got (0.5+1j)", XStateCoefficients, 0.3, z, 0.2, 0.3, 0.1)
+      for z in COMPLEX),
     *(row("bounds must be finite, got [(0.5+1j), 1.0]", SearchBox, (z,), (1.0,), (3,))
       for z in COMPLEX[:2]),
     row("bounds must be finite, got [nan, 1.0]", SearchBox, (math.nan,), (1.0,), (3,)),
     row(f"bounds must be finite, got [0.0, {10**400}]", SearchBox, (0.0,), (10**400,), (3,)),
     *(row(f"step must be finite and positive, got {shown}", stationarity_check, lambda x: 0.0,
           np.zeros(1), step) for step, shown in ((10**400, 10**400), (np.float64("nan"), "nan"))),
-    row(NEGATIVE, optimal_reversal, XStateCoefficients(0.3, 0.2, 0.2, -0.3, 0.1)),
-    row(NEGATIVE, optimal_reversal, XStateCoefficients(0.3, 0.2, 0.2, np.array([0.3, -0.3]), 0.1)),
-    row("b must be non-negative, got -0.2", optimal_reversal,
-        XStateCoefficients(0.3, -0.2, 0.2, 0.3, 0.1)),
-    # a negative or NaN weight under the concurrences' root, scalar or array
-    row("b must be non-negative, got -0.2", concurrence_lambda1,
-        XStateCoefficients(0.3, -0.2, 0.2, 0.3, 0.1)),
-    *(row("b must be non-negative, got -0.2", concurrence_lambda2,
-          XStateCoefficients(0.3, b, 0.2, 0.3, 0.1), 0.5, 0.5) for b in (-0.2, np.array([-0.2, 0.2]))),
-    row("c must be non-negative, got nan", concurrence_lambda1,
-        XStateCoefficients(0.3, 0.2, math.nan, 0.3, 0.1)),
-    row("c must be non-negative, got nan", concurrence_lambda2,
-        XStateCoefficients(0.3, 0.2, math.nan, 0.3, 0.1), 0.5, 0.5),
+    # a negative or NaN X-state weight as a float, a numpy scalar or an array
+    *(row("d must be non-negative, got -0.3", XStateCoefficients, 0.3, 0.2, 0.2, d, 0.1)
+      for d in (-0.3, np.array([0.3, -0.3]))),
+    *(row("b must be non-negative, got -0.2", XStateCoefficients, a, b, 0.2, 0.3, 0.1)
+      for a, b in ((0.3, -0.2), (0.3, np.float64(-0.2)), (np.array([0.3, 0.4]), -0.2),
+                   (0.3, np.array([-0.2, 0.2])))),
+    *(row("c must be non-negative, got nan", XStateCoefficients, 0.3, 0.2, c, 0.3, 0.1)
+      for c in (math.nan, np.array([0.2, math.nan]))),
+    # of two bad weights the first in abcd order is named
+    *(row("a must be non-negative, got -0.3", XStateCoefficients, -0.3, 0.2, 0.2, d, 0.1)
+      for d in (math.nan, 0.3)),
 ]
 
 
@@ -317,7 +310,7 @@ EXEMPT = (
     *((name, "a result record") for name in (
         "AverageFidelityReport", "ConcurrenceReport", "OptimalStrengths", "ProtectionResult",
         "SearchResult")),
-    ("XStateCoefficients", "a record of X-state entries; its readers check their strengths"),
+    ("concurrence_lambda1", "reads only X-state weights, which XStateCoefficients checks"),
     ("PostSelectionError", "the error type of a void run, not an entry point"),
     *((name, "takes only already-validated GadParams") for name in (
         "baseline_fidelity", "g_value", "gad_channel", "lambda2_max", "component_coefficients")),
@@ -343,6 +336,8 @@ def test_valid_floats_never_reach_the_refusal_path(monkeypatch):
     pipeline_state(BELL, REF, REF, 0.5, 1.0, 1.2, 1.0)
     concurrence_lambda1(COEFFS)
     concurrence_lambda2(COEFFS, 0.5, 1.2)
+    optimal_reversal(COEFFS)
+    reversed_state(COEFFS, 0.5, 1.2)  # which builds an XStateCoefficients of floats
 
 
 def test_every_public_entry_point_has_a_row_or_an_exemption():

@@ -37,6 +37,7 @@ def test_physical_form_rescales_only_above_one():
     for diagonal, physical in (
         ([1.0, 0.6], [1.0, 0.6]),
         ([1.0, 2.5], [0.4, 1.0]),
+        (np.array([1.0, 2.5], np.float32), [0.4, 1.0]),
         (pre_diagonal(2.0, 1.5), pre_diagonal(2.0, 1.5) / 3.0),
     ):
         rho_n = np.kron(rho, rho) if len(physical) == 4 else rho

@@ -9,9 +9,9 @@ no numpy scalars in results), ARRAY broadcasts; the closed forms branch on
 nothing else. Besides the arithmetic (`minimum`, `maximum`, `sqrt`,
 `modulus`, `pow`, `complex`), each has `assemble(entries, shape, dtype)`,
 an array of that shape from its entries in C order (for ARRAY a stack, one
-per point, each `ZERO` entry left to np.zeros), `broadcast(*values)`,
-`per_matrix(value)`, a value per point shaped to divide a stack of
-matrices, and `loud()`, whether an array call re-runs inside `quietly`.
+per point), `broadcast(*values)`, `per_matrix(value)`, a value per point
+shaped to divide a stack of matrices, and `loud()`, whether an array call
+re-runs inside `quietly`.
 
 Every array entry equals the scalar call at that point bit for bit. Real
 `+ - * /` and sqrt are correctly rounded and minimum and maximum exact
@@ -21,8 +21,8 @@ through libm as well. Complex values are assembled from real and
 imaginary parts computed in real arithmetic, because numpy's complex
 product can differ from Python's in the sign of a zero part.
 
-The Kraus pipeline's measurement diagonals take the same two paths; its
-matrix stages run on stacks, where the helpers here give each matrix the
+The Kraus pipeline builds its measurement diagonals on the same two paths;
+its matrix stages run on stacks, where the helpers here give each matrix the
 bits it gets on its own.
 
 Every check that takes arrays refuses through `reject`, naming the first
@@ -74,17 +74,13 @@ def quietly(fn, *args):
         return fn(*args)
 
 
-ZERO = 0.0  # an entry ARRAY.assemble leaves to np.zeros, by identity: -0.0 is written
-
-
 def _assemble_array(entries, shape, dtype):
     shapes = {entry.shape for entry in entries if type(entry) is not float}
     # the common stack has one shape, its own broadcast: skip the slow call
     lead = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     flat = np.zeros(lead + (len(entries),), dtype)
     for i, entry in enumerate(entries):
-        if entry is not ZERO:
-            flat[..., i] = entry
+        flat[..., i] = entry
     return flat.reshape(lead + shape)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import ZERO, check_range, namespace, ordered_sum
+from ._elementwise import check_range, namespace, ordered_sum
 from .linalg import dagger
 
 
@@ -45,10 +45,10 @@ def gad_channel(params: GadParams) -> np.ndarray:
     sp, sq = xp.sqrt(p), xp.sqrt(1.0 - p)
     kr, kd = xp.sqrt(r), xp.sqrt(1.0 - r)
     return xp.assemble((
-        sp, ZERO, ZERO, sp * kd,
-        ZERO, sp * kr, ZERO, ZERO,
-        sq * kd, ZERO, ZERO, sq,
-        ZERO, ZERO, sq * kr, ZERO,
+        sp, 0.0, 0.0, sp * kd,
+        0.0, sp * kr, 0.0, 0.0,
+        sq * kd, 0.0, 0.0, sq,
+        0.0, 0.0, sq * kr, 0.0,
     ), (4, 2, 2), complex)
 
 

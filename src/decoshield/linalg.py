@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ._elementwise import real_trace, reject
+from ._elementwise import FLOAT_MAX, check_range, real_trace, reject
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -24,12 +24,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def equatorial_state(phi: float) -> np.ndarray:
-    """Density matrix of (|0> + e^{i phi} |1>) / sqrt(2).
+    """Density matrix of (|0> + e^{i phi} |1>) / sqrt(2), for a finite real phi.
 
     The Bloch form (I + cos(theta) Z + sin(theta) (cos(phi) X + sin(phi) Y)) / 2
     at polar angle theta = pi/2, with the float cos(pi/2) = 6.1e-17 kept on
     the diagonal: the error-rate CSVs were recorded with it.
     """
+    check_range(phi, -FLOAT_MAX, FLOAT_MAX, "phi must be finite and real, got {!r}")
     phi %= 2.0 * math.pi
     coherence = complex(0.5 * math.cos(phi), -0.5 * math.sin(phi))
     return np.array([
@@ -39,18 +40,18 @@ def equatorial_state(phi: float) -> np.ndarray:
 
 
 def validate_density(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and positive."""
+    """Raise ValueError unless rho is Hermitian, unit-trace and positive (NaN fails)."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
     herm = np.abs(rho - dagger(rho)).max()
-    if herm > HERMITICITY_ATOL:
+    if not herm <= HERMITICITY_ATOL:  # each test written so that NaN fails
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = rho.trace()
-    if abs(tr - 1.0) > TRACE_ATOL:
+    if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace is {tr}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w.min() < EIGENVALUE_FLOOR:
+    if not w.min() >= EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {w.min():.3e}")
 
 

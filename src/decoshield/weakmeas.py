@@ -102,10 +102,8 @@ def _postselect(diagonal, rho: np.ndarray) -> tuple[np.ndarray, float]:
     dim = diagonal.shape[-1]
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"dimension mismatch: diagonal of {dim} vs rho {rho.shape}")
-    # one diagonal: its entries as floats; a stack: one (..., 1) array per entry
-    cols = diagonal.tolist() if diagonal.ndim == 1 else [diagonal[..., i, None] for i in range(dim)]
-    xp, entries = namespace(*cols)
-    k = diagonal * (1.0 / functools.reduce(xp.maximum, entries, 1.0))
+    k = diagonal * (1.0 / (max(1.0, *diagonal.tolist()) if diagonal.ndim == 1 else
+                           np.maximum.reduce(diagonal, axis=-1, keepdims=True, initial=1.0)))
     # row by row, then column by column: K rho K^dag with no zero terms
     k = k.astype(np.result_type(rho, k))  # cast once, not in both products
     raw = rho * k[..., :, None] * k[..., None, :]

@@ -12,6 +12,7 @@ from decoshield import checks
 
 real_optimal_parameters = checks.optimal_parameters
 real_protected_state = checks.protected_state
+real_protect_equatorial = checks.protect_equatorial
 
 
 def nan_for_later_weights(inp, ch1, ch2):
@@ -24,10 +25,14 @@ def nan_success(*args):
     return real_protected_state(*args)[0], math.nan
 
 
+def nan_state(*args):
+    return dataclasses.replace(real_protect_equatorial(*args), output_state=np.full((2, 2), np.nan))
+
+
 # (family, count, name patched in decoshield.checks, its NaN stand-in), one
 # for each way a family reduces its gaps: a running maximum over draws, the
-# maximum of several gaps, a spread over reports, a probability range and
-# the clip of a concurrence at zero
+# maximum of several gaps, a spread over reports, a probability range, the
+# clip of a concurrence at zero and a state handed to validate_density
 NAN_ROUTES = [
     (checks.dilation_vs_kraus, 3, "apply_via_dilation", lambda ch, rho: np.full((2, 2), np.nan)),
     (checks.xstate_vs_wootters, 3, "wootters_concurrence", lambda rho: math.nan),
@@ -39,6 +44,7 @@ NAN_ROUTES = [
      lambda psi, rho: np.full(psi.shape[:-2], np.nan)),
     (checks.alpha_weight_independence, 5, "optimal_parameters", nan_for_later_weights),
     (checks.output_density_validity, 3, "protected_state", nan_success),
+    (checks.output_density_validity, 3, "protect_equatorial", nan_state),
 ]
 
 

@@ -292,6 +292,13 @@ ROWS = [
     # of two bad weights the first in abcd order is named
     *(row("a must be non-negative, got -0.3", XStateCoefficients, -0.3, 0.2, 0.2, d, 0.1)
       for d in (math.nan, 0.3)),
+    # a NaN, infinite or complex azimuth, and a NaN density matrix
+    *(row(f"phi must be finite and real, got {shown}", fn, *args, phi)
+      for phi, shown in ((math.nan, "nan"), (math.inf, "inf"), (COMPLEX[0], "(0.5+1j)"),
+                         (COMPLEX[1], "(0.5+1j)"))
+      for fn, args in ((equatorial_state, ()), (protect_equatorial, (REF, 0.5, 0.7)))),
+    row("not Hermitian: max |rho - rho^dag| = nan", validate_density,
+        np.full((2, 2), math.nan, complex)),
 ]
 
 
@@ -316,7 +323,6 @@ EXEMPT = (
         "baseline_fidelity", "g_value", "gad_channel", "lambda2_max", "component_coefficients")),
     ("channel_degraded_state", "takes only validated inputs, at unit strengths"),
     ("check_trace_preserving", "a defect measure of any operator stack"),
-    ("equatorial_state", "any real azimuth wraps into [0, 2 pi)"),
     ("grid_maximize", "takes an already-validated SearchBox; a failing point scores -inf"),
 )
 
@@ -332,7 +338,8 @@ def test_valid_floats_never_reach_the_refusal_path(monkeypatch):
     EntangledInput.from_alpha_sq(0.5)
     stationarity_check(lambda x: 0.0, np.zeros(1), 1e-4)
     SearchBox((0.0, -1.0), (1.0, 2.0), (3, 4))
-    protect_equatorial(REF, 0.5, 1.2)
+    equatorial_state(0.7)
+    protect_equatorial(REF, 0.5, 1.2, 0.7)
     pipeline_state(BELL, REF, REF, 0.5, 1.0, 1.2, 1.0)
     concurrence_lambda1(COEFFS)
     concurrence_lambda2(COEFFS, 0.5, 1.2)

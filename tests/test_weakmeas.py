@@ -44,6 +44,12 @@ def test_physical_form_rescales_only_above_one():
         state, prob = apply_postselected(diagonal, rho_n)
         k = np.asarray(physical)
         assert np.max(np.abs(prob * state - np.outer(k, k) * rho_n)) < 1e-15
+    # a stack whose rows peak at different entries: each row as its lone call
+    rows = np.array([[1.0, 0.6], [1.0, 2.5], [3.0, 0.5]])
+    states, probs = apply_postselected(rows, rho)
+    for diagonal, state, prob in zip(rows, states, probs):
+        lone_state, lone_prob = apply_postselected(diagonal, rho)
+        assert state.tobytes() == lone_state.tobytes() and prob == lone_prob
 
 
 def test_postselected_probability_equatorial():

@@ -193,6 +193,14 @@ def check_range(value, lower: float, upper: float, message: str, *shown):
     return value
 
 
+def check_azimuth(phi):
+    """phi, once it is one finite real number; otherwise ValueError naming
+    phi. A Python float makes no numpy call."""
+    if type(phi) is not float and np.ndim(phi):
+        raise ValueError(f"phi must be a scalar, got shape {np.shape(phi)}")
+    return check_range(phi, -FLOAT_MAX, FLOAT_MAX, "phi must be finite and real, got {!r}")
+
+
 def check_strength(name: str, value, zero_ok: bool = False):
     """value, a Python int as the float it holds, once every entry is
     positive, or non-negative when zero_ok, with a finite square that is

@@ -107,15 +107,45 @@ def _call(flag: str, fn, *args):
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-size float columns as CSV rows, in C order, each value at
-    12 significant digits, rendering CSV_CHUNK_ROWS rows at a time."""
-    table = np.column_stack([np.ravel(col) for col in columns])
-    row = ",".join(["%.12g"] * len(header)) + "\n"
+    12 significant digits, rendering at most CSV_CHUNK_ROWS rows per write.
+
+    The rows are cut into blocks along the first column's last axis: one
+    block per m of a qubit sweep, one block for the entangle sweep. What
+    repeats by block is formatted once. A leading column that is constant in
+    every block (m) is formatted once per block, as the row prefix; the last
+    column never is. A column whose blocks are all the same bit for bit (n,
+    and f0, f1 of qubit-average) is formatted once per position in a block,
+    into that position's row template. Every other value is formatted once
+    per row, by one `%` per write. With one block, or when no column
+    repeats, all positions share one row template."""
+    width = np.shape(columns[0])[-1]
+    cols = [np.ascontiguousarray(col, dtype=np.float64).reshape(-1, width) for col in columns]
+    bits = [col.view(np.uint64) for col in cols]  # so -0.0 and 0.0 stay apart
+    blocks = len(cols[0])
+    lead = 0
+    while lead < len(cols) - 1 and (bits[lead] == bits[lead][:, :1]).all():
+        lead += 1
+    heads = zip(*(col[:, 0].tolist() for col in cols[:lead])) if lead else [()] * blocks
+    prefixes = [("%.12g," * lead) % head for head in heads]
+    repeats = [blocks > 1 and bool((b == b[:1]).all()) for b in bits[lead:]]
+    if any(repeats):
+        cells = [["%.12g" % value for value in col[0].tolist()] if repeat else ["%.12g"] * width
+                 for col, repeat in zip(cols[lead:], repeats)]
+        templates = [",".join(parts) + "\n" for parts in zip(*cells)]
+    else:
+        templates = [",".join(["%.12g"] * len(repeats)) + "\n"] * width
+    others = [col for col, repeat in zip(cols[lead:], repeats) if not repeat]
+    table = np.stack(others, axis=-1) if others else np.empty((blocks, width, 0))
 
     def dump(fh) -> None:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            chunk = table[start:start + CSV_CHUNK_ROWS]
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for prefix, block in zip(prefixes, table):
+            for start in range(0, width, CSV_CHUNK_ROWS):
+                stop = start + CSV_CHUNK_ROWS
+                # no name holds a chunk's floats, so they are freed before
+                # the next chunk's are made
+                fh.write(prefix + prefix.join(templates[start:stop])
+                         % tuple(block[start:stop].ravel().tolist()))
 
     if path == "-":
         dump(sys.stdout)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ._elementwise import FLOAT_MAX, check_range, real_trace, reject
+from ._elementwise import check_azimuth, real_trace, reject
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -30,7 +30,7 @@ def equatorial_state(phi: float) -> np.ndarray:
     at polar angle theta = pi/2, with the float cos(pi/2) = 6.1e-17 kept on
     the diagonal: the error-rate CSVs were recorded with it.
     """
-    check_range(phi, -FLOAT_MAX, FLOAT_MAX, "phi must be finite and real, got {!r}")
+    check_azimuth(phi)
     phi %= 2.0 * math.pi
     coherence = complex(0.5 * math.cos(phi), -0.5 * math.sin(phi))
     return np.array([
@@ -83,6 +83,8 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     """
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    # eigh on a NaN or inf entry fails without naming it
+    reject(np.isfinite(rho), ValueError, "rho must be finite, got {!r}", rho)
     # one eigendecomposition serves the check and the root; tiny negatives pass and are clipped
     w, v = np.linalg.eigh(rho)
     if w.min() < EIGENVALUE_FLOOR:

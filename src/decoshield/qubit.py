@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import (
-    FLOAT_MAX, check_finite, check_range, check_strength, namespace, ordered_sum, quietly, reject,
+    check_azimuth, check_finite, check_strength, namespace, ordered_sum, quietly, reject,
 )
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
@@ -99,7 +99,7 @@ def protect_equatorial(
         return quietly(protect_equatorial, params, m, n, phi)
     m = check_strength("m", m)
     n = check_strength("n", n)
-    check_range(phi, -FLOAT_MAX, FLOAT_MAX, "phi must be finite and real, got {!r}")
+    check_azimuth(phi)
     diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
     lost = m * m * (1.0 - p * r)
     leak = (1.0 - p) * r

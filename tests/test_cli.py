@@ -1,14 +1,17 @@
 import argparse
+import contextlib
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import decoshield
+from decoshield import cli
 from decoshield.channels import GadParams
 from decoshield.checks import CHECKS
 from decoshield.cli import entry
@@ -53,11 +56,11 @@ def entangle_rows(inp, ch1, ch2, ms):
     return rows
 
 
-def test_output_is_byte_stable(tmp_path):
+def test_output_is_byte_stable(tmp_path, monkeypatch, capsys):
     # every sweep's bytes equal rows built from scalar library calls
     params = GadParams(0.7, 0.4)
-    grid = [(m, n) for m in np.linspace(0.05, 3.5, 23).tolist()
-            for n in np.linspace(0.1, 2.7, 19).tolist()]
+    ms, ns = np.linspace(0.05, 3.5, 23).tolist(), np.linspace(0.1, 2.7, 19).tolist()
+    grid = [(m, n) for m in ms for n in ns]
     small = [(m, n) for m in np.linspace(0.25, 1.0, 4).tolist()
              for n in np.linspace(0.25, 1.0, 4).tolist()]
     qubit = ["--p", "0.7", "--r", "0.4"]
@@ -95,10 +98,47 @@ def test_output_is_byte_stable(tmp_path):
                           np.linspace(0.0, 5.0, 3001)),
         ),
     ]
+    # the writer's edge shapes: one row per block, where every column but
+    # the last is constant in its block; one block; blocks that are all the
+    # same, which leave no value to format per row
+    average = ("m", "n", "f0", "f1", "fe", "favg")
+    cases += [
+        (
+            ["qubit-average", *qubit, "--m-range", "0.05:3.5:23", "--n-range", "0.7:0.7:1"],
+            average, [(m, 0.7, *vars(average_fidelity_six(params, m, 0.7)).values())
+                      for m in ms],
+        ),
+        (
+            ["qubit-fidelity", *qubit, "--m-range", "0.6:0.6:1", "--n-range", "0.1:2.7:19"],
+            ("m", "n", "fidelity", "success_prob"),
+            [(0.6, n, res.fidelity, res.success_prob)
+             for n in ns for res in [protect_equatorial(params, 0.6, n)]],
+        ),
+        (
+            ["qubit-average", *qubit, "--m-range", "0.6:0.6:3", "--n-range", "0.1:2.7:19"],
+            average, [(0.6, n, *vars(average_fidelity_six(params, 0.6, n)).values())
+                      for _ in range(3) for n in ns],
+        ),
+    ]
     for argv, header, rows in cases:
         out = tmp_path / "out.csv"
         assert entry([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == scalar_csv(header, rows), argv
+    # stdout takes the same bytes
+    argv, header, rows = cases[2]
+    assert entry([*argv, "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == scalar_csv(header, rows)
+    # writes of at most 5 rows split each block of the two grids
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 5)
+    for argv, header, rows in cases[:2]:
+        writes = []
+        with contextlib.redirect_stdout(SimpleNamespace(write=writes.append)):
+            assert entry([*argv, "--out", "-"]) == 0
+        assert "".join(writes).encode() == scalar_csv(header, rows), argv
+        assert max(text.count("\n") for text in writes) == 5, argv
+    # blocks are compared bit for bit: -0.0 is not taken for 0.0
+    cli._write_csv(str(out), ("a", "b"), (np.ones((2, 2)), np.array([[0.0, 1.0], [-0.0, 1.0]])))
+    assert out.read_bytes() == b"a,b\n1,0\n1,1\n1,-0\n1,1\n"
     # the m = 0 row of the default entangle sweep is the fully collapsed
     # limit: no coherence survives, and the concurrence prints as 0
     m, _, _, lam2, concurrence, _ = cases[3][2][0]

@@ -299,6 +299,15 @@ ROWS = [
       for fn, args in ((equatorial_state, ()), (protect_equatorial, (REF, 0.5, 0.7)))),
     row("not Hermitian: max |rho - rho^dag| = nan", validate_density,
         np.full((2, 2), math.nan, complex)),
+    # an azimuth is one number, and the Wootters route names a non-finite entry
+    *(row("phi must be a scalar, got shape (2,)", fn, *args, phi)
+      for phi in (np.array([0.1, 0.2]), [0.1, 0.2])
+      for fn, args in ((equatorial_state, ()), (protect_equatorial, (REF, 0.5, 0.7)))),
+    row("rho must be finite, got (nan+0j)", wootters_concurrence,
+        np.full((4, 4), math.nan, complex)),
+    row("rho must be finite, got nan", wootters_concurrence, np.diag([0.25, math.nan, 0.25, 0.25])),
+    row("rho must be finite, got (inf+0j)", wootters_concurrence,
+        np.diag([0.25, math.inf, 0.25, 0.25]).astype(complex)),
 ]
 
 

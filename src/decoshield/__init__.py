@@ -1,6 +1,8 @@
 """Weak-measurement protection of qubit states and two-qubit entanglement
 passing through finite-temperature amplitude-damping channels."""
 
+import types
+
 from .channels import (
     GadParams,
     apply_channel,
@@ -58,51 +60,10 @@ from .weakmeas import (
     pre_diagonal,
 )
 
-__all__ = [
-    "AverageFidelityReport",
-    "ConcurrenceReport",
-    "EntangledInput",
-    "GadParams",
-    "OptimalStrengths",
-    "PostSelectionError",
-    "ProtectionResult",
-    "SearchBox",
-    "SearchResult",
-    "XStateCoefficients",
-    "apply_channel",
-    "apply_on_qubit",
-    "apply_postselected",
-    "apply_protection",
-    "apply_via_dilation",
-    "average_fidelity_six",
-    "baseline_fidelity",
-    "bb84_error_rate",
-    "channel_degraded_state",
-    "check_trace_preserving",
-    "component_coefficients",
-    "concurrence_lambda1",
-    "concurrence_lambda2",
-    "equatorial_state",
-    "fidelity",
-    "g_value",
-    "gad_channel",
-    "grid_maximize",
-    "kraus_pipeline_state",
-    "lambda2_max",
-    "measured_coefficients",
-    "optimal_parameters",
-    "optimal_reversal",
-    "optimal_strengths",
-    "pipeline_state",
-    "post_diagonal",
-    "pre_diagonal",
-    "protect_equatorial",
-    "protected_state",
-    "reversed_state",
-    "simplex_maximize",
-    "stationarity_check",
-    "validate_density",
-    "wootters_concurrence",
-]
+# every public name the imports above bind; submodules are left out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -44,7 +44,8 @@ from types import SimpleNamespace
 import numpy as np
 
 
-def _libm_pow(x: np.ndarray, y: float) -> np.ndarray:
+def _libm_pow(x, y: float) -> np.ndarray:
+    x = np.asarray(x)
     return np.array([v ** y for v in x.ravel().tolist()]).reshape(x.shape)
 
 

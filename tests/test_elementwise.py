@@ -235,6 +235,10 @@ def test_pipeline_arrays(pairs, ms, ns, phi):
             for ch in channels for mi in ms]
     agree(outcome(measured_coefficients, bell, stack, channels[0], np.array(ms), ns[0]), each,
           *fields("a", "b", "c", "d", "e"))
+    # the channel array against float strengths
+    each = [outcome(measured_coefficients, bell, ch, channels[0], ms[0], ns[0]) for ch in channels]
+    agree(outcome(measured_coefficients, bell, stack, channels[0], ms[0], ns[0]), each,
+          *fields("a", "b", "c", "d", "e"))
 
     params = channels[0]
     m, n = np.array(ms)[:, None], np.array(ns)[None, :]

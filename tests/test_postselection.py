@@ -1,9 +1,18 @@
-"""One post-selection rule: a run is void when the joint success probability
-of both weak-measurement outcomes falls below MIN_POSTSELECT_PROB.
+"""Two properties over the whole domain, on one draw each, for one qubit
+and for an entangled pair.
 
-The closed forms and the Kraus pipelines each apply that rule on their own
-numbers; the properties check, over the whole domain, that they void
-exactly the same runs and agree within 1e-12 on the runs they keep.
+The closed-form optima bound every sampled strength. The optima may reject
+a parameter point, but only with a ValueError; a strength point may be
+rejected likewise (its post-selection voided, say), and is then skipped.
+
+One post-selection rule: a run is void when the joint success probability
+of both weak-measurement outcomes falls below MIN_POSTSELECT_PROB. The
+closed forms and the Kraus pipelines each apply that rule on their own
+numbers; they void exactly the same runs and agree within 1e-12 on the
+runs they keep.
+
+p, r run over [0, 1] with 0 and 1 drawn explicitly, and two-qubit inputs
+carry any phase and weights 0 and 1 as well.
 """
 
 import cmath
@@ -15,9 +24,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from decoshield.channels import GadParams
-from decoshield.entangle import EntangledInput, pipeline_state, protected_state, reversed_state
+from decoshield.entangle import (
+    EntangledInput,
+    concurrence_lambda2,
+    lambda2_max,
+    measured_coefficients,
+    optimal_parameters,
+    pipeline_state,
+    protected_state,
+    reversed_state,
+)
 from decoshield.linalg import equatorial_state, fidelity
-from decoshield.qubit import apply_protection, average_fidelity_six, protect_equatorial
+from decoshield.qubit import (
+    apply_protection,
+    average_fidelity_six,
+    optimal_strengths,
+    protect_equatorial,
+)
 from decoshield.weakmeas import MIN_POSTSELECT_PROB, PostSelectionError, require_postselection
 
 PROPERTY = settings(max_examples=400)
@@ -32,6 +55,14 @@ strength = st.one_of(
     st.floats(1e-12, 50.0),
 )
 phases = st.floats(0.0, 2.0 * math.pi)
+
+
+def attempt(fn, *args):
+    """fn(*args), or None when it raises ValueError (PostSelectionError included)."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
 
 
 def voided(fn, *args, prob):
@@ -70,6 +101,10 @@ def test_qubit_routes_void_the_same_runs(params, m, n, phi):
     psi = equatorial_state(phi)
     closed = voided(protect_equatorial, params, m, n, phi, prob=lambda res: res.success_prob)
     generic = voided(apply_protection, params, m, n, psi, prob=lambda out: out[1])
+    # the fidelity does not depend on phi: phi only turns the coherence
+    best = attempt(optimal_strengths, params)
+    if best is not None and closed[0] is not None:
+        assert closed[0].fidelity <= best.f_max + TOL, (best, closed[0].fidelity)
     if routes_agree(closed, generic):
         res, (state, _) = closed[0], generic[0]
         assert gap(res.output_state, state) <= TOL
@@ -82,6 +117,17 @@ def test_entangle_routes_void_the_same_runs(ch1, ch2, alpha_sq, phase, m1, m2, n
     inp = EntangledInput(
         math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * cmath.exp(1j * phase)
     )
+    ceiling = lambda2_max(ch1, ch2)
+    report = attempt(optimal_parameters, inp, ch1, ch2)
+    if report is not None:
+        assert report.lambda2_max == ceiling
+        if report.degenerate is None:
+            assert abs(report.lambda2 - ceiling) <= TOL, report
+    coeffs = attempt(measured_coefficients, inp, ch1, ch2, m1, m2)
+    lam2 = None if coeffs is None else attempt(concurrence_lambda2, coeffs, n1, n2)
+    if lam2 is not None:
+        assert max(0.0, lam2) <= max(0.0, ceiling) + TOL, (lam2, ceiling)
+
     strengths = (m1, m2, n1, n2)
     closed = voided(protected_state, inp, ch1, ch2, *strengths, prob=lambda out: out[1])
     generic = voided(pipeline_state, inp, ch1, ch2, *strengths, prob=lambda out: out[1])

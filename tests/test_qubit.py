@@ -97,15 +97,6 @@ def test_projective_limit():
     assert average_fidelity_six(near, best.m, best.n).favg > 1.0 - 1e-5
 
 
-def test_protection_never_hurts():
-    for p in np.linspace(0.05, 1.0, 12):
-        for r in np.linspace(0.0, 0.95, 12):
-            params = GadParams(float(p), float(r))
-            best = optimal_strengths(params)
-            assert best.f_max >= baseline_fidelity(params) - 1e-12
-            assert g_value(params) <= 1.0 + 1e-12
-
-
 def test_g_value_special_points():
     assert abs(g_value(GadParams(0.5, 0.7)) - 1.0) < 1e-15
     assert abs(g_value(GadParams(0.3, 0.0)) - 1.0) < 1e-15

@@ -76,7 +76,7 @@ def quietly(fn, *args):
 
 
 def _assemble_array(entries, shape, dtype):
-    shapes = {entry.shape for entry in entries if type(entry) is not float}
+    shapes = {entry.shape for entry in entries if type(entry) not in (float, complex)}
     # the common stack has one shape, its own broadcast: skip the slow call
     lead = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     flat = np.zeros(lead + (len(entries),), dtype)

@@ -97,23 +97,10 @@ def _kraus_sum(ops, rho, outer, inner):
 
 
 def check_trace_preserving(ops: np.ndarray) -> float:
-    """Max-norm completeness defect ||sum E^dag E - I||_max (the adjoint channel on I)."""
+    """Max-norm completeness defect ||sum E^dag E - I||_max (the adjoint channel
+    on I); for a (..., k, d, d) stack of channels, the largest in the stack."""
     eye = np.eye(ops.shape[-1])
     return float(np.abs(apply_channel(dagger(ops), eye) - eye).max())
-
-
-def _dilation_isometry(params: GadParams) -> np.ndarray:
-    # columns are the images of |0> and |1> in system (x) two-environment-qubit
-    # space; environment basis ordered binary ascending |00>,|01>,|10>,|11>
-    p, r = params.p, params.r
-    v = np.zeros((8, 2), dtype=complex)
-    v[0, 0] = np.sqrt(p)                          # |0>|00>
-    v[1, 0] = np.sqrt((1.0 - p) * (1.0 - r))      # |0>|01>
-    v[7, 0] = np.sqrt((1.0 - p) * r)              # |1>|11>
-    v[4, 1] = np.sqrt(p * (1.0 - r))              # |1>|00>
-    v[2, 1] = np.sqrt(p * r)                      # |0>|10>
-    v[5, 1] = np.sqrt(1.0 - p)                    # |1>|01>
-    return v
 
 
 def apply_via_dilation(params: GadParams, rho: np.ndarray) -> np.ndarray:
@@ -121,10 +108,20 @@ def apply_via_dilation(params: GadParams, rho: np.ndarray) -> np.ndarray:
 
     Evolves rho jointly with a two-qubit environment prepared in |00>, then
     traces the environment out. Serves as an independent oracle for the
-    Kraus-sum route; both must agree to machine precision.
+    Kraus-sum route; both must agree to machine precision. rho may be a
+    (..., 2, 2) stack and p, r arrays, broadcasting as for apply_channel;
+    each state gets the bits it gets on its own.
     """
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
-    v = _dilation_isometry(params)
+    xp, (p, r) = namespace(params.p, params.r)
+    # rows: system (x) two-environment-qubit states, the environment ordered
+    # binary ascending |00>,|01>,|10>,|11>; columns: the images of |0>, |1>
+    v = xp.assemble((
+        xp.sqrt(p), 0.0, xp.sqrt((1.0 - p) * (1.0 - r)), 0.0,  # |0>|00>, |0>|01>
+        0.0, xp.sqrt(p * r), 0.0, 0.0,                          # |0>|10>, |0>|11>
+        0.0, xp.sqrt(p * (1.0 - r)), 0.0, xp.sqrt(1.0 - p),     # |1>|00>, |1>|01>
+        0.0, 0.0, xp.sqrt((1.0 - p) * r), 0.0,                  # |1>|10>, |1>|11>
+    ), (8, 2), complex)
     joint = v @ rho @ dagger(v)
-    return np.trace(joint.reshape(2, 4, 2, 4), axis1=1, axis2=3)
+    return np.trace(joint.reshape(joint.shape[:-2] + (2, 4, 2, 4)), axis1=-3, axis2=-1)

@@ -105,6 +105,11 @@ def _strengths(rng: np.random.Generator, count: int) -> list[float]:
     return [float(v) for v in rng.uniform(0.05, 2.0, size=count)]
 
 
+def _stacked(channels) -> GadParams:
+    """The channels as one GadParams of (len(channels),) arrays."""
+    return GadParams(np.array([ch.p for ch in channels]), np.array([ch.r for ch in channels]))
+
+
 def _density(rng: np.random.Generator) -> np.ndarray:
     mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = mat @ mat.conj().T
@@ -135,25 +140,22 @@ def _qubit_points(count: int) -> list[GadParams]:
 
 def kraus_completeness(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """The four corner channels and `count` drawn ones are complete and fix
-    their thermal state diag(p, 1 - p)."""
+    their thermal state diag(p, 1 - p), all checked as one stack."""
     corners = [GadParams(p, r) for p in (0.0, 1.0) for r in (0.0, 1.0)]
-    defect = 0.0
-    for params in corners + [_channel(rng, i) for i in range(count)]:
-        ch = gad_channel(params)
-        thermal = np.diag([params.p, 1.0 - params.p]).astype(complex)
-        kept = _gap(apply_channel(ch, thermal), thermal)
-        defect = _worst(defect, check_trace_preserving(ch), kept)
+    stack = _stacked(corners + [_channel(rng, i) for i in range(count)])
+    ch = gad_channel(stack)
+    thermal = (np.stack([stack.p, 1.0 - stack.p], -1)[..., None] * np.eye(2)).astype(complex)
+    defect = _worst(check_trace_preserving(ch), _gap(apply_channel(ch, thermal), thermal))
     return defect <= 1e-12, f"max defect {defect:.2e} (tol 1e-12)"
 
 
 def dilation_vs_kraus(rng: np.random.Generator, count: int) -> tuple[bool, str]:
-    """Kraus sum and environment dilation act alike on random mixed states."""
-    gaps = []
-    for i in range(count):
-        params = _channel(rng, i)
-        rho = _density(rng)
-        gaps.append(_gap(apply_channel(gad_channel(params), rho), apply_via_dilation(params, rho)))
-    return _max_gap(_worst(*gaps), 1e-12)
+    """Kraus sum and environment dilation act alike on random mixed states,
+    each route run on all draws as one stack."""
+    channels, states = zip(*((_channel(rng, i), _density(rng)) for i in range(count)))
+    stack, rho = _stacked(channels), np.stack(states)
+    kraus = apply_channel(gad_channel(stack), rho)
+    return _max_gap(_gap(kraus, apply_via_dilation(stack, rho)), 1e-12)
 
 
 def qubit_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple[bool, str]:
@@ -169,8 +171,7 @@ def qubit_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple
     closed = [protect_equatorial(*draw) for draw in draws]
     channels, m, n, phi = zip(*draws)
     psi = np.stack([equatorial_state(azimuth) for azimuth in phi])
-    stack = GadParams(np.array([ch.p for ch in channels]), np.array([ch.r for ch in channels]))
-    states, probs = apply_protection(stack, np.array(m), np.array(n), psi)
+    states, probs = apply_protection(_stacked(channels), np.array(m), np.array(n), psi)
     gap = _worst(
         _gap(np.stack([res.output_state for res in closed]), states),
         _gap(np.array([res.success_prob for res in closed]), probs),
@@ -198,8 +199,8 @@ def entangle_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tu
     inps, ch1s, ch2s, *strengths = zip(*draws)
     generic, probs = kraus_pipeline_state(
         np.stack([inp.density() for inp in inps]),
-        np.stack([gad_channel(ch) for ch in ch1s]),
-        np.stack([gad_channel(ch) for ch in ch2s]),
+        gad_channel(_stacked(ch1s)),
+        gad_channel(_stacked(ch2s)),
         *(np.array(values) for values in strengths),
     )
     return _max_gap(_worst(_gap(np.stack(closed), generic), _gap(np.array(success), probs)), 1e-12)
@@ -226,18 +227,12 @@ def xstate_vs_wootters(rng: np.random.Generator, count: int) -> tuple[bool, str]
 
 def qkd_error_complement(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """The four-state error rate from the pipeline is one minus the
-    closed-form equatorial fidelity; the pipeline runs all draws, each
+    closed-form equatorial fidelity; each route runs all draws, each
     through its own channel, as one call."""
-    draws = []
-    for i in range(count):
-        params = _channel(rng, i)
-        m, n = _strengths(rng, 2)
-        draws.append((params, m, n))
-    fids = [protect_equatorial(*draw).fidelity for draw in draws]
-    channels, m, n = zip(*draws)
-    stack = GadParams(np.array([ch.p for ch in channels]), np.array([ch.r for ch in channels]))
-    errors = bb84_error_rate(stack, np.array(m), np.array(n))
-    return _max_gap(_gap(errors, 1.0 - np.array(fids)), 1e-12)
+    channels, m, n = zip(*((_channel(rng, i), *_strengths(rng, 2)) for i in range(count)))
+    stack, m, n = _stacked(channels), np.array(m), np.array(n)
+    fids = protect_equatorial(stack, m, n).fidelity
+    return _max_gap(_gap(bb84_error_rate(stack, m, n), 1.0 - fids), 1e-12)
 
 
 def qubit_optimum_oracle(rng: np.random.Generator, count: int) -> tuple[bool, str]:

@@ -48,6 +48,8 @@ class EntangledInput:
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> EntangledInput:
+        if type(alpha_sq) is not float and np.ndim(alpha_sq):
+            raise ValueError(f"alpha_sq must be a scalar, got shape {np.shape(alpha_sq)}")
         check_range(alpha_sq, 0.0, 1.0, "alpha_sq must lie in [0, 1], got {}")
         return cls(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq))
 
@@ -89,15 +91,15 @@ class XStateCoefficients:
             check_range(weight, 0.0, math.inf, f"{name} must be {kind}, got {{!r}}")
 
     def matrix(self) -> np.ndarray:
-        """Assemble the 4x4 X-state (unnormalized when trace != 1)."""
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = self.a
-        rho[1, 1] = self.b
-        rho[2, 2] = self.c
-        rho[3, 3] = self.d
-        rho[0, 3] = self.e
-        rho[3, 0] = np.conj(self.e)
-        return rho
+        """The 4x4 X state, unnormalized when trace != 1; a (..., 4, 4) stack
+        when entries are arrays, each matrix with the bits of its own record's."""
+        xp, (a, b, c, d) = namespace(self.a, self.b, self.c, self.d)
+        return xp.assemble((
+            a, 0.0, 0.0, self.e,
+            0.0, b, 0.0, 0.0,
+            0.0, 0.0, c, 0.0,
+            self.e.conjugate(), 0.0, 0.0, d,
+        ), (4, 4), complex)
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,16 @@ def _reversed_trace(a, b, c, d, n1, n2, xp):
 def reversed_state(
     coeffs: XStateCoefficients, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
-    """Final normalized 4x4 state after the reversal, with its raw trace."""
+    """Final normalized 4x4 state after the reversal, with its raw trace; stacks for arrays."""
     xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
+    # n1 n2 e as Python's float * complex, in real arithmetic (numpy's can flip a zero's sign)
+    k, e = n1 * n2, coeffs.e
     reversed_coeffs = XStateCoefficients(
-        n1 * n1 * n2 * n2 * a, n1 * n1 * b, n2 * n2 * c, d, n1 * n2 * coeffs.e
+        n1 * n1 * n2 * n2 * a, n1 * n1 * b, n2 * n2 * c, d,
+        xp.complex(k * e.real - 0.0 * e.imag, k * e.imag + 0.0 * e.real),
     )
-    return reversed_coeffs.matrix() / raw, raw
+    return reversed_coeffs.matrix() / xp.per_matrix(raw), raw
 
 
 def concurrence_lambda1(coeffs: XStateCoefficients) -> float:

@@ -30,9 +30,10 @@ def nan_state(*args):
 
 
 # (family, count, name patched in decoshield.checks, its NaN stand-in), one
-# for each way a family reduces its gaps: a running maximum over draws, the
-# maximum of several gaps, a spread over reports, a probability range, the
-# clip of a concurrence at zero and a state handed to validate_density
+# for each way a family reduces its gaps: the maximum over a stack inside one
+# _gap (a lone NaN state broadcasts against the stack), a running maximum over
+# draws, the maximum of several gaps, a spread over reports, a probability
+# range, the clip of a concurrence at zero and a state handed to validate_density
 NAN_ROUTES = [
     (checks.dilation_vs_kraus, 3, "apply_via_dilation", lambda ch, rho: np.full((2, 2), np.nan)),
     (checks.xstate_vs_wootters, 3, "wootters_concurrence", lambda rho: math.nan),

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoshield.channels import GadParams, gad_channel
+from decoshield.channels import GadParams, apply_via_dilation, gad_channel
 from decoshield.entangle import (
     EntangledInput,
     XStateCoefficients,
@@ -140,11 +140,23 @@ def test_qubit_closed_forms(params, ms, ns, phi):
 @PROPERTY
 @given(channels, channels, unit, phases, strengths, strength)
 def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
-    inp = EntangledInput(
-        math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * cmath.exp(1j * phase)
-    )
+    alpha, beta = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * cmath.exp(1j * phase)
+    inp = EntangledInput(alpha, beta)
     m1 = np.array(ms)
     xstate = fields("a", "b", "c", "d", "e")
+
+    # numpy amplitudes, complex and real, give plain floats with the bits
+    # of the call on the Python numbers they hold, at m1 = ms[0], m2 = 1
+    for amps in ((alpha, beta), (alpha, abs(beta))):
+        as_numpy = EntangledInput(*(np.complex128(a) if type(a) is complex else np.float64(a)
+                                    for a in amps))
+        assert (type(as_numpy.alpha), type(as_numpy.beta)) == tuple(map(type, amps))
+        agree(outcome(measured_coefficients, EntangledInput(*amps), ch1, ch2, ms[0], 1.0),
+              [outcome(measured_coefficients, as_numpy, ch1, ch2, ms[0], 1.0)], *xstate)
+        agree(outcome(optimal_parameters, EntangledInput(*amps), ch1, ch2),
+              [outcome(optimal_parameters, as_numpy, ch1, ch2)],
+              *fields("lambda1", "lambda2", "lambda2_max", "m_opt", "n1_opt", "n2_opt", "h",
+                      "alpha_sq_opt", "success_prob"))
 
     coeffs = outcome(measured_coefficients, inp, ch1, ch2, m1, m2)
     each_coeffs = [outcome(measured_coefficients, inp, ch1, ch2, m, m2) for m in ms]
@@ -153,10 +165,14 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
                                    f64(ms[0]), f64(m2))], *xstate)
     if not agree(coeffs, each_coeffs, *xstate, concurrence_lambda1):
         return
+    # array weights with the Python complex coherence of one point
+    first = each_coeffs[0]
+    mixed = XStateCoefficients(coeffs.a, coeffs.b, coeffs.c, coeffs.d, first.e)
+    want = np.array([XStateCoefficients(c.a, c.b, c.c, c.d, first.e).matrix() for c in each_coeffs])
+    assert mixed.matrix().tobytes() == want.tobytes()
 
     reversal = outcome(optimal_reversal, coeffs)
     each_reversal = [outcome(optimal_reversal, c) for c in each_coeffs]
-    first = each_coeffs[0]
     first_f64 = XStateCoefficients(*(f64(v) for v in (first.a, first.b, first.c, first.d)), first.e)
     if agree(each_reversal[0], [outcome(optimal_reversal, first_f64)],
              lambda nn: nn[0], lambda nn: nn[1]):
@@ -171,6 +187,11 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
         [outcome(concurrence_lambda2, c, *nn) for c, nn in zip(each_coeffs, each_reversal)],
         lambda lam2: lam2,
     )
+    each = [outcome(reversed_state, c, *nn) for c, nn in zip(each_coeffs, each_reversal)]
+    res = outcome(reversed_state, coeffs, *reversal)
+    if agree(res, each, lambda out: out[1]):
+        want = np.array([state for state, _ in each])
+        assert res[0].reshape(want.shape).tobytes() == want.tobytes()
     agree(
         outcome(protected_state, inp, ch1, ch2, m1, m2, *reversal),
         [outcome(protected_state, inp, ch1, ch2, m, m2, *nn)
@@ -178,26 +199,6 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
         lambda res: res[1],
         *(lambda res, f=f: f(res[0]) for f in xstate),
     )
-
-
-@PROPERTY
-@given(channels, channels, unit, phases, strength)
-def test_numpy_scalar_amplitudes(ch1, ch2, alpha_sq, phase, m1):
-    # numpy amplitudes, complex and real, give plain floats with the bits
-    # of the call on the Python numbers they hold
-    alpha, beta = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * cmath.exp(1j * phase)
-    for amps in ((alpha, beta), (alpha, abs(beta))):
-        inp = EntangledInput(*amps)
-        as_numpy = EntangledInput(*(np.complex128(a) if type(a) is complex else np.float64(a)
-                                    for a in amps))
-        assert (type(as_numpy.alpha), type(as_numpy.beta)) == tuple(map(type, amps))
-        agree(outcome(measured_coefficients, inp, ch1, ch2, m1, 1.0),
-              [outcome(measured_coefficients, as_numpy, ch1, ch2, m1, 1.0)],
-              *fields("a", "b", "c", "d", "e"))
-        agree(outcome(optimal_parameters, inp, ch1, ch2),
-              [outcome(optimal_parameters, as_numpy, ch1, ch2)],
-              *fields("lambda1", "lambda2", "lambda2_max", "m_opt", "n1_opt", "n2_opt", "h",
-                      "alpha_sq_opt", "success_prob"))
 
 
 # the whole domain of the pipeline: channel boundaries drawn explicitly,
@@ -239,6 +240,11 @@ def test_pipeline_arrays(pairs, ms, ns, phi):
     each = [outcome(measured_coefficients, bell, ch, channels[0], ms[0], ns[0]) for ch in channels]
     agree(outcome(measured_coefficients, bell, stack, channels[0], ms[0], ns[0]), each,
           *fields("a", "b", "c", "d", "e"))
+
+    # the dilation: the (C, 1) channel stack against a stack of states
+    states = np.stack([equatorial_state(phi), equatorial_state(phi + 1.0), np.eye(2) / 2 + 0j])
+    want = np.array([[apply_via_dilation(ch, rho) for rho in states] for ch in channels])
+    assert apply_via_dilation(stack, states).tobytes() == want.tobytes()
 
     params = channels[0]
     m, n = np.array(ms)[:, None], np.array(ns)[None, :]

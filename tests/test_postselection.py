@@ -19,7 +19,6 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -35,12 +34,7 @@ from decoshield.entangle import (
     reversed_state,
 )
 from decoshield.linalg import equatorial_state, fidelity
-from decoshield.qubit import (
-    apply_protection,
-    average_fidelity_six,
-    optimal_strengths,
-    protect_equatorial,
-)
+from decoshield.qubit import apply_protection, optimal_strengths, protect_equatorial
 from decoshield.weakmeas import MIN_POSTSELECT_PROB, PostSelectionError, require_postselection
 
 PROPERTY = settings(max_examples=400)
@@ -134,22 +128,6 @@ def test_entangle_routes_void_the_same_runs(ch1, ch2, alpha_sq, phase, m1, m2, n
     if routes_agree(closed, generic):
         state, _ = reversed_state(closed[0][0], n1, n2)
         assert gap(state, generic[0][0]) <= TOL
-
-
-def test_closed_form_voids_where_pipeline_does():
-    # p = 1, r = 0 is the identity channel: both outcomes keep m^2 + n^2
-    # over two, 1e-16 here
-    still = GadParams(1.0, 0.0)
-    with pytest.raises(PostSelectionError, match="below cutoff"):
-        apply_protection(still, 1e-8, 1e-8, equatorial_state(0.0))
-    with pytest.raises(PostSelectionError, match="below cutoff"):
-        protect_equatorial(still, 1e-8, 1e-8)
-    with pytest.raises(PostSelectionError, match="below cutoff"):
-        average_fidelity_six(still, 1e-8, 1e-8)
-    # an array call names its first failing entry
-    with pytest.raises(PostSelectionError) as exc:
-        protect_equatorial(still, np.array([1.0, 1e-8, 2e-8]), 1e-8)
-    assert str(exc.value) == "success probability 1.0000000000000001e-16 below cutoff"
 
 
 def test_require_postselection():

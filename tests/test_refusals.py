@@ -24,6 +24,7 @@ from decoshield.entangle import optimized_protection
 from decoshield.weakmeas import measure_damp_reverse, require_postselection
 
 REF, HALF, STILL = GadParams(0.8, 0.3), GadParams(0.5, 0.5), GadParams(0.5, 0.0)
+IDENTITY = GadParams(1.0, 0.0)
 BELL = EntangledInput.from_alpha_sq(0.5)
 PAIR = (BELL, GadParams(0.9, 0.5), GadParams(0.95, 0.3))
 COEFFS = measured_coefficients(*PAIR, 0.5, 1.0)
@@ -308,6 +309,13 @@ ROWS = [
     row("rho must be finite, got nan", wootters_concurrence, np.diag([0.25, math.nan, 0.25, 0.25])),
     row("rho must be finite, got (inf+0j)", wootters_concurrence,
         np.diag([0.25, math.inf, 0.25, 0.25]).astype(complex)),
+    row("alpha_sq must be a scalar, got shape (1,)", EntangledInput.from_alpha_sq, np.array([0.5])),
+    # p = 1, r = 0 is the identity channel: both outcomes keep m^2 + n^2
+    # over two, 1e-16 here; an array call names its first failing entry
+    void(1e-16, apply_protection, IDENTITY, 1e-8, 1e-8, equatorial_state(0.0)),
+    *(void(1.0000000000000001e-16, fn, IDENTITY, m, 1e-8)
+      for fn, m in ((protect_equatorial, 1e-8), (average_fidelity_six, 1e-8),
+                    (protect_equatorial, np.array([1.0, 1e-8, 2e-8])))),
 ]
 
 

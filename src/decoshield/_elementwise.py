@@ -10,8 +10,9 @@ nothing else. Besides the arithmetic (`minimum`, `maximum`, `sqrt`,
 `modulus`, `pow`, `complex`), each has `assemble(entries, shape, dtype)`,
 an array of that shape from its entries in C order (for ARRAY a stack, one
 per point), `broadcast(*values)`, `per_matrix(value)`, a value per point
-shaped to divide a stack of matrices, and `loud()`, whether an array call
-re-runs inside `quietly`.
+shaped to divide a stack of matrices, `where(cond, a, b)`, a where cond
+holds and b elsewhere, and `loud()`, whether an array call re-runs inside
+`quietly`.
 
 Every array entry equals the scalar call at that point bit for bit. Real
 `+ - * /` and sqrt are correctly rounded and minimum and maximum exact
@@ -31,6 +32,10 @@ checked by `check_range`, on closed ends only (0 < x is x >= math.ulp(0.0)).
 The checks here read strengths; a record checks its own entries once, when
 it is built (channel parameters in `GadParams`, X-state weights in
 `XStateCoefficients`), and the closed forms trust it.
+
+numpy is imported on first use, through the handle `np` that every module
+of the package imports from here: a query on Python floats (the `optimal`
+subcommand, `--help`, a usage error) never loads it.
 """
 
 from __future__ import annotations
@@ -39,9 +44,23 @@ import functools
 import math
 import operator
 import sys
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
-import numpy as np
+
+class _NumpyOnDemand(ModuleType):
+    """numpy, imported on the first attribute read. That read copies numpy's
+    namespace into the handle and makes it a plain module, so later reads
+    cost what a read on numpy itself costs, with no hook left to call."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        vars(self).update(vars(numpy))
+        self.__class__ = ModuleType
+        return getattr(numpy, name)
+
+
+np = _NumpyOnDemand("numpy")
 
 
 def _libm_pow(x, y: float) -> np.ndarray:
@@ -96,19 +115,26 @@ SCALAR = SimpleNamespace(
     broadcast=lambda *values: values,
     per_matrix=float,
     loud=bool,
+    where=lambda cond, a, b: a if cond else b,
 )
-ARRAY = SimpleNamespace(
-    minimum=np.minimum,
-    maximum=np.maximum,
-    sqrt=np.sqrt,
-    modulus=_libm_modulus,
-    pow=_libm_pow,
-    complex=_complex_array,
-    assemble=_assemble_array,
-    broadcast=np.broadcast_arrays,
-    per_matrix=operator.itemgetter((..., None, None)),  # a value per point, against (..., d, d)
-    loud=loud,
-)
+
+
+@functools.cache
+def _array() -> SimpleNamespace:
+    """ARRAY, built on the first array call: numpy is loaded by then."""
+    return SimpleNamespace(
+        minimum=np.minimum,
+        maximum=np.maximum,
+        sqrt=np.sqrt,
+        modulus=_libm_modulus,
+        pow=_libm_pow,
+        complex=_complex_array,
+        assemble=_assemble_array,
+        broadcast=np.broadcast_arrays,
+        per_matrix=operator.itemgetter((..., None, None)),  # a value per point, vs (..., d, d)
+        loud=loud,
+        where=np.where,
+    )
 
 
 def namespace(*values):
@@ -129,7 +155,7 @@ def namespace(*values):
         if type(value) is float:  # tested first: the common value
             pass
         elif isinstance(value, np.ndarray):
-            xp, value = ARRAY, value if value.dtype.kind == "c" else np.asarray(value, float)
+            xp, value = _array(), value if value.dtype.kind == "c" else np.asarray(value, float)
         elif isinstance(value, (complex, np.complexfloating)):
             value = np.asarray(value)
         elif isinstance(value, np.generic):
@@ -157,15 +183,14 @@ def real_trace(x: np.ndarray):
     return terms[0]
 
 
-_all = functools.partial(np.logical_and.reduce, axis=None)  # np.all without its wrapper
-
-
 def reject(ok, error, message: str, *values) -> None:
     """Return when every entry of the mask ok, a bool or an array, passes;
     otherwise raise error(message.format(*entries)), with `values` broadcast
     to ok and read at its first False entry in C order as Python scalars."""
-    if ok is True or (ok is not False and _all(ok)):
+    if ok is True or (ok is not False and np.logical_and.reduce(ok, axis=None)):  # np.all, bare
         return
+    if ok is False and all(type(v) in (float, int, complex) for v in values):  # no numpy call
+        raise error(message.format(*values))
     at = np.argmin(ok)
     raise error(message.format(*(np.broadcast_to(v, np.shape(ok)).item(at) for v in values)))
 
@@ -180,7 +205,7 @@ FLOAT_MAX = sys.float_info.max
 def check_range(value, lower: float, upper: float, message: str, *shown):
     """value, once every entry is real and in [lower, upper]; otherwise
     ValueError(message.format(*shown)), `shown` (by default value) read as
-    for reject. Compares only: a valid Python float makes no numpy call. A
+    for reject. Compares only: a Python float, valid or not, makes no numpy call. A
     numpy value meets the bounds as float64, so that a float32 one is not
     compared with FLOAT_MAX cast to its own type, which overflows."""
     if type(value) is not float and isinstance(value, (np.ndarray, np.generic)):
@@ -190,7 +215,8 @@ def check_range(value, lower: float, upper: float, message: str, *shown):
     except TypeError:  # a Python complex has no order
         ok = False
     if ok is not True:  # a valid Python float skips the call below
-        reject(ok & np.isrealobj(value), ValueError, message, *(shown or (value,)))
+        real = type(value) is float or np.isrealobj(value)
+        reject(ok & real, ValueError, message, *(shown or (value,)))
     return value
 
 

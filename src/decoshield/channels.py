@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._elementwise import check_range, namespace, ordered_sum
+from ._elementwise import check_range, namespace, np, ordered_sum
 from .linalg import dagger
 
 
@@ -29,6 +27,8 @@ class GadParams:
     def __post_init__(self) -> None:
         check_range(self.p, 0.0, 1.0, "p must be in [0, 1], got {}")
         check_range(self.r, 0.0, 1.0, "r must be in [0, 1], got {}")
+        if type(self.p) is type(self.r) is float:  # the common record: no numpy call
+            return
         if isinstance(self.p, np.ndarray) or isinstance(self.r, np.ndarray):
             np.broadcast_shapes(np.shape(self.p), np.shape(self.r))
 

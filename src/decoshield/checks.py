@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
+from ._elementwise import np
 from .channels import (
     GadParams,
     apply_channel,

@@ -13,9 +13,7 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from ._elementwise import check_strength
+from ._elementwise import check_strength, np
 from .channels import GadParams
 from .checks import CHECKS, VERIFY_SEED
 from .entangle import EntangledInput, optimal_parameters, optimized_protection
@@ -107,7 +105,8 @@ def _call(flag: str, fn, *args):
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-size float columns as CSV rows, in C order, each value at
-    12 significant digits, rendering at most CSV_CHUNK_ROWS rows per write.
+    12 significant digits, rendering at most CSV_CHUNK_ROWS rows per write,
+    and whole blocks together where they fit.
 
     The rows are cut into blocks along the first column's last axis: one
     block per m of a qubit sweep, one block for the entangle sweep. What
@@ -137,15 +136,21 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) 
     others = [col for col, repeat in zip(cols[lead:], repeats) if not repeat]
     table = np.stack(others, axis=-1) if others else np.empty((blocks, width, 0))
 
+    # blocks shorter than a write go whole, as many as fit in one; a longer
+    # block is cut into writes of CSV_CHUNK_ROWS rows
+    group = max(1, CSV_CHUNK_ROWS // width)
+    step = min(width, CSV_CHUNK_ROWS)
+
     def dump(fh) -> None:
         fh.write(",".join(header) + "\n")
-        for prefix, block in zip(prefixes, table):
-            for start in range(0, width, CSV_CHUNK_ROWS):
-                stop = start + CSV_CHUNK_ROWS
+        for first in range(0, blocks, group):
+            heads = prefixes[first:first + group]
+            for start in range(0, width, step):
+                stop = start + step
                 # no name holds a chunk's floats, so they are freed before
                 # the next chunk's are made
-                fh.write(prefix + prefix.join(templates[start:stop])
-                         % tuple(block[start:stop].ravel().tolist()))
+                fh.write("".join(prefix + prefix.join(templates[start:stop]) for prefix in heads)
+                         % tuple(table[first:first + group, start:stop].ravel().tolist()))
 
     if path == "-":
         dump(sys.stdout)

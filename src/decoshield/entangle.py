@@ -15,9 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._elementwise import check_finite, check_range, check_strength, namespace, quietly, reject
+from ._elementwise import check_finite, check_range, check_strength, namespace, np, quietly, reject
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
 from .weakmeas import measure_damp_reverse, require_postselection
@@ -37,8 +35,9 @@ class EntangledInput:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):  # a numpy scalar: the number it holds, as for strengths
-            if isinstance(getattr(self, name), np.generic):
-                object.__setattr__(self, name, getattr(self, name).item())
+            amp = getattr(self, name)
+            if type(amp) not in (float, complex) and isinstance(amp, np.generic):
+                object.__setattr__(self, name, amp.item())
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(norm - 1.0) <= NORM_ATOL:
             for name, amp in (("alpha", self.alpha), ("beta", self.beta)):
@@ -72,7 +71,8 @@ class XStateCoefficients:
     current pipeline stage; e is the coherence between |00> and |11>. Each
     weight, a float or an array, is checked here once, in abcd order: a
     complex, negative or NaN entry is refused by the weight's name, so the
-    readers below trust the record.
+    readers below trust the record. Then e: a non-finite entry, or an array
+    beside four scalar weights, is refused by the name e.
     """
 
     a: float
@@ -83,12 +83,17 @@ class XStateCoefficients:
 
     def __post_init__(self) -> None:
         a, b, c, d = weights = self.a, self.b, self.c, self.d
+        e = self.e
         if (type(a) is type(b) is type(c) is type(d) is float
-                and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0):
-            return  # the common record, four valid floats: no more tests
+                and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0
+                and type(e) is complex and cmath.isfinite(e)):
+            return  # the common record, four valid floats and a finite complex: no more tests
         for name, weight in zip("abcd", weights):
             kind = "real" if np.iscomplexobj(weight) else "non-negative"
             check_range(weight, 0.0, math.inf, f"{name} must be {kind}, got {{!r}}")
+        if np.ndim(e) and not any(np.ndim(weight) for weight in weights):
+            raise ValueError(f"e must be a scalar beside scalar weights, got shape {np.shape(e)}")
+        reject(np.isfinite(e), ValueError, "e must be finite, got {!r}", e)
 
     def matrix(self) -> np.ndarray:
         """The 4x4 X state, unnormalized when trace != 1; a (..., 4, 4) stack
@@ -164,7 +169,7 @@ def measured_coefficients(
     # each diagonal entry is x0 + x1 m^2: x0 from the |00> piece, x1 from |11>
     a, b, c, d = (x0 * wa + x1 * wb * mm for x0, x1 in zip(lo, hi))
     keep = xp.sqrt((1.0 - r1) * (1.0 - r2))
-    w = complex(inp.alpha * np.conj(inp.beta))
+    w = complex(inp.alpha * inp.beta.conjugate())
     e = xp.complex(w.real * m1 * m2 * keep, w.imag * m1 * m2 * keep)
     return XStateCoefficients(a=a, b=b, c=c, d=d, e=e)
 
@@ -293,18 +298,19 @@ def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:
     """Best attainable concurrence argument, independent of the input weights.
 
     May be negative when the channels are too hot and strong for any
-    strength choice to keep entanglement.
+    strength choice to keep entanglement. An array for arrays of channels,
+    each entry equal to the scalar call on its channels bit for bit.
     """
-    p1, r1 = ch1.p, ch1.r
-    p2, r2 = ch2.p, ch2.r
-    keep = math.sqrt((1.0 - r1) * (1.0 - r2))
-    leak1 = r1 * math.sqrt(p1 * (1.0 - p1) * (1.0 - r2 * p2) * (1.0 - r2 + r2 * p2))
-    leak2 = r2 * math.sqrt(p2 * (1.0 - p2) * (1.0 - r1 * p1) * (1.0 - r1 + r1 * p1))
+    xp, (p1, r1, p2, r2) = namespace(ch1.p, ch1.r, ch2.p, ch2.r)
+    keep = xp.sqrt((1.0 - r1) * (1.0 - r2))
+    leak1 = r1 * xp.sqrt(p1 * (1.0 - p1) * (1.0 - r2 * p2) * (1.0 - r2 + r2 * p2))
+    leak2 = r2 * xp.sqrt(p2 * (1.0 - p2) * (1.0 - r1 * p1) * (1.0 - r1 + r1 * p1))
     penalty = g_value(ch1) * g_value(ch2)
     # the product is 0 for a channel that resets its qubit (r = 1, p in {0, 1}),
     # where every strength gives lambda2 = 0 exactly, so the supremum is 0; it
     # also underflows, with the numerator, for two r = 1 channels with tiny p
-    return (keep - leak1 - leak2) / penalty if penalty else 0.0
+    zero = penalty == 0.0
+    return xp.where(zero, 0.0, (keep - leak1 - leak2) / (penalty + zero))
 
 
 def pipeline_state(
@@ -340,8 +346,13 @@ def optimal_parameters(
     the product matters); the optimum is m = sqrt(h) |alpha| / |beta| with
     h^2 = b0 c0 / (b1 c1) on unit coefficients. The attained concurrence
     argument lambda2_max does not depend on the input weights; the success
-    probability does, peaking at |alpha|^2 = 1/(1 + h).
+    probability does, peaking at |alpha|^2 = 1/(1 + h). Each channel is one
+    channel: p, r arrays are refused by the channel's name.
     """
+    for name, ch in (("ch1", ch1), ("ch2", ch2)):
+        if type(ch.p) is not float or type(ch.r) is not float:  # floats: no numpy call
+            if shape := np.broadcast_shapes(np.shape(ch.p), np.shape(ch.r)):
+                raise ValueError(f"{name} must be one channel, got shape {shape}")
     lam1 = concurrence_lambda1(channel_degraded_state(inp, ch1, ch2))
     lam2_bar = lambda2_max(ch1, ch2)
     lo, hi = component_coefficients(ch1, ch2)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
-import numpy as np
-
-from ._elementwise import check_azimuth, real_trace, reject
+from ._elementwise import check_azimuth, np, real_trace, reject
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -14,8 +13,13 @@ EIGENVALUE_FLOOR = -1e-10
 PURITY_ATOL = 1e-10
 
 _COS_EQUATOR = math.cos(0.5 * math.pi)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-YY = np.kron(PAULI_Y, PAULI_Y)
+
+
+@functools.cache
+def _yy() -> np.ndarray:
+    """Y (x) Y, the spin flip of two qubits, built on first use."""
+    pauli_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    return np.kron(pauli_y, pauli_y)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -90,7 +94,8 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"state is not positive: eigenvalue {w.min():.3e}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
-    flipped = YY @ rho.conj() @ YY
+    yy = _yy()
+    flipped = yy @ rho.conj() @ yy
     w = np.linalg.eigvalsh(root @ flipped @ root)
     w = np.clip(w, 0.0, None)
     lam = np.sort(np.sqrt(w))[::-1]

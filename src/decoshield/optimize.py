@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ._elementwise import FLOAT_MAX, check_range, ordered_sum
+from ._elementwise import FLOAT_MAX, check_range, np, ordered_sum
 
 SIMPLEX_DIAMETER_TOL = 1e-9
 SIMPLEX_MAX_EVALS = 100_000
@@ -35,7 +33,7 @@ class SearchBox:
                 check_range(x, -FLOAT_MAX, FLOAT_MAX, "bounds must be finite, got [{}, {}]", lo, hi)
             if not lo < hi:
                 raise ValueError(f"need lower < upper, got [{lo}, {hi}]")
-            if not isinstance(res, (int, np.integer)):
+            if type(res) is not int and not isinstance(res, (int, np.integer)):
                 raise ValueError(f"resolution must be an integer, got {res!r}")
             if res < 2:
                 raise ValueError(f"resolution must be at least 2, got {res}")

@@ -9,34 +9,50 @@ the generic channel/measurement pipeline for cross-checking.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from ._elementwise import (
-    check_azimuth, check_finite, check_strength, namespace, ordered_sum, quietly, reject,
+    check_azimuth, check_finite, check_strength, namespace, np, ordered_sum, quietly, reject,
 )
 from .channels import GadParams, apply_channel, gad_channel
 from .linalg import equatorial_state, fidelity
 from .weakmeas import measure_damp_reverse, require_postselection
 
-# azimuths of the four key-distribution states, for each state the index of
-# its conjugate partner (azimuth shifted by pi), and their density matrices,
-# one stack built and checked once
+# azimuths of the four key-distribution states and, for each state, the
+# index of its conjugate partner (azimuth shifted by pi)
 BB84_AZIMUTHS = (0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi)
 BB84_PARTNERS = (1, 0, 3, 2)
-BB84_STATES = np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
-fidelity(BB84_STATES, BB84_STATES)  # raises unless each is pure, as a reference must be
+
+
+@functools.cache
+def _bb84_states() -> np.ndarray:
+    """Their density matrices, one stack built and checked on first use."""
+    states = np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
+    fidelity(states, states)  # raises unless each is pure, as a reference must be
+    return states
 
 
 @dataclass(frozen=True)
 class ProtectionResult:
-    """Outcome of protecting one equatorial state."""
+    """Outcome of protecting one equatorial state. output_state, the
+    protected density matrix, is built on first read from `_entries`, so a
+    caller that reads only the fidelity and success probability never builds it."""
 
     fidelity: float
     success_prob: float
-    output_state: np.ndarray
+    _entries: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def output_state(self) -> np.ndarray:
+        diag0, diag1, coherence, phi, t = self._entries
+        xp, _ = namespace(t)
+        rot = cmath.exp(-1j * phi)
+        off = xp.complex(coherence * rot.real, coherence * rot.imag)
+        state = xp.assemble((diag0, off, off.conjugate(), diag1), (2, 2), complex)
+        state /= xp.per_matrix(t)  # in place: on a grid, the largest array here
+        return state
 
 
 @dataclass(frozen=True)
@@ -86,8 +102,9 @@ def protect_equatorial(
 
     The output density matrix, its fidelity against the input and the
     success probability (T/2 suppressed by 1/c^2 for every strength c > 1)
-    are all evaluated from the analytic expressions; a success probability
-    below the cutoff raises PostSelectionError, as the pipeline does.
+    are all evaluated from the analytic expressions, the matrix when it is
+    first read; a success probability below the cutoff raises
+    PostSelectionError, as the pipeline does.
 
     Scalar in, float out; array in, array out: m, n, p and r may be numpy
     arrays that broadcast together (phi stays a scalar), and then every
@@ -107,12 +124,7 @@ def protect_equatorial(
     success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
     require_postselection(success)
     coherence = m * n * xp.sqrt(1.0 - r)
-    rot = cmath.exp(-1j * phi)
-    off = xp.complex(coherence * rot.real, coherence * rot.imag)
-    diag1 = lost + leak  # before the conjugate: on a grid this order keeps peak RSS down
-    state = xp.assemble((diag0, off, off.conjugate(), diag1), (2, 2), complex)
-    state /= xp.per_matrix(t)  # in place: on a grid, the largest array here
-    return ProtectionResult(0.5 + coherence / t, success, state)
+    return ProtectionResult(0.5 + coherence / t, success, (diag0, lost + leak, coherence, phi, t))
 
 
 def optimal_strengths(params: GadParams) -> OptimalStrengths:
@@ -174,14 +186,15 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     # the four states run as one stack, on an axis after the other axes;
     # the channel, or each channel of a stack, serves all four
     ops = gad_channel(params)[..., None, :, :, :]
+    states = _bb84_states()
     outputs, _ = measure_damp_reverse(
-        BB84_STATES,
+        states,
         (np.asarray(m)[..., None],),
         (np.asarray(n)[..., None],),
         lambda state: apply_channel(ops, state),
     )
-    own = fidelity(BB84_STATES, outputs)
-    leaked = fidelity(BB84_STATES, outputs[..., BB84_PARTNERS, :, :])
+    own = fidelity(states, outputs)
+    leaked = fidelity(states, outputs[..., BB84_PARTNERS, :, :])
     terms = leaked / (own + leaked)
     error = ordered_sum(terms[..., i] for i in range(len(BB84_AZIMUTHS))) / len(BB84_AZIMUTHS)
     return namespace(error)[1][0]  # one point's numpy scalar as a float

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
 from ._elementwise import (
-    FLOAT_MAX, check_finite, check_range, namespace, quietly, real_trace, reject,
+    FLOAT_MAX, check_finite, check_range, namespace, np, quietly, real_trace, reject,
 )
 
 MIN_POSTSELECT_PROB = 1e-14

@@ -26,7 +26,10 @@ def nan_success(*args):
 
 
 def nan_state(*args):
-    return dataclasses.replace(real_protect_equatorial(*args), output_state=np.full((2, 2), np.nan))
+    # output_state is built on first read and cached in the instance: seed the cache
+    result = real_protect_equatorial(*args)
+    vars(result)["output_state"] = np.full((2, 2), np.nan)
+    return result
 
 
 # (family, count, name patched in decoshield.checks, its NaN stand-in), one
@@ -55,6 +58,13 @@ NAN_ROUTES = [
 def test_a_nan_route_fails_its_family(monkeypatch, family, count, name, stand_in):
     monkeypatch.setattr(checks, name, stand_in)
     ok, detail = family(np.random.default_rng(0), count)
+    assert not ok and "nan" in detail, detail
+
+
+def test_a_nan_state_fails_the_closed_form_family(monkeypatch):
+    # the other family that reads output_state, a lone NaN state among real ones
+    monkeypatch.setattr(checks, "protect_equatorial", nan_state)
+    ok, detail = checks.qubit_closed_form_vs_pipeline(np.random.default_rng(0), 3)
     assert not ok and "nan" in detail, detail
 
 

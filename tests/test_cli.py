@@ -1,5 +1,8 @@
 import argparse
 import contextlib
+import inspect
+import io
+import json
 import math
 import os
 import subprocess
@@ -143,6 +146,25 @@ def test_output_is_byte_stable(tmp_path, monkeypatch, capsys):
     # limit: no coherence survives, and the concurrence prints as 0
     m, _, _, lam2, concurrence, _ = cases[3][2][0]
     assert m == 0.0 and lam2 < 0.0 and fmt(concurrence) == "0"
+
+
+def test_one_row_blocks_share_writes(monkeypatch):
+    # a one-step --n-range makes blocks of one row: they are written whole,
+    # as many to a write as CSV_CHUNK_ROWS allows
+    params, ms = GadParams(0.7, 0.4), np.linspace(0.05, 3.5, 300).tolist()
+    argv = ["qubit-fidelity", "--p", "0.7", "--r", "0.4", "--m-range", "0.05:3.5:300",
+            "--n-range", "0.7:0.7:1", "--out", "-"]
+    want = scalar_csv(("m", "n", "fidelity", "success_prob"),
+                      [(m, 0.7, res.fidelity, res.success_prob)
+                       for m in ms for res in [protect_equatorial(params, m, 0.7)]])
+    for chunk in (cli.CSV_CHUNK_ROWS, 7):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        writes = []
+        with contextlib.redirect_stdout(SimpleNamespace(write=writes.append)):
+            assert entry(argv) == 0
+        assert "".join(writes).encode() == want
+        assert len(writes) <= math.ceil(300 / chunk) + 1
+        assert max(text.count("\n") for text in writes) <= chunk
 
 
 def parse_report(text):
@@ -429,8 +451,59 @@ def test_parser_is_built_once_and_lazily(monkeypatch):
         "import decoshield, decoshield.cli\n"
         "print(len(built))\n"
     )
+    assert fresh_interpreter(count) == "0\n"
+
+
+def fresh_interpreter(script):
+    """stdout of script, run by a new interpreter that imports this package."""
     env = {**os.environ, "PYTHONPATH": str(Path(decoshield.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", count], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "0\n"
+    return done.stdout
+
+
+def capture(argv):
+    """[exit code or SystemExit, stdout, stderr] of one entry() call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+    return [code, out.getvalue(), err.getvalue()]
+
+
+ONE_SHOT = (
+    ["optimal", "--p", "0.5", "--r", "0.5"],
+    ["optimal", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"],
+    ["--help"],
+    ["optimal", "--p", "0.5"],
+    ["optimal", "--p", "1.5", "--r", "0.5"],
+)
+
+
+def test_one_shot_calls_never_import_numpy(monkeypatch):
+    # both optimal modes, --help and two usage errors answer on Python floats
+    # alone, with the bytes they print here, where numpy is loaded
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from decoshield.cli import entry\n"
+        f"{inspect.getsource(capture)}\n"
+        f"results = [capture(argv) for argv in {ONE_SHOT!r}]\n"
+        "print(json.dumps(['numpy' in sys.modules, results]))\n"
+    )
+    loaded, results = json.loads(fresh_interpreter(script))
+    assert not loaded
+    assert results == [capture(argv) for argv in ONE_SHOT]
+    assert [code for code, _, _ in results] == [0, 0, "SystemExit(0)", 2, 2]
+    # the first sweep loads it
+    script = (
+        "import os, sys\n"
+        "from decoshield.cli import entry\n"
+        "before = 'numpy' in sys.modules\n"
+        "entry(['qubit-fidelity', '--p', '0.8', '--r', '0.3', '--out', os.devnull])\n"
+        "print(before, 'numpy' in sys.modules)\n"
+    )
+    assert fresh_interpreter(script) == "False True\n"

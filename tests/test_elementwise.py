@@ -23,6 +23,7 @@ from decoshield.entangle import (
     XStateCoefficients,
     concurrence_lambda1,
     concurrence_lambda2,
+    lambda2_max,
     measured_coefficients,
     optimal_parameters,
     optimal_reversal,
@@ -157,6 +158,12 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
               [outcome(optimal_parameters, as_numpy, ch1, ch2)],
               *fields("lambda1", "lambda2", "lambda2_max", "m_opt", "n1_opt", "n2_opt", "h",
                       "alpha_sq_opt", "success_prob"))
+
+    # lambda2_max on a stack of channels, a resetting one (zero penalty) among them
+    reset = GadParams(1.0, 1.0)
+    stack = GadParams(*(np.array(v) for v in zip(*((ch.p, ch.r) for ch in (ch1, ch2, reset)))))
+    agree(lambda2_max(stack, ch2), [lambda2_max(ch, ch2) for ch in (ch1, ch2, reset)],
+          lambda lam: lam)
 
     coeffs = outcome(measured_coefficients, inp, ch1, ch2, m1, m2)
     each_coeffs = [outcome(measured_coefficients, inp, ch1, ch2, m, m2) for m in ms]

@@ -316,6 +316,18 @@ ROWS = [
     *(void(1.0000000000000001e-16, fn, IDENTITY, m, 1e-8)
       for fn, m in ((protect_equatorial, 1e-8), (average_fidelity_six, 1e-8),
                     (protect_equatorial, np.array([1.0, 1e-8, 2e-8])))),
+    # the coherence e is checked after the weights: finite, and one number
+    # beside scalar weights
+    row("e must be a scalar beside scalar weights, got shape (2,)", XStateCoefficients,
+        0.3, 0.2, 0.2, 0.3, np.array([0.1 + 0j, 0.2])),
+    row("e must be finite, got nan", XStateCoefficients, 0.3, 0.2, 0.2, 0.3, math.nan),
+    row("e must be finite, got (0.1+infj)", XStateCoefficients,
+        0.3, 0.2, 0.2, 0.3, complex(0.1, math.inf)),
+    row("e must be finite, got (nan+0j)", XStateCoefficients, np.array([0.3, 0.3]), 0.2, 0.2,
+        0.3, np.array([0.1 + 0j, complex(math.nan, 0.0)])),
+    # the pair optimum takes one channel per qubit
+    row("ch1 must be one channel, got shape (2,)", optimal_parameters,
+        BELL, GadParams(np.array([0.9, 0.5]), np.array([0.5, 0.3])), PAIR[2]),
 ]
 
 

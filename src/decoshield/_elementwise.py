@@ -28,10 +28,10 @@ bits it gets on its own.
 
 Every check that takes arrays refuses through `reject`, naming the first
 failing entry in C order as a Python scalar; NaN always fails. A range is
-checked by `check_range`, on closed ends only (0 < x is x >= math.ulp(0.0)).
-The checks here read strengths; a record checks its own entries once, when
-it is built (channel parameters in `GadParams`, X-state weights in
-`XStateCoefficients`), and the closed forms trust it.
+checked by `check_range` on closed ends only (0 < x is x >= math.ulp(0.0)),
+one number by `check_scalar`. A record checks and shapes its own entries
+once, when it is built (channel parameters, of one shape, in `GadParams`,
+X-state weights in `XStateCoefficients`), and the closed forms trust it.
 
 numpy is imported on first use, through the handle `np` that every module
 of the package imports from here: a query on Python floats (the `optimal`
@@ -220,11 +220,16 @@ def check_range(value, lower: float, upper: float, message: str, *shown):
     return value
 
 
+def check_scalar(name: str, value, kind: str = "a scalar"):
+    """value, once it is one number; otherwise ValueError giving its shape. Floats skip numpy."""
+    if type(value) is not float and np.ndim(value):
+        raise ValueError(f"{name} must be {kind}, got shape {np.shape(value)}")
+    return value
+
+
 def check_azimuth(phi):
-    """phi, once it is one finite real number; otherwise ValueError naming
-    phi. A Python float makes no numpy call."""
-    if type(phi) is not float and np.ndim(phi):
-        raise ValueError(f"phi must be a scalar, got shape {np.shape(phi)}")
+    """phi, once it is one finite real number; otherwise ValueError naming phi."""
+    check_scalar("phi", phi)
     return check_range(phi, -FLOAT_MAX, FLOAT_MAX, "phi must be finite and real, got {!r}")
 
 

@@ -18,7 +18,8 @@ class GadParams:
     """Channel pair {p, r}: excited-population weight p and damping strength r.
 
     p and r may also be numpy arrays that broadcast together, one channel
-    per entry; the functions that take such a stack say so.
+    per entry; the functions that take such a stack say so. Such a record
+    holds both, once checked, as float64 views broadcast to one shape.
     """
 
     p: float
@@ -30,7 +31,8 @@ class GadParams:
         if type(self.p) is type(self.r) is float:  # the common record: no numpy call
             return
         if isinstance(self.p, np.ndarray) or isinstance(self.r, np.ndarray):
-            np.broadcast_shapes(np.shape(self.p), np.shape(self.r))
+            p, r = np.broadcast_arrays(np.asarray(self.p, float), np.asarray(self.r, float))
+            vars(self).update(p=p, r=r)  # frozen: set past the dataclass's __setattr__
 
 
 def gad_channel(params: GadParams) -> np.ndarray:

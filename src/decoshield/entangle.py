@@ -15,7 +15,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._elementwise import check_finite, check_range, check_strength, namespace, np, quietly, reject
+from ._elementwise import (
+    check_finite, check_range, check_scalar, check_strength, namespace, np, quietly, reject,
+)
 from .channels import GadParams, apply_on_qubit, gad_channel
 from .qubit import g_value
 from .weakmeas import measure_damp_reverse, require_postselection
@@ -34,10 +36,10 @@ class EntangledInput:
     beta: complex
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):  # a numpy scalar: the number it holds, as for strengths
-            amp = getattr(self, name)
-            if type(amp) not in (float, complex) and isinstance(amp, np.generic):
-                object.__setattr__(self, name, amp.item())
+        for name in ("alpha", "beta"):  # one number; a numpy scalar: the number it holds
+            z = getattr(self, name)
+            if type(z) not in (float, complex) and isinstance(check_scalar(name, z), np.generic):
+                object.__setattr__(self, name, z.item())
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(norm - 1.0) <= NORM_ATOL:
             for name, amp in (("alpha", self.alpha), ("beta", self.beta)):
@@ -47,19 +49,14 @@ class EntangledInput:
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> EntangledInput:
-        if type(alpha_sq) is not float and np.ndim(alpha_sq):
-            raise ValueError(f"alpha_sq must be a scalar, got shape {np.shape(alpha_sq)}")
+        check_scalar("alpha_sq", alpha_sq)
         check_range(alpha_sq, 0.0, 1.0, "alpha_sq must lie in [0, 1], got {}")
         return cls(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq))
 
-    def ket(self) -> np.ndarray:
-        vec = np.zeros(4, dtype=complex)
+    def density(self) -> np.ndarray:
+        vec = np.zeros(4, dtype=complex)  # the ket, alpha at |00> and beta at |11>
         vec[0] = self.alpha
         vec[3] = self.beta
-        return vec
-
-    def density(self) -> np.ndarray:
-        vec = self.ket()
         return vec[:, None] * vec.conj()  # np.outer's product, without its wrapper
 
 
@@ -91,8 +88,8 @@ class XStateCoefficients:
         for name, weight in zip("abcd", weights):
             kind = "real" if np.iscomplexobj(weight) else "non-negative"
             check_range(weight, 0.0, math.inf, f"{name} must be {kind}, got {{!r}}")
-        if np.ndim(e) and not any(np.ndim(weight) for weight in weights):
-            raise ValueError(f"e must be a scalar beside scalar weights, got shape {np.shape(e)}")
+        if not any(np.ndim(weight) for weight in weights):
+            check_scalar("e", e, "a scalar beside scalar weights")
         reject(np.isfinite(e), ValueError, "e must be finite, got {!r}", e)
 
     def matrix(self) -> np.ndarray:
@@ -195,12 +192,10 @@ def protected_state(
     rescales rows, which reversed_state and concurrence_lambda2 handle.
     Zero strengths are allowed (projective limits); negatives are not.
     """
+    _, (m1, m2) = namespace(m1, m2)
     coeffs = measured_coefficients(inp, ch1, ch2, m1, m2)
-    xp, (m1, m2, n1, n2, a, b, c, d) = namespace(
-        m1, m2, n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    )
-    prob = _reversed_trace(a, b, c, d, n1, n2, xp)
-    return coeffs, _success_probability(prob, m1, m2, n1, n2, xp)
+    xp, n1, n2, _, _, _, _, trace = _reversal(coeffs, n1, n2)
+    return coeffs, _success_probability(trace, m1, m2, n1, n2, xp)
 
 
 def _success_probability(prob, m1, m2, n1, n2, xp):
@@ -212,24 +207,25 @@ def _success_probability(prob, m1, m2, n1, n2, xp):
     return require_postselection(prob)
 
 
-def _reversed_trace(a, b, c, d, n1, n2, xp):
-    """Unnormalized trace of the X state with diagonal a, b, c, d after the
-    reversal (n1, n2): where the reversal strengths enter the chain, so
-    where they and their trace are checked."""
+def _reversal(coeffs, n1, n2):
+    """xp, n1, n2, a, b, c, d, trace: the record read once with the reversal
+    (n1, n2), and its unnormalized trace after that reversal. Where the
+    reversal strengths enter the chain, so where they and it are checked."""
+    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     if xp.loud():
-        return quietly(_reversed_trace, a, b, c, d, n1, n2, xp)
+        return quietly(_reversal, coeffs, n1, n2)
     n1 = check_strength("n1", n1, zero_ok=True)
     n2 = check_strength("n2", n2, zero_ok=True)
     trace = n1 * n1 * n2 * n2 * a + n1 * n1 * b + n2 * n2 * c + d
-    return check_finite(trace, "n1, n2", n1, n2)
+    return xp, n1, n2, a, b, c, d, check_finite(trace, "n1, n2", n1, n2)
 
 
 def reversed_state(
     coeffs: XStateCoefficients, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Final normalized 4x4 state after the reversal, with its raw trace; stacks for arrays."""
-    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
-    raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
+    xp, n1, n2, a, b, c, d, raw = _reversal(coeffs, n1, n2)
+    raw = require_postselection(raw)
     # n1 n2 e as Python's float * complex, in real arithmetic (numpy's can flip a zero's sign)
     k, e = n1 * n2, coeffs.e
     reversed_coeffs = XStateCoefficients(
@@ -254,9 +250,8 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     Equals 2 n1 n2 (|e| - sqrt(bc)) divided by the reversed trace, so it
     reduces to the unprotected value at unit strengths.
     """
-    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
-    raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
-    return _lambda2(coeffs.e, b, c, n1, n2, raw, xp)
+    xp, n1, n2, _, b, c, _, raw = _reversal(coeffs, n1, n2)
+    return _lambda2(coeffs.e, b, c, n1, n2, require_postselection(raw), xp)
 
 
 def _lambda2(e, b, c, n1, n2, raw, xp):
@@ -284,13 +279,14 @@ def optimized_protection(inp: EntangledInput, ch1: GadParams, ch2: GadParams, m)
     """n1, n2, lambda2 and success probability at pre-measurement strength(s)
     m = m1 (m2 = 1), with the reversal optimized at each m; scalar or array.
     The reversed trace is computed and checked once, for both results."""
+    if type(m) is not float:  # converted once; a float is as namespace would give it
+        _, (m,) = namespace(m)
     coeffs = measured_coefficients(inp, ch1, ch2, m, 1.0)
-    xp, (m, a, b, c, d) = namespace(m, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     n1, n2 = optimal_reversal(coeffs)
     # both strengths are at most about 1e77, so their sum is finite unless one is not
     check_finite(n1 + n2, "m", m)
-    raw = require_postselection(_reversed_trace(a, b, c, d, n1, n2, xp))
-    lam2 = _lambda2(coeffs.e, b, c, n1, n2, raw, xp)
+    xp, n1, n2, _, b, c, _, raw = _reversal(coeffs, n1, n2)
+    lam2 = _lambda2(coeffs.e, b, c, n1, n2, require_postselection(raw), xp)
     return n1, n2, lam2, _success_probability(raw, m, 1.0, n1, n2, xp)
 
 
@@ -350,9 +346,7 @@ def optimal_parameters(
     channel: p, r arrays are refused by the channel's name.
     """
     for name, ch in (("ch1", ch1), ("ch2", ch2)):
-        if type(ch.p) is not float or type(ch.r) is not float:  # floats: no numpy call
-            if shape := np.broadcast_shapes(np.shape(ch.p), np.shape(ch.r)):
-                raise ValueError(f"{name} must be one channel, got shape {shape}")
+        check_scalar(name, ch.p, "one channel")  # a record's p has the channels' shape
     lam1 = concurrence_lambda1(channel_degraded_state(inp, ch1, ch2))
     lam2_bar = lambda2_max(ch1, ch2)
     lo, hi = component_coefficients(ch1, ch2)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._elementwise import FLOAT_MAX, check_range, np, ordered_sum
+from ._elementwise import FLOAT_MAX, check_range, check_scalar, np, ordered_sum
 
 SIMPLEX_DIAMETER_TOL = 1e-9
 SIMPLEX_MAX_EVALS = 100_000
@@ -29,7 +29,8 @@ class SearchBox:
         if not len(self.lower) == len(self.upper) == len(self.resolution):
             raise ValueError("lower, upper and resolution must share a length")
         for lo, hi, res in zip(self.lower, self.upper, self.resolution):
-            for x in (lo, hi):  # NaN and complex bounds fail here, before the order
+            for x in (lo, hi):  # arrays, NaN and complex bounds fail here, before the order
+                check_scalar("bounds", x, "scalars")
                 check_range(x, -FLOAT_MAX, FLOAT_MAX, "bounds must be finite, got [{}, {}]", lo, hi)
             if not lo < hi:
                 raise ValueError(f"need lower < upper, got [{lo}, {hi}]")
@@ -192,6 +193,7 @@ def stationarity_check(
 ) -> float:
     """Largest central-difference gradient component at an interior point."""
     point = np.asarray(point, dtype=float)
+    check_scalar("step", step)
     check_range(step, math.ulp(0.0), FLOAT_MAX, "step must be finite and positive, got {!r}")
     slopes = []
     for axis in range(point.size):

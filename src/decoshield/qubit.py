@@ -145,7 +145,6 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
     xp, (p, r) = namespace(params.p, params.r)
     if xp.loud():
         return quietly(optimal_strengths, params)
-    p, r = xp.broadcast(p, r)  # so that projective, too, has the shape of the channels
     reject(p != 0.0, ValueError, "p = 0: optimal pre-measurement strength diverges")
     reject((p != 1.0) | (r != 1.0), ValueError, "p = 1 with r = 1: optimum is degenerate")
     stay0 = 1.0 - r + p * r

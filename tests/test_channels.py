@@ -1,4 +1,7 @@
+from dataclasses import astuple
+
 import numpy as np
+import pytest
 
 from decoshield.channels import (
     GadParams,
@@ -8,8 +11,9 @@ from decoshield.channels import (
     check_trace_preserving,
     gad_channel,
 )
-from decoshield.entangle import EntangledInput, pipeline_state
+from decoshield.entangle import EntangledInput, measured_coefficients, pipeline_state
 from decoshield.linalg import validate_density
+from decoshield.qubit import baseline_fidelity, g_value, optimal_strengths
 
 RNG = np.random.default_rng(77103)
 
@@ -40,13 +44,32 @@ def test_kraus_channel_shape_checks():
     assert stack.shape == (3, 2, 4, 2, 2)
     for i, j in np.ndindex(3, 2):
         assert stack[i, j].tobytes() == gad_channel(GadParams(p[i, 0], r[j])).tobytes()
-    # a float parameter against an array: float and array entries mixed
+    # a float parameter against an array: float and array entries mixed, and
+    # every closed form on the channels has their shape, entry by entry the
+    # lone call's bits, or refuses as the first refused lone call does
     mixed = GadParams(0.3, np.array([0.0, 0.6, 1.0])), GadParams(np.array([0.0, 0.3, 1.0]), 0.6)
     lone = [(0.3, ri) for ri in (0.0, 0.6, 1.0)], [(pi, 0.6) for pi in (0.0, 0.3, 1.0)]
+    inp, other = EntangledInput.from_alpha_sq(0.4), GadParams(0.8, 0.3)
+    closed_forms = (lambda ch: (baseline_fidelity(ch), g_value(ch)),
+                    lambda ch: astuple(optimal_strengths(ch)),
+                    lambda ch: astuple(measured_coefficients(inp, ch, other, 0.5, 1.0)))
     for params, points in zip(mixed, lone):
         assert [kraus.tobytes() for kraus in gad_channel(params)] == [
             gad_channel(GadParams(pi, ri)).tobytes() for pi, ri in points
         ]
+        for fields in closed_forms:
+            try:
+                want = [fields(GadParams(pi, ri)) for pi, ri in points]
+            except ValueError as err:
+                with pytest.raises(ValueError) as exc:
+                    fields(params)
+                assert str(exc.value) == str(err)
+                continue
+            for k, field in enumerate(fields(params)):
+                assert field.shape == (3,)
+                assert [entry.tobytes() for entry in field] == [
+                    np.asarray(values[k]).tobytes() for values in want
+                ]
     # a stack of states is a stack of channel outputs, state by state
     rhos = np.stack([random_density(RNG) for _ in range(6)]).reshape(2, 3, 2, 2)
     out = apply_channel(ops, rhos)

@@ -41,9 +41,10 @@ def random_input():
 
 
 def test_input_validation():
-    vec = BELL.ket()
-    assert vec[0] == vec[3] and vec[1] == vec[2] == 0
     rho = BELL.density()
+    # alpha|00> + beta|11>: nonzero only where rows and columns 0 and 3 meet
+    assert rho[0, 0] == rho[0, 3] == rho[3, 0] == rho[3, 3]
+    assert not rho[1:3].any() and not rho[:, 1:3].any()
     validate_density(rho)
     assert abs(rho[0, 3] - 0.5) < 1e-15
 

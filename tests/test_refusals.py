@@ -328,6 +328,11 @@ ROWS = [
     # the pair optimum takes one channel per qubit
     row("ch1 must be one channel, got shape (2,)", optimal_parameters,
         BELL, GadParams(np.array([0.9, 0.5]), np.array([0.5, 0.3])), PAIR[2]),
+    # an amplitude, a search bound and a difference step are each one number
+    row("beta must be a scalar, got shape (2,)", EntangledInput, 0.6, np.array([0.8, 0.8])),
+    row("bounds must be scalars, got shape (2,)", SearchBox, (np.array([0.1, 0.2]),), (1.0,), (3,)),
+    row("step must be a scalar, got shape (2,)", stationarity_check, lambda x: float(x @ x),
+        np.zeros(2), np.array([1e-4, 1e-4])),
 ]
 
 

@@ -52,6 +52,7 @@ from .qubit import (
     g_value,
     optimal_strengths,
     protect_equatorial,
+    qkd_error_rate,
 )
 from .weakmeas import (
     PostSelectionError,

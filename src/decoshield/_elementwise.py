@@ -205,15 +205,16 @@ FLOAT_MAX = sys.float_info.max
 def check_range(value, lower: float, upper: float, message: str, *shown):
     """value, once every entry is real and in [lower, upper]; otherwise
     ValueError(message.format(*shown)), `shown` (by default value) read as
-    for reject. Compares only: a Python float, valid or not, makes no numpy call. A
+    for reject, or as given for a value with no order, a Python complex or
+    a list. Compares only: a Python float, valid or not, makes no numpy call. A
     numpy value meets the bounds as float64, so that a float32 one is not
     compared with FLOAT_MAX cast to its own type, which overflows."""
     if type(value) is not float and isinstance(value, (np.ndarray, np.generic)):
         lower, upper = np.float64(lower), np.float64(upper)
     try:
         ok = (lower <= value) & (value <= upper)
-    except TypeError:  # a Python complex has no order
-        ok = False
+    except TypeError:  # no order: a Python complex or a list, each shown as given
+        raise ValueError(message.format(*(shown or (value,)))) from None
     if ok is not True:  # a valid Python float skips the call below
         real = type(value) is float or np.isrealobj(value)
         reject(ok & real, ValueError, message, *(shown or (value,)))

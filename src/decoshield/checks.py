@@ -53,6 +53,7 @@ from .qubit import (
     g_value,
     optimal_strengths,
     protect_equatorial,
+    qkd_error_rate,
 )
 
 VERIFY_SEED = 716253
@@ -225,13 +226,15 @@ def xstate_vs_wootters(rng: np.random.Generator, count: int) -> tuple[bool, str]
 
 
 def qkd_error_complement(rng: np.random.Generator, count: int) -> tuple[bool, str]:
-    """The four-state error rate from the pipeline is one minus the
-    closed-form equatorial fidelity; each route runs all draws, each
-    through its own channel, as one call."""
+    """The four-state error rate three ways, pairwise equal: the closed
+    form, the pipeline, and one minus the closed-form equatorial fidelity.
+    Each route runs all draws, each through its own channel, as one call."""
     channels, m, n = zip(*((_channel(rng, i), *_strengths(rng, 2)) for i in range(count)))
     stack, m, n = _stacked(channels), np.array(m), np.array(n)
-    fids = protect_equatorial(stack, m, n).fidelity
-    return _max_gap(_gap(bb84_error_rate(stack, m, n), 1.0 - fids), 1e-12)
+    rate, pipeline = qkd_error_rate(stack, m, n), bb84_error_rate(stack, m, n)
+    complement = 1.0 - protect_equatorial(stack, m, n).fidelity
+    gap = _worst(_gap(rate, pipeline), _gap(rate, complement), _gap(pipeline, complement))
+    return _max_gap(gap, 1e-12)
 
 
 def qubit_optimum_oracle(rng: np.random.Generator, count: int) -> tuple[bool, str]:

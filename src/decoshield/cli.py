@@ -20,9 +20,9 @@ from .entangle import EntangledInput, optimal_parameters, optimized_protection
 from .qubit import (
     average_fidelity_six,
     baseline_fidelity,
-    bb84_error_rate,
     optimal_strengths,
     protect_equatorial,
+    qkd_error_rate,
 )
 
 EXIT_OK = 0
@@ -30,10 +30,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 # rows rendered per write: bounds the text held in memory at once
 CSV_CHUNK_ROWS = 4096
-# grid points per array call of the key-distribution pipeline: bounds its
-# temporaries, about 4 kB per point, to half a megabyte without changing
-# any value
-QKD_BLOCK_POINTS = 128
 
 
 class CliError(Exception):
@@ -169,15 +165,6 @@ def _strength_axis(args: argparse.Namespace, flag: str) -> np.ndarray:
     return axis
 
 
-def _qkd_error_rates(params: GadParams, m: np.ndarray, n: np.ndarray) -> dict:
-    m, n = m.ravel(), n.ravel()
-    blocks = range(0, m.size, QKD_BLOCK_POINTS)
-    return {"error_rate": np.concatenate([
-        bb84_error_rate(params, m[i:i + QKD_BLOCK_POINTS], n[i:i + QKD_BLOCK_POINTS])
-        for i in blocks
-    ])}
-
-
 # the qubit sweeps: subcommand, help, the CSV columns after m and n, and the
 # function of (params, m grid, n grid) giving a mapping that holds them
 QUBIT_SWEEPS = (
@@ -186,7 +173,7 @@ QUBIT_SWEEPS = (
     ("qubit-average", "sweep the six-state average fidelity over strengths",
      ("f0", "f1", "fe", "favg"), lambda *a: vars(average_fidelity_six(*a))),
     ("qkd-error", "sweep the four-state key-distribution error rate",
-     ("error_rate",), _qkd_error_rates),
+     ("error_rate",), lambda *a: {"error_rate": qkd_error_rate(*a)}),
 )
 
 

@@ -32,7 +32,8 @@ def equatorial_state(phi: float) -> np.ndarray:
 
     The Bloch form (I + cos(theta) Z + sin(theta) (cos(phi) X + sin(phi) Y)) / 2
     at polar angle theta = pi/2, with the float cos(pi/2) = 6.1e-17 kept on
-    the diagonal: the error-rate CSVs were recorded with it.
+    the diagonal: the bits of bb84_error_rate that tests/data/pipeline_bits.json
+    records were computed with it.
     """
     check_azimuth(phi)
     phi %= 2.0 * math.pi

@@ -24,6 +24,7 @@ from .weakmeas import measure_damp_reverse, require_postselection
 # index of its conjugate partner (azimuth shifted by pi)
 BB84_AZIMUTHS = (0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi)
 BB84_PARTNERS = (1, 0, 3, 2)
+_TINY = math.ulp(0.0)  # the least positive float
 
 
 @functools.cache
@@ -127,6 +128,51 @@ def protect_equatorial(
     return ProtectionResult(0.5 + coherence / t, success, (diag0, lost + leak, coherence, phi, t))
 
 
+def qkd_error_rate(params: GadParams, m: float, n: float) -> float:
+    """Average error rate of the four equatorial key-distribution states,
+    1 - protect_equatorial(params, m, n).fidelity, as a sum of non-negative
+    terms: it never comes out negative, and keeps its relative accuracy near
+    zero, where 1/2 - c/t cancels.
+
+    With a = 1 - r + pr + m^2 pr, b = 1 - pr and k = sqrt(1 - r), the
+    output's trace is t = n^2 a + m^2 b + (1 - p) r and its coherence
+    c = mnk. The rate is (t - 2c) / (2t), with t = (t - 2c) + 2c and
+
+        t - 2c = (n sqrt(a) - m sqrt(b))^2 + 2mn (sqrt(ab) - k) + (1 - p) r,
+        sqrt(ab) - k = (p (1 - p) r^2 + m^2 pr b) / (sqrt(ab) + k).
+
+    Where a and b are at least 1/4, the difference of roots is taken as
+    n - m - n (1 - sqrt(a)) + m (1 - sqrt(b)), with 1 - sqrt(x) as
+    (1 - x) / (1 + sqrt(x)), which keeps it accurate when r or p is small.
+
+    Refuses what protect_equatorial refuses. Scalar in, float out; array in,
+    array out, as protect_equatorial, each entry equal to the scalar call at
+    that point bit for bit. bb84_error_rate is its independent route.
+    """
+    xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
+    if xp.loud():
+        return quietly(qkd_error_rate, params, m, n)
+    # its refusals: the strengths, a trace that overflows and a void run
+    protect_equatorial(params, m, n)
+    m, n = m * 1.0, n * 1.0  # an int as the float protect_equatorial takes it for
+    # a, b (as (1 - p) + p (1 - r)) and the gap add non-negative terms: each is
+    # accurate to a few ulps
+    pr = p * r
+    a = 1.0 - r + pr + m * m * pr
+    b = 1.0 - p + p * (1.0 - r)
+    k = xp.sqrt(1.0 - r)
+    root_a, root_b = xp.sqrt(a), xp.sqrt(b)
+    far = n * root_a - m * root_b
+    near = n - m - n * ((r * (1.0 - p) - m * m * pr) / (1.0 + root_a)) + m * (pr / (1.0 + root_b))
+    diff = xp.where((a >= 0.25) & (b >= 0.25), near, far)
+    # the denominator is 0 only where the numerator is (r = 1, p in {0, 1}):
+    # the floor keeps 0 / 0 out and changes no other quotient
+    slope = (p * (1.0 - p) * r * r + m * m * pr * b) / xp.maximum(xp.sqrt(a * b) + k, _TINY)
+    # m n slope is at most t / 2: this order never passes it
+    gap = diff * diff + m * n * slope * 2.0 + (1.0 - p) * r
+    return gap / (gap + m * n * k * 2.0) * 0.5  # halved last: gap may be subnormal
+
+
 def optimal_strengths(params: GadParams) -> OptimalStrengths:
     """Measurement strengths maximizing the equatorial fidelity.
 
@@ -173,7 +219,8 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
 
     Each basis state is pushed through the full measure/damp/reverse
     pipeline; the error term of a state is the overlap leaking into its
-    conjugate partner (azimuth shifted by pi), normalized per pair.
+    conjugate partner (azimuth shifted by pi), normalized per pair. The
+    independent route for qkd_error_rate, which the CLI sweeps.
 
     Scalar in, float out; array in, array out: m, n and the channel
     parameters p, r may be arrays that broadcast together, each entry equal

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -12,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import decoshield
 from decoshield import cli
@@ -25,7 +28,7 @@ from decoshield.entangle import (
     optimal_reversal,
     protected_state,
 )
-from decoshield.qubit import average_fidelity_six, bb84_error_rate, protect_equatorial
+from decoshield.qubit import average_fidelity_six, protect_equatorial, qkd_error_rate
 
 
 def fmt(value):
@@ -86,7 +89,7 @@ def test_output_is_byte_stable(tmp_path, monkeypatch, capsys):
         (
             ["qkd-error", *qubit, "--grid", "4"],
             ("m", "n", "error_rate"),
-            [(m, n, bb84_error_rate(params, m, n)) for m, n in small],
+            [(m, n, qkd_error_rate(params, m, n)) for m, n in small],
         ),
         (
             ["entangle", *pair],
@@ -348,6 +351,7 @@ def test_library_errors_exit_with_usage(capsys):
          "--sweep-m: at m=5e+99: strengths m = 5e+99 overflow"),
         (["qubit-fidelity", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
         (["qubit-average", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
+        (["qkd-error", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
         (["optimal", "--p", "1e-200", "--r", "1"], "--p/--r: p = 1e-200 with r = 1.0"),
     ]
     for argv, start in cases:
@@ -355,13 +359,72 @@ def test_library_errors_exit_with_usage(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {start}"), (argv, err)
         assert err.count("\n") == 1, err
-    # both routes name the joint probability of the two outcomes, not the
-    # reversal stage's 2e-16; the two roundings of it differ in the last ulp
+    # both sweeps name the joint probability of the two outcomes, not the
+    # reversal stage's 2e-16, from the one evaluation they share
     named = []
     for command in ("qubit-fidelity", "qkd-error"):
         assert entry([command, *still]) == 2
-        named.append(float(capsys.readouterr().err.split()[4]))
-    assert math.isclose(*named, rel_tol=1e-15), named
+        named.append(capsys.readouterr().err.split()[4])
+    assert named[0] == named[1], named
+
+
+def test_benchmark_sweep_keeps_its_recorded_digest(capsys):
+    # the kraus workload's first operation at seed 0: its bytes hash to the
+    # digest the benchmark checks them against
+    recorded = json.loads((Path(__file__).parents[1] / "bench" / "digests.json").read_text())
+    argv = ["qkd-error", "--p", "0.510639462230231", "--r", "0.9039312375831198", "--grid", "60"]
+    assert entry([*argv, "--out", "-"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == recorded["digests"]["kraus"][0]
+
+
+# channel parameters and input weights with their ends drawn explicitly, and
+# tiny ones; strength ranges anywhere in the positive floats, a few steps each
+weights = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(5e-324, 1e-8), st.floats(0.0, 1.0))
+ends = st.one_of(st.floats(5e-324, 1e300), st.floats(1e-3, 5.0))
+
+
+def strength_range(low):
+    return st.tuples(low, ends, st.integers(1, 4)).map(
+        lambda t: f"{min(t[:2])!r}:{max(t[:2])!r}:{t[2]}")
+
+
+@st.composite
+def sweeps(draw):
+    kind = draw(st.sampled_from(["qubit-fidelity", "qubit-average", "qkd-error", "entangle"]))
+    if kind == "entangle":
+        flags = ("--p1", "--r1", "--p2", "--r2", "--alpha-sq")
+        argv = [item for flag in flags for item in (flag, repr(draw(weights)))]
+        return [kind, *argv, "--sweep-m", draw(strength_range(st.just(0.0) | ends))]
+    return [kind, "--p", repr(draw(weights)), "--r", repr(draw(weights)),
+            "--m-range", draw(strength_range(ends)), "--n-range", draw(strength_range(ends))]
+
+
+# each printed column's physical range; strengths need only be finite
+BOUNDS = {"error_rate": (0.0, 0.5), "lambda2": (-math.inf, math.inf)}
+BOUNDS.update(dict.fromkeys(("m", "n", "n1", "n2"), (0.0, math.inf)))
+BOUNDS.update(dict.fromkeys(
+    ("fidelity", "success_prob", "f0", "f1", "fe", "favg", "concurrence"), (0.0, 1.0)))
+
+
+@settings(max_examples=100)
+@given(sweeps())
+@example(["qkd-error", "--p", "1e-17", "--r", "0.0", "--m-range", "0.01:0.1:1",
+          "--n-range", "0.01:0.02:2"])
+def test_sweeps_print_only_physical_values(argv):
+    # a sweep either prints finite values, each in its column's range, or
+    # refuses with one error line and no rows
+    code, out, err = capture([*argv, "--out", "-"])
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    assert code == 0 and err == "", (code, err)
+    header, *rows = out.splitlines()
+    bounds = [BOUNDS[name] for name in header.split(",")]
+    for row in rows:
+        for (lo, hi), text in zip(bounds, row.split(","), strict=True):
+            value = float(text)
+            assert math.isfinite(value) and lo <= value <= hi, (argv, header, row)
 
 
 def test_malformed_range_exits_with_usage(capsys):

@@ -40,6 +40,7 @@ from decoshield.qubit import (
     g_value,
     optimal_strengths,
     protect_equatorial,
+    qkd_error_rate,
 )
 
 PROPERTY = settings(max_examples=300)
@@ -92,6 +93,7 @@ def test_quiet_rule_keeps_numpy_settings():
     coeffs = measured_coefficients(bell, ch1, ch2, 1.0, 1.0)
     calls = [
         (protect_equatorial, ref, big, big),
+        (qkd_error_rate, ref, big, big),
         (average_fidelity_six, ref, big, big),
         (optimal_strengths, GadParams(np.array([0.5, 1e-300]), 1.0)),
         (measured_coefficients, bell, ch1, ch2, big, big),
@@ -128,6 +130,9 @@ def test_qubit_closed_forms(params, ms, ns, phi):
     agree(outcome(average_fidelity_six, params, m, n), each,
           *fields("f0", "f1", "fe", "favg"))
 
+    each = [outcome(qkd_error_rate, params, mi, ni) for mi, ni in points]
+    agree(outcome(qkd_error_rate, params, m, n), each, lambda rate: rate)
+
     # numpy scalars give plain floats with the bits of the float call
     f64 = np.float64
     agree(outcome(protect_equatorial, params, ms[0], ns[0], phi),
@@ -136,6 +141,8 @@ def test_qubit_closed_forms(params, ms, ns, phi):
     agree(outcome(average_fidelity_six, params, ms[0], ns[0]),
           [outcome(average_fidelity_six, as_f64(params), f64(ms[0]), f64(ns[0]))],
           *fields("f0", "f1", "fe", "favg"))
+    agree(outcome(qkd_error_rate, params, ms[0], ns[0]),
+          [outcome(qkd_error_rate, as_f64(params), f64(ms[0]), f64(ns[0]))], lambda rate: rate)
 
 
 @PROPERTY
@@ -232,8 +239,9 @@ def test_pipeline_arrays(pairs, ms, ns, phi):
     agree(outcome(optimal_strengths, stack), [outcome(optimal_strengths, ch) for ch in channels],
           *fields("m", "n", "f_max"), lambda best: 1.0 * best.projective)
     # each channel against each m, at the first n
-    each = [outcome(bb84_error_rate, ch, mi, ns[0]) for ch in channels for mi in ms]
-    agree(outcome(bb84_error_rate, stack, np.array(ms), ns[0]), each, lambda err: err)
+    for fn in (bb84_error_rate, qkd_error_rate):
+        each = [outcome(fn, ch, mi, ns[0]) for ch in channels for mi in ms]
+        agree(outcome(fn, stack, np.array(ms), ns[0]), each, lambda err: err)
     for fn, names in ((protect_equatorial, ("fidelity", "success_prob")),
                       (average_fidelity_six, ("f0", "f1", "fe", "favg"))):
         each = [outcome(fn, ch, mi, ns[0]) for ch in channels for mi in ms]

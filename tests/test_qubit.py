@@ -1,4 +1,8 @@
+import decimal
 import math
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -13,6 +17,7 @@ from decoshield.qubit import (
     g_value,
     optimal_strengths,
     protect_equatorial,
+    qkd_error_rate,
 )
 
 RNG = np.random.default_rng(41177)
@@ -139,3 +144,57 @@ def test_six_states_are_valid():
     equator = [equatorial_state(k * 0.5 * math.pi) for k in range(4)]
     for state in (*POLES, *equator):
         validate_density(state)
+
+
+def decimal_error_rate(p, r, m, n):
+    """(t - 2c) / (2t) to 60 digits, with t the trace and c the coherence of
+    the protected equatorial state, from the exact values of the floats
+    given: a reference with no numpy in its arithmetic. The difference is
+    taken as (t^2 - 4c^2) / (t + 2c), whose numerator is exact in rationals,
+    so the 60 digits hold however much t - 2c cancels."""
+    p, r, m, n = map(Fraction, (p, r, m, n))
+    t = n * n * (1 - r + p * r + m * m * p * r) + m * m * (1 - p * r) + (1 - p) * r
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+
+        def digits(x):
+            return Decimal(x.numerator) / x.denominator
+
+        two_c = 2 * digits(m * n) * digits(1 - r).sqrt()
+        return digits(t * t - 4 * m * m * n * n * (1 - r)) / (2 * digits(t) * (digits(t) + two_c))
+
+
+# the relative accuracy the README states for the printed rate
+RATE_REL_TOL = 1e-11
+
+
+def whole_domain_weight(rng):
+    """0 or 1, a weight within 1e-6 of either, down to the subnormals above 0,
+    or a uniform one."""
+    tiny = float(10.0 ** rng.uniform(-323.0, -6.0))
+    return (0.0, 1.0, tiny, 1.0 - tiny, float(rng.uniform()))[rng.integers(5)]
+
+
+def test_error_rate_matches_decimal_reference():
+    # over the whole domain, strengths log-uniform in [1e-12, 50], and on
+    # every other draw near the optimum, where 1/2 - c/t cancels
+    rng = np.random.default_rng(2500)
+    checked = 0
+    for i in range(3000):
+        p, r = whole_domain_weight(rng), whole_domain_weight(rng)
+        params = GadParams(p, r)
+        m, n = (10.0 ** rng.uniform(-12.0, math.log10(50.0), size=2)).tolist()
+        if i % 2 and 0.0 < p < 1.0 and p * (1.0 - r + p * r) > 0.0:
+            best = optimal_strengths(params)
+            m, n = (np.array([best.m, best.n]) * (1.0 + rng.uniform(-1e-3, 1e-3, size=2))).tolist()
+        try:
+            got = qkd_error_rate(params, m, n)
+        except ValueError:  # refused as protect_equatorial refuses: void or overflowing
+            continue
+        want = decimal_error_rate(p, r, m, n)
+        # relative to the rate, or, below the normal floats, where floats lose
+        # relative accuracy, to the least normal float
+        scale = max(want, Decimal(sys.float_info.min))
+        assert abs(Decimal(got) - want) <= Decimal(RATE_REL_TOL) * scale, (p, r, m, n, got, want)
+        checked += 1
+    assert checked > 2000, checked

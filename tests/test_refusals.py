@@ -17,8 +17,8 @@ from decoshield import (
     bb84_error_rate, concurrence_lambda1, concurrence_lambda2, equatorial_state, fidelity,
     gad_channel, kraus_pipeline_state, measured_coefficients, optimal_parameters, optimal_reversal,
     optimal_strengths, pipeline_state, post_diagonal, pre_diagonal, protect_equatorial,
-    protected_state, reversed_state, simplex_maximize, stationarity_check, validate_density,
-    wootters_concurrence,
+    protected_state, qkd_error_rate, reversed_state, simplex_maximize, stationarity_check,
+    validate_density, wootters_concurrence,
 )
 from decoshield.entangle import optimized_protection
 from decoshield.weakmeas import measure_damp_reverse, require_postselection
@@ -333,6 +333,17 @@ ROWS = [
     row("bounds must be scalars, got shape (2,)", SearchBox, (np.array([0.1, 0.2]),), (1.0,), (3,)),
     row("step must be a scalar, got shape (2,)", stationarity_check, lambda x: float(x @ x),
         np.zeros(2), np.array([1e-4, 1e-4])),
+    # a Python list is no number: refused by the value's name, shown as given
+    row("p must be in [0, 1], got [0.3, 0.6]", GadParams, [0.3, 0.6], 0.5),
+    row(positive("m", [0.5, 0.6]), protect_equatorial, GadParams(0.3, 0.5), [0.5, 0.6], 1.0),
+    row("a must be non-negative, got [0.3, 0.3]", XStateCoefficients, [0.3, 0.3], 0.2, 0.2, 0.3,
+        0.1),
+    # the closed-form error rate refuses what protect_equatorial refuses
+    row(positive("m", 0.0), qkd_error_rate, REF, 0.0, 0.5),
+    row(positive("n", math.inf), qkd_error_rate, HALF, np.array([0.5, 1.0]),
+        np.array([1.0, math.inf])),
+    row(overflow("m, n = 1e+100, 1e+100"), qkd_error_rate, REF, 1e100, np.array([1.0, 1e100])),
+    void(1.0000000000000001e-16, qkd_error_rate, IDENTITY, 1e-8, 1e-8),
 ]
 
 
@@ -374,6 +385,7 @@ def test_valid_floats_never_reach_the_refusal_path(monkeypatch):
     SearchBox((0.0, -1.0), (1.0, 2.0), (3, 4))
     equatorial_state(0.7)
     protect_equatorial(REF, 0.5, 1.2, 0.7)
+    qkd_error_rate(REF, 0.5, 1.2)
     pipeline_state(BELL, REF, REF, 0.5, 1.0, 1.2, 1.0)
     concurrence_lambda1(COEFFS)
     concurrence_lambda2(COEFFS, 0.5, 1.2)

@@ -54,12 +54,7 @@ from .qubit import (
     protect_equatorial,
     qkd_error_rate,
 )
-from .weakmeas import (
-    PostSelectionError,
-    apply_postselected,
-    post_diagonal,
-    pre_diagonal,
-)
+from .weakmeas import PostSelectionError, apply_postselected
 
 # every public name the imports above bind; submodules are left out
 __all__ = sorted(

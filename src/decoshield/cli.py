@@ -248,12 +248,12 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         report = _call("--alpha-sq", optimal_parameters, inp, ch1, ch2)
         lines = [
             ("lambda1", report.lambda1),
-            ("concurrence_unprotected", max(0.0, report.lambda1)),
+            ("concurrence_unprotected", min(1.0, max(0.0, report.lambda1))),
             ("m_opt", report.m_opt),
             ("n1_opt", report.n1_opt),
             ("n2_opt", report.n2_opt),
             ("lambda2_max", report.lambda2_max),
-            ("concurrence_protected", max(0.0, report.lambda2_max)),
+            ("concurrence_protected", min(1.0, max(0.0, report.lambda2_max))),
             ("h", report.h),
             ("alpha_sq_opt", report.alpha_sq_opt),
             ("success_prob", report.success_prob),

@@ -29,10 +29,9 @@ _TINY = math.ulp(0.0)  # the least positive float
 
 @functools.cache
 def _bb84_states() -> np.ndarray:
-    """Their density matrices, one stack built and checked on first use."""
-    states = np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
-    fidelity(states, states)  # raises unless each is pure, as a reference must be
-    return states
+    """Their density matrices, one stack built on first use; `fidelity`
+    checks on every call that each is pure, as a reference must be."""
+    return np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A pre-channel measurement diag(1, m) partially collapses toward |0>;
 a post-channel reversal diag(n, 1) undoes the collapse probabilistically.
-Two-qubit variants are tensor products of the single-qubit forms. A
-measurement is given by its diagonal and applied entry by entry.
+Two-qubit variants are tensor products of the single-qubit forms.
+measure_damp_reverse runs the protocol from its strengths, and
+apply_postselected applies one measurement given by its raw diagonal.
 """
 
 from __future__ import annotations
@@ -37,20 +38,10 @@ def require_postselection(prob):
     return prob
 
 
-def pre_diagonal(*m) -> np.ndarray:
-    """Diagonal of diag(1, m) on each qubit, tensored together (the first
-    strength on the leftmost factor). Strengths may be broadcasting arrays,
-    giving a (..., 2 ** len(m)) stack of diagonals."""
-    return _tensored(m, "m")
-
-
-def post_diagonal(*n) -> np.ndarray:
-    """Diagonal of diag(n, 1) on each qubit, tensored together: the entries
-    of pre_diagonal(*n) in reverse order."""
-    return _tensored(n, "n")[..., ::-1]
-
-
 def _tensored(strengths, name) -> np.ndarray:
+    """Diagonal of diag(1, s) on each qubit, tensored together, the first
+    strength on the leftmost factor; reversed, that of diag(s, 1). Array
+    strengths broadcast to a (..., 2 ** len(strengths)) stack of diagonals."""
     xp, strengths = namespace(*strengths)
     if len(strengths) > 1 and xp.loud():  # only a product of strengths can overflow
         return quietly(_tensored, strengths, name)
@@ -71,8 +62,8 @@ def measure_damp_reverse(rho: np.ndarray, m: tuple, n: tuple, damp) -> tuple[np.
     the joint success probability of both outcomes, which must reach the
     cutoff. m and n hold one strength, float or array, per qubit; they, rho
     and any channel stack in damp broadcast as for apply_postselected."""
-    state, prob_pre = _postselect(pre_diagonal(*m), rho)
-    state, prob_post = _postselect(post_diagonal(*n), damp(state))
+    state, prob_pre = _postselect(_tensored(m, "m"), rho)
+    state, prob_post = _postselect(_tensored(n, "n")[..., ::-1], damp(state))
     return state, require_postselection(prob_pre * prob_post)
 
 

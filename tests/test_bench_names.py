@@ -6,9 +6,19 @@ from the script's source, without importing it."""
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
-RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+import decoshield
+
+ROOT = Path(__file__).resolve().parents[1]
+RUN = ROOT / "bench" / "run.py"
+# public names that no other module and no benchmark file uses, and why each is public
+ALLOWED = {
+    **dict.fromkeys(("AverageFidelityReport", "ConcurrenceReport", "OptimalStrengths",
+                     "ProtectionResult", "XStateCoefficients"), "a result record callers read"),
+    "PostSelectionError": "the error type of a void run, for callers to catch",
+}
 
 
 def test_hot_functions_are_public_layer_functions():
@@ -26,3 +36,27 @@ def test_hot_functions_are_public_layer_functions():
         fn = getattr(module, attr, None)
         assert not attr.startswith("_") and inspect.isfunction(fn), name
         assert fn.__module__ == module.__name__, name
+
+
+def test_no_public_name_exists_only_for_the_tests():
+    """Each name in decoshield.__all__ is used by code in a module other than
+    its own (parsed, so a docstring mention does not count), appears in a
+    benchmark file, or is allowed above."""
+    used = {}
+    for path in (ROOT / "src" / "decoshield").glob("*.py"):
+        used[path.stem] = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+    bench = "\n".join(path.read_text() for path in RUN.parent.rglob("*")
+                      if path.is_file() and "__pycache__" not in path.parts)
+    assert ALLOWED.keys() <= set(decoshield.__all__)
+    only_tests = []
+    for name in decoshield.__all__:
+        home = getattr(decoshield, name).__module__.rpartition(".")[2]
+        elsewhere = any(name in names for module, names in used.items()
+                        if module not in (home, "__init__"))
+        if not (elsewhere or re.search(rf"\b{name}\b", bench) or name in ALLOWED):
+            only_tests.append(name)
+    assert only_tests == []

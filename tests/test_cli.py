@@ -214,6 +214,11 @@ def test_optimal_two_qubit(capsys):
     report = parse_report(capsys.readouterr().out)
     assert report["lambda2_max"] == "0.0"
     assert report["degenerate"] == "'projective-limit'"
+    # lambda1 of the Bell input rounds one ulp above 1; a concurrence stays in [0, 1]
+    for r in ("0", "1e-17"):
+        assert entry(["optimal", "--p1", "0.3", "--r1", r, "--p2", "0.3", "--r2", r]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["concurrence_unprotected"] == report["concurrence_protected"] == "1.0"
 
 
 def test_optimal_mode_selection_is_exclusive(capsys):

@@ -16,9 +16,8 @@ from decoshield import (
     apply_on_qubit, apply_postselected, apply_protection, apply_via_dilation, average_fidelity_six,
     bb84_error_rate, concurrence_lambda1, concurrence_lambda2, equatorial_state, fidelity,
     gad_channel, kraus_pipeline_state, measured_coefficients, optimal_parameters, optimal_reversal,
-    optimal_strengths, pipeline_state, post_diagonal, pre_diagonal, protect_equatorial,
-    protected_state, qkd_error_rate, reversed_state, simplex_maximize, stationarity_check,
-    validate_density, wootters_concurrence,
+    optimal_strengths, pipeline_state, protect_equatorial, protected_state, qkd_error_rate,
+    reversed_state, simplex_maximize, stationarity_check, validate_density, wootters_concurrence,
 )
 from decoshield.entangle import optimized_protection
 from decoshield.weakmeas import measure_damp_reverse, require_postselection
@@ -167,7 +166,7 @@ ROWS = [
     void(0.0, pipeline_state, *EXCITED, 0.0, 1.0, 1.0, 1.0),
     void(0.0, concurrence_lambda2, GROUND, 0.0, 0.0),
     void(0.0, reversed_state, GROUND, 0.0, 0.0),
-    void(0.0, apply_postselected, post_diagonal(0.0), PURE_GROUND),
+    void(0.0, apply_postselected, [0.0, 1.0], PURE_GROUND),
     *(void(0.0, measure_damp_reverse, PURE_GROUND, (1.0,), (n,), lambda state: state)
       for n in (0.0, np.array([0.5, 0.0, 2.0]))),
     *(void(shown, require_postselection, prob)
@@ -190,10 +189,13 @@ ROWS = [
         np.array([1.0, 1e200]), 1e200, 1.0, 1.0),
     row(overflow("n1, n2 = 1e+200, 1e+200"), kraus_pipeline_state, BELL.density(),
         gad_channel(REF), gad_channel(REF), 1.0, 1.0, 10**200, 10**200),
-    row(overflow("m1, m2 = 1e+200, 1e+200"), pre_diagonal, 1e200, 1e200),
-    row(overflow("n1, n2 = 1e+200, 1e+200"), post_diagonal, np.array([1e200]), 1e200),
+    row(overflow("m1, m2 = 1e+200, 1e+200"), measure_damp_reverse, MIXED4, (1e200, 1e200),
+        (1.0, 1.0), lambda state: state),
+    row(overflow("n1, n2 = 1e+200, 1e+200"), measure_damp_reverse, MIXED4, (1.0, 1.0),
+        (np.array([1e200]), 1e200), lambda state: state),
     # measurement diagonals, built from strengths or given raw
-    *(row(bad_strength(bad), pre_diagonal, bad) for bad in (-0.1, math.inf, math.nan)),
+    *(row(bad_strength(bad), measure_damp_reverse, RHO, (bad,), (1.0,), lambda state: state)
+      for bad in (-0.1, math.inf, math.nan)),
     *(row(bad_strength(bad), apply_postselected, [1.0, bad], RHO)
       for bad in (-0.1, math.inf, math.nan)),
     row("dimension mismatch: diagonal of 3 vs rho (2, 2)", apply_postselected, [1.0, 0.5, 0.2],
@@ -253,7 +255,8 @@ ROWS = [
         row(bad_strength(0.5 + 1j), pipeline_state, BELL, REF, REF, z, 1.0, 1.0, 1.0),
         row(bad_strength(0.5 + 1j), pipeline_state, BELL, REF, REF, 1.0, 1.0, 1.0, z),
         row(bad_strength(0.5 + 1j), apply_protection, REF, z, 1.0, RHO),
-        row(bad_strength(0.5 + 1j), post_diagonal, 1.0, z),
+        row(bad_strength(0.5 + 1j), measure_damp_reverse, MIXED4, (1.0, 1.0), (1.0, z),
+            lambda state: state),
         row(unit("p", 0.5 + 1j), GadParams, z, 0.3),
         row(unit("r", 0.5 + 1j), GadParams, 0.3, z),
     )),

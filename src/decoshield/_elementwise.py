@@ -30,8 +30,8 @@ Every check that takes arrays refuses through `reject`, naming the first
 failing entry in C order as a Python scalar; NaN always fails. A range is
 checked by `check_range` on closed ends only (0 < x is x >= math.ulp(0.0)),
 one number by `check_scalar`. A record checks and shapes its own entries
-once, when it is built (channel parameters, of one shape, in `GadParams`,
-X-state weights in `XStateCoefficients`), and the closed forms trust it.
+once, when it is built (`GadParams` its channel parameters, of one shape,
+`XStateCoefficients` its weights, in its own `__init__`); closed forms trust it.
 
 numpy is imported on first use, through the handle `np` that every module
 of the package imports from here: a query on Python floats (the `optimal`

@@ -65,11 +65,11 @@ class XStateCoefficients:
     """X-state entries.
 
     a, b, c, d are the diagonal weights on |00>, |01>, |10>, |11> at the
-    current pipeline stage; e is the coherence between |00> and |11>. Each
-    weight, a float or an array, is checked here once, in abcd order: a
-    complex, negative or NaN entry is refused by the weight's name, so the
-    readers below trust the record. Then e: a non-finite entry, or an array
-    beside four scalar weights, is refused by the name e.
+    current pipeline stage; e is the coherence between |00> and |11>. Its
+    own __init__ checks each weight, a float or an array, once, in abcd
+    order: a complex, negative or NaN entry is refused by the weight's name,
+    so the readers below trust the record. Then e: a non-finite entry, or an
+    array beside four scalar weights, is refused by the name e.
     """
 
     a: float
@@ -78,9 +78,9 @@ class XStateCoefficients:
     d: float
     e: complex
 
-    def __post_init__(self) -> None:
-        a, b, c, d = weights = self.a, self.b, self.c, self.d
-        e = self.e
+    def __init__(self, a: float, b: float, c: float, d: float, e: complex) -> None:
+        vars(self).update(a=a, b=b, c=c, d=d, e=e)  # frozen: set past the dataclass's __setattr__
+        weights = a, b, c, d
         if (type(a) is type(b) is type(c) is type(d) is float
                 and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0
                 and type(e) is complex and cmath.isfinite(e)):
@@ -156,7 +156,7 @@ def measured_coefficients(
     xp, (p1, r1, p2, r2, m1, m2) = namespace(ch1.p, ch1.r, ch2.p, ch2.r, m1, m2)
     m1 = check_strength("m1", m1, zero_ok=True)
     m2 = check_strength("m2", m2, zero_ok=True)
-    lo, hi = _unit_coefficients(p1, r1, p2, r2)
+    (a0, b0, c0, d0), (a1, b1, c1, d1) = _unit_coefficients(p1, r1, p2, r2)
     wa = abs(inp.alpha) ** 2
     wb = abs(inp.beta) ** 2
     try:
@@ -164,11 +164,12 @@ def measured_coefficients(
     except OverflowError:  # libm's pow: the square of m1 m2 leaves the float range
         mm = check_finite(quietly(np.square, m1 * m2), "m1, m2", m1, m2)
     # each diagonal entry is x0 + x1 m^2: x0 from the |00> piece, x1 from |11>
-    a, b, c, d = (x0 * wa + x1 * wb * mm for x0, x1 in zip(lo, hi))
+    a, b = a0 * wa + a1 * wb * mm, b0 * wa + b1 * wb * mm
+    c, d = c0 * wa + c1 * wb * mm, d0 * wa + d1 * wb * mm
     keep = xp.sqrt((1.0 - r1) * (1.0 - r2))
     w = complex(inp.alpha * inp.beta.conjugate())
     e = xp.complex(w.real * m1 * m2 * keep, w.imag * m1 * m2 * keep)
-    return XStateCoefficients(a=a, b=b, c=c, d=d, e=e)
+    return XStateCoefficients(a, b, c, d, e)
 
 
 def channel_degraded_state(

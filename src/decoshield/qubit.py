@@ -36,13 +36,17 @@ def _bb84_states() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProtectionResult:
-    """Outcome of protecting one equatorial state. output_state, the
-    protected density matrix, is built on first read from `_entries`, so a
-    caller that reads only the fidelity and success probability never builds it."""
+    """Outcome of protecting one equatorial state; its own __init__ stores it
+    unchecked, as protect_equatorial built it. output_state, the protected
+    density matrix, is built on first read from `_entries`, so a caller
+    that reads only the fidelity and success probability never builds it."""
 
     fidelity: float
     success_prob: float
     _entries: tuple = field(repr=False, compare=False)
+
+    def __init__(self, fidelity: float, success_prob: float, _entries: tuple) -> None:
+        vars(self).update(fidelity=fidelity, success_prob=success_prob, _entries=_entries)
 
     @functools.cached_property
     def output_state(self) -> np.ndarray:

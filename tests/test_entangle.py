@@ -1,6 +1,8 @@
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from decoshield.channels import GadParams
 from decoshield.entangle import (
@@ -19,6 +21,7 @@ from decoshield.entangle import (
 )
 from decoshield.linalg import validate_density
 from decoshield.optimize import stationarity_check
+from decoshield.qubit import protect_equatorial
 
 RNG = np.random.default_rng(63388)
 
@@ -47,6 +50,28 @@ def test_input_validation():
     assert not rho[1:3].any() and not rho[:, 1:3].any()
     validate_density(rho)
     assert abs(rho[0, 3] - 0.5) < 1e-15
+
+
+def test_records_stay_frozen_dataclasses():
+    # both records store their fields in their own __init__, past the
+    # dataclass's: what the dataclass gave them must still hold
+    coeffs = measured_coefficients(BELL, REF1, REF2, 0.7, 0.6)
+    result = protect_equatorial(REF1, 0.7, 0.6)
+    for record in (coeffs, result):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, 0.0)
+        fields = dataclasses.asdict(record)
+        assert type(record)(**fields) == type(record)(*fields.values()) == record
+    with pytest.raises(ValueError, match=r"^b must be non-negative, got -0\.2$"):
+        dataclasses.replace(coeffs, b=-0.2)
+    # _entries is out of the repr and of equality
+    assert "_entries" not in repr(result)
+    assert dataclasses.replace(result, _entries=()) == result
+    # output_state is built on first read, then kept
+    assert "output_state" not in vars(result)
+    state = result.output_state
+    assert vars(result)["output_state"] is state is result.output_state
 
 
 def test_identity_channels_pass_through():

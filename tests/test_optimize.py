@@ -168,6 +168,7 @@ def test_simplex_beats_its_grid_seed():
     seed = grid_maximize(fid, box)
     refined = simplex_maximize(fid, seed.argmax, box)
     best = optimal_strengths(params)
+    assert refined.converged
     assert refined.value >= seed.value
     assert abs(refined.value - best.f_max) < 1e-9
     assert np.max(np.abs(refined.argmax - [best.m, best.n])) < 1e-3

@@ -208,8 +208,8 @@ def entangle_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tu
 
 def xstate_vs_wootters(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """X-state concurrence before and after protection equals the Wootters
-    eigenvalue concurrence."""
-    gap = 0.0
+    eigenvalue concurrence, the Wootters route run on all states as one stack."""
+    closed, states = [], []
     for i in range(count):
         ch1, ch2 = _pair(rng, i)
         inp = _input(rng)
@@ -217,12 +217,10 @@ def xstate_vs_wootters(rng: np.random.Generator, count: int) -> tuple[bool, str]
         m1, n1, n2 = _strengths(rng, 3)
         coeffs = measured_coefficients(inp, ch1, ch2, m1, 1.0)
         rho, _ = reversed_state(coeffs, n1, n2)
-        gap = _worst(  # clipped as max(lambda, 0.0), which keeps a NaN lambda
-            gap,
-            abs(max(concurrence_lambda1(base), 0.0) - wootters_concurrence(base.matrix())),
-            abs(max(concurrence_lambda2(coeffs, n1, n2), 0.0) - wootters_concurrence(rho)),
-        )
-    return _max_gap(gap, 1e-10)
+        closed += [max(concurrence_lambda1(base), 0.0),  # max(lambda, 0.0) keeps a NaN
+                   max(concurrence_lambda2(coeffs, n1, n2), 0.0)]
+        states += [base.matrix(), rho]
+    return _max_gap(_gap(np.array(closed), wootters_concurrence(np.stack(states))), 1e-10)
 
 
 def qkd_error_complement(rng: np.random.Generator, count: int) -> tuple[bool, str]:

@@ -259,8 +259,7 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
             ("success_prob", report.success_prob),
             ("degenerate", report.degenerate),
         ]
-    for key, value in lines:
-        print(f"{key} = {value!r}")
+    sys.stdout.write("".join(f"{key} = {value!r}\n" for key, value in lines))
     return EXIT_OK
 
 
@@ -303,11 +302,11 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first entry() call and then shared: parsing
-    writes only into a fresh Namespace, the string default of --sweep-m is
-    converted anew on every parse, and the defaults set per subcommand are
-    tuples and functions, so no call sees another's state."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommands' parsers by name, built on the first
+    entry() call and then shared: parsing writes only into a fresh Namespace,
+    --sweep-m's string default is converted anew on every parse, and the
+    defaults set per subcommand are tuples and functions: no shared state."""
     # flags must be spelled out: a prefix of a flag is not that flag, so an
     # abbreviated --config key is reported as unknown
     parser = argparse.ArgumentParser(
@@ -315,9 +314,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weak-measurement protection against finite-temperature damping.",
         allow_abbrev=False,
     )
-    add_parser = functools.partial(
-        parser.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False
-    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def add_parser(command: str, **kwargs) -> argparse.ArgumentParser:
+        commands[command] = subparsers.add_parser(command, allow_abbrev=False, **kwargs)
+        return commands[command]
 
     for command, summary, columns, evaluate in QUBIT_SWEEPS:
         sp = add_parser(
@@ -376,15 +378,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, commands
 
 
 def entry(argv: Sequence[str] | None = None) -> int:
+    """Run one command line (default sys.argv[1:]); return its exit code.
+
+    A first token naming a subcommand hands the rest to that subcommand's
+    parser alone, for the namespace and bytes the top-level parser gives. That
+    parser runs when no subcommand leads (no tokens, -h, an unknown word, --)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         argv, origins = _inject_config(argv)
-        args, extras = parser.parse_known_args(argv)
+        subparser = commands.get(argv[0]) if argv else None
+        args, extras = (parser.parse_known_args(argv) if subparser is None else
+                        subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
         for token in extras:
             if token in origins:
                 where, key = origins[token]

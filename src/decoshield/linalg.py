@@ -79,14 +79,15 @@ def fidelity(psi: np.ndarray, rho: np.ndarray):
     return real_trace(psi @ rho)
 
 
-def wootters_concurrence(rho: np.ndarray) -> float:
+def wootters_concurrence(rho: np.ndarray):
     """Two-qubit concurrence from the spin-flip eigenvalue construction.
 
     C = max{0, l1 - l2 - l3 - l4} with l_i the descending square roots of
     the eigenvalues of rho (Y x Y) rho* (Y x Y), evaluated on the Hermitian
-    equivalent sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho).
+    equivalent sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho). One matrix gives a
+    float, a (..., 4, 4) stack an array, each with the bits of its lone call.
     """
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     # eigh on a NaN or inf entry fails without naming it
     reject(np.isfinite(rho), ValueError, "rho must be finite, got {!r}", rho)
@@ -94,10 +95,12 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     w, v = np.linalg.eigh(rho)
     if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"state is not positive: eigenvalue {w.min():.3e}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
     yy = _yy()
     flipped = yy @ rho.conj() @ yy
     w = np.linalg.eigvalsh(root @ flipped @ root)
     w = np.clip(w, 0.0, None)
-    lam = np.sort(np.sqrt(w))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sort(np.sqrt(w))[..., ::-1]
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    c = np.where(c > 0.0, c, 0.0)  # max(0.0, c) at each matrix
+    return float(c) if c.ndim == 0 else c

@@ -383,6 +383,21 @@ def test_benchmark_sweep_keeps_its_recorded_digest(capsys):
     assert digest == recorded["digests"]["kraus"][0]
 
 
+def test_benchmark_queries_keep_their_recorded_digests(capsys):
+    # two of the queries workload's operations at seed 0, a pair query and a
+    # one-qubit one: their printouts hash to the digests the benchmark holds
+    recorded = json.loads((Path(__file__).parents[1] / "bench" / "digests.json").read_text())
+    queries = {
+        0: ["--p1", "0.46910499210958806", "--r1", "0.7735555340609571", "--p2",
+            "0.9103982352557479", "--r2", "0.560429567096834", "--alpha-sq", "0.46029408969787067"],
+        2: ["--p", "0.27185381114297263", "--r", "0.9008566317062335"],
+    }
+    for op, flags in queries.items():
+        assert entry(["optimal", *flags]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        assert digest == recorded["digests"]["queries"][op], op
+
+
 # channel parameters and input weights with their ends drawn explicitly, and
 # tiny ones; strength ranges anywhere in the positive floats, a few steps each
 weights = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(5e-324, 1e-8), st.floats(0.0, 1.0))
@@ -540,6 +555,77 @@ def capture(argv):
         except SystemExit as exc:
             code = f"SystemExit({exc.code})"
     return [code, out.getvalue(), err.getvalue()]
+
+
+# command lines that answer fast: each subcommand with a valid query or
+# none, then flags of every subcommand with valid and invalid values, and,
+# but for optimal, a token that stops the call before its handler; config
+# files (by name, in their folder) with good keys, a bad key, a line with no
+# `=`, and none at all
+BASES = ([], ["--p", "0.8", "--r", "0.3"], ["--config", "good.cfg"],
+         ["--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"])
+SUBCOMMANDS = ("qubit-fidelity", "qubit-average", "qkd-error", "entangle", "optimal", "verify")
+FLAGS = ("--p", "--r", "--p1", "--r1", "--p2", "--r2", "--alpha-sq", "--grid", "--m-range",
+         "--n-range", "--sweep-m", "--out", "--config", "--bogus", "-x")
+VALUES = ("0.5", "0.31", "1e-3", "0", "1.5", "-0.5", "nan", "abc", "", "0.1:1:3", "1:0:5", "7",
+          "good.cfg", "bad.cfg", "broken.cfg", "missing.cfg")
+STOPS = ("-h", "--help", "--bogus", "--", "extra", "--grid=x", "--m-range", "--p1")
+
+
+@st.composite
+def command_lines(draw):
+    lead = draw(st.just("optimal") | st.sampled_from([*SUBCOMMANDS, None, "-h", "--", "melt"]))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES),
+                                    st.booleans()), max_size=3))
+    tokens = [*draw(st.sampled_from(BASES)), *(
+        token for flag, value, joined in pairs
+        for token in ([f"{flag}={value}"] if joined else [flag, value]))]
+    if lead != "optimal":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(STOPS)))
+    return tokens if lead is None else [lead, *tokens]
+
+
+@pytest.fixture(scope="module")
+def config_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("configs")
+    (folder / "good.cfg").write_text("p = 0.8\nr = 0.3\n")
+    (folder / "bad.cfg").write_text("p = 0.8\nr = 0.3\nbogus = 1\n")
+    (folder / "broken.cfg").write_text("p 0.8\n")
+    return folder
+
+
+def parsed(argv):
+    """capture(argv), and the namespace and extras its outermost parse gave."""
+    results = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        results.append(parse(self, *args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        return [*capture(argv), repr(results[-1]) if results else None]
+
+
+@settings(max_examples=150)
+@given(command_lines())
+@example(["optimal", "-h"])
+@example(["optimal", "--config", "bad.cfg", "--p", "0.5"])
+@example(["optimal", "--", "--p", "0.5", "--r", "0.5"])
+@example(["optimal", "--p", "0.5", "--r", "0.5", "--bogus"])
+@example(["qubit-fidelity", "--r", "0.3"])
+@example([])
+def test_subcommand_parser_answers_as_the_top_level_parser(config_folder, argv):
+    # entry() hands a call led by a subcommand to that subcommand's parser;
+    # with no subcommand known to entry(), the top-level parser takes every
+    # call and hands it on: both give the same namespace, extras and bytes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(config_folder)
+        direct = parsed(argv)
+        parser, _ = cli._build_parser()
+        mp.setattr(cli, "_build_parser", lambda: (parser, {}))
+        assert parsed(argv) == direct
 
 
 ONE_SHOT = (

@@ -100,3 +100,16 @@ def test_wootters_concurrence_partial_entanglement():
         # residues in the three vanishing lambdas, hence the loose bound
         got = wootters_concurrence(pure(ket))
         assert abs(got - 2.0 * math.sqrt(a * (1 - a))) < 1e-7
+
+
+def test_wootters_concurrence_of_a_stack():
+    # a (..., 4, 4) stack gives an array, each entry with the bits of its
+    # lone call, which is a float
+    bell = pure(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+    states = [q * bell + (1.0 - q) * np.eye(4) / 4.0 for q in (0.2, 0.5, 1.0)]
+    states += [random_density(RNG, 4) for _ in range(3)]
+    got = wootters_concurrence(np.stack(states).reshape(2, 3, 4, 4))
+    assert got.shape == (2, 3)
+    for (i, j), rho in zip(np.ndindex(2, 3), states):
+        lone = wootters_concurrence(rho)
+        assert type(lone) is float and got[i, j] == lone

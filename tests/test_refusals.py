@@ -347,6 +347,9 @@ ROWS = [
         np.array([1.0, math.inf])),
     row(overflow("m, n = 1e+100, 1e+100"), qkd_error_rate, REF, 1e100, np.array([1.0, 1e100])),
     void(1.0000000000000001e-16, qkd_error_rate, IDENTITY, 1e-8, 1e-8),
+    # a stack of states is refused at its first non-finite entry
+    row("rho must be finite, got inf", wootters_concurrence,
+        np.stack([MIXED4, np.diag([0.25, math.inf, 0.25, 0.25])])),
 ]
 
 

@@ -19,7 +19,6 @@ from .entangle import (
     component_coefficients,
     concurrence_lambda1,
     concurrence_lambda2,
-    kraus_pipeline_state,
     lambda2_max,
     measured_coefficients,
     optimal_parameters,

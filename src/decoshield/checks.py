@@ -30,7 +30,6 @@ from .entangle import (
     channel_degraded_state,
     concurrence_lambda1,
     concurrence_lambda2,
-    kraus_pipeline_state,
     lambda2_max,
     measured_coefficients,
     optimal_parameters,
@@ -55,6 +54,7 @@ from .qubit import (
     protect_equatorial,
     qkd_error_rate,
 )
+from .weakmeas import measure_damp_reverse
 
 VERIFY_SEED = 716253
 BOUNDARY_EVERY = 25
@@ -197,11 +197,10 @@ def entangle_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tu
         closed.append(reversed_state(coeffs, n1, n2)[0])
         success.append(prob)
     inps, ch1s, ch2s, *strengths = zip(*draws)
-    generic, probs = kraus_pipeline_state(
-        np.stack([inp.density() for inp in inps]),
-        gad_channel(_stacked(ch1s)),
-        gad_channel(_stacked(ch2s)),
-        *(np.array(values) for values in strengths),
+    m1, m2, n1, n2 = map(np.array, strengths)
+    generic, probs = measure_damp_reverse(
+        np.stack([inp.density() for inp in inps]), (m1, m2), (n1, n2),
+        (gad_channel(_stacked(ch1s)), gad_channel(_stacked(ch2s))),
     )
     return _max_gap(_worst(_gap(np.stack(closed), generic), _gap(np.array(success), probs)), 1e-12)
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -77,25 +78,29 @@ def _config_tokens(path: str) -> tuple[list[str], dict[str, tuple[str, str]]]:
 def _inject_config(argv: list[str]) -> tuple[list[str], dict[str, tuple[str, str]]]:
     """Expand --config FILE into flag tokens placed right after the
     subcommand, so explicitly passed flags (parsed later) win. Also returns
-    where each config flag came from."""
+    where each config flag came from. Only a leading subcommand that declares
+    --config reads one, from the tokens before --, and none if they ask for help."""
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    if not head or head[0] not in _CONFIG_COMMANDS or "-h" in head or "--help" in head:
+        return argv, {}
     path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
+    for i, token in enumerate(head):
+        if token == "--config" and i + 1 < len(head):
+            path = head[i + 1]
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
-    if path is None or not argv:
+    if path is None:
         return argv, {}
-    tokens, origins = _config_tokens(path)
+    tokens, origins = _call("--config", _config_tokens, path)
     return [argv[0], *tokens, *argv[1:]], origins
 
 
 def _call(flag: str, fn, *args):
-    """fn(*args), with a library ValueError (PostSelectionError included)
-    reported against flag: exit 2 with `error: <flag>: <message>`."""
+    """fn(*args), with a library ValueError (PostSelectionError included) or
+    a file's OSError reported against flag: exit 2 with `error: <flag>: <message>`."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise CliError(f"{flag}: {exc}") from None
 
 
@@ -137,7 +142,7 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) 
     group = max(1, CSV_CHUNK_ROWS // width)
     step = min(width, CSV_CHUNK_ROWS)
 
-    def dump(fh) -> None:
+    with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for first in range(0, blocks, group):
             heads = prefixes[first:first + group]
@@ -147,12 +152,6 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) 
                 # the next chunk's are made
                 fh.write("".join(prefix + prefix.join(templates[start:stop]) for prefix in heads)
                          % tuple(table[first:first + group, start:stop].ravel().tolist()))
-
-    if path == "-":
-        dump(sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            dump(fh)
 
 
 def _strength_axis(args: argparse.Namespace, flag: str) -> np.ndarray:
@@ -175,6 +174,8 @@ QUBIT_SWEEPS = (
     ("qkd-error", "sweep the four-state key-distribution error rate",
      ("error_rate",), lambda *a: {"error_rate": qkd_error_rate(*a)}),
 )
+# the subcommands that declare --config: all but verify, which reads no keys
+_CONFIG_COMMANDS = frozenset((*(sweep[0] for sweep in QUBIT_SWEEPS), "entangle", "optimal"))
 
 
 def _cmd_qubit_sweep(args: argparse.Namespace) -> int:
@@ -184,7 +185,8 @@ def _cmd_qubit_sweep(args: argparse.Namespace) -> int:
         _strength_axis(args, "--m-range"), _strength_axis(args, "--n-range"), indexing="ij"
     )
     values = _call("--m-range/--n-range", args.evaluate, params, m, n)
-    _write_csv(args.out, ("m", "n", *args.columns), (m, n, *(values[c] for c in args.columns)))
+    columns = (m, n, *(values[c] for c in args.columns))
+    _call("--out", _write_csv, args.out, ("m", "n", *args.columns), columns)
     return EXIT_OK
 
 
@@ -202,8 +204,8 @@ def _cmd_entangle(args: argparse.Namespace) -> int:
             _call(f"--sweep-m: at m={m:g}", optimized_protection, inp, ch1, ch2, m)
         raise CliError(f"--sweep-m: {exc}") from None
     concurrence = np.where(lam2 > 0.0, lam2, 0.0)  # max(0.0, lambda2) at each point
-    _write_csv(
-        args.out, ("m", "n1", "n2", "lambda2", "concurrence", "success_prob"),
+    _call(
+        "--out", _write_csv, args.out, ("m", "n1", "n2", "lambda2", "concurrence", "success_prob"),
         (ms, n1, n2, lam2, concurrence, success),
     )
     return EXIT_OK

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ._elementwise import (
     check_finite, check_range, check_scalar, check_strength, namespace, np, quietly, reject,
 )
-from .channels import GadParams, apply_on_qubit, gad_channel
+from .channels import GadParams, gad_channel
 from .qubit import g_value
 from .weakmeas import measure_damp_reverse, require_postselection
 
@@ -314,24 +314,11 @@ def pipeline_state(
     inp: EntangledInput, ch1: GadParams, ch2: GadParams, m1: float, m2: float, n1: float, n2: float
 ) -> tuple[np.ndarray, float]:
     """Generic route: local pre-measurements, one Kraus channel per qubit,
-    local reversals. Returns the final state and joint success probability."""
-    return kraus_pipeline_state(inp.density(), gad_channel(ch1), gad_channel(ch2), m1, m2, n1, n2)
-
-
-def kraus_pipeline_state(
-    rho: np.ndarray, ops1: np.ndarray, ops2: np.ndarray, m1, m2, n1, n2
-) -> tuple[np.ndarray, float]:
-    """pipeline_state from the input density matrix and the Kraus operators
-    of the two channels, through weakmeas.measure_damp_reverse, which holds
-    the joint success probability to the cutoff once. Every argument may
-    also be a stack, the states (..., 4, 4), the channels (..., k, 2, 2) and
-    the strengths, all broadcasting together as for apply_on_qubit, a channel
-    stack with a lone state included: runs through different channels then
-    go as one call, each with the bits of its own call."""
-    def damp(state):
-        return apply_on_qubit(ops2, apply_on_qubit(ops1, state, 0), 1)
-
-    return measure_damp_reverse(rho, (m1, m2), (n1, n2), damp)
+    local reversals, run by weakmeas.measure_damp_reverse. Returns the final
+    state and joint success probability. The strengths and the channels' p, r
+    may be arrays that broadcast together, each entry with its own call's bits."""
+    return measure_damp_reverse(
+        inp.density(), (m1, m2), (n1, n2), (gad_channel(ch1), gad_channel(ch2)))
 
 
 def optimal_parameters(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from ._elementwise import (
     check_azimuth, check_finite, check_strength, namespace, np, ordered_sum, quietly, reject,
 )
-from .channels import GadParams, apply_channel, gad_channel
+from .channels import GadParams, gad_channel
 from .linalg import equatorial_state, fidelity
 from .weakmeas import measure_damp_reverse, require_postselection
 
@@ -87,16 +87,15 @@ def baseline_fidelity(params: GadParams) -> float:
 def apply_protection(
     params: GadParams, m: float, n: float, rho: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Generic route: pre-measure diag(1, m), damp, reverse with diag(n, 1).
+    """Generic route: pre-measure diag(1, m), damp, reverse with diag(n, 1),
+    as weakmeas.measure_damp_reverse on the channel's Kraus stack.
 
-    Returns the post-selected output state and the joint success probability,
-    held to the cutoff once, by weakmeas.measure_damp_reverse. m, n, the
-    channel's p, r and rho, a (..., 2, 2) stack, may all be arrays that
-    broadcast together: the result is then a stack of states and an array of
-    probabilities, each entry with the bits of the scalar call there.
+    Returns the post-selected state and the joint success probability, held
+    to the cutoff once. m, n, the channel's p, r and rho, a (..., 2, 2)
+    stack, may all be arrays that broadcast together: a stack of states and
+    an array of probabilities, each entry with the bits of the scalar call.
     """
-    ops = gad_channel(params)
-    return measure_damp_reverse(rho, (m,), (n,), lambda state: apply_channel(ops, state))
+    return measure_damp_reverse(rho, (m,), (n,), (gad_channel(params),))
 
 
 def protect_equatorial(
@@ -234,13 +233,10 @@ def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
     n = check_strength("n", n)
     # the four states run as one stack, on an axis after the other axes;
     # the channel, or each channel of a stack, serves all four
-    ops = gad_channel(params)[..., None, :, :, :]
     states = _bb84_states()
     outputs, _ = measure_damp_reverse(
-        states,
-        (np.asarray(m)[..., None],),
-        (np.asarray(n)[..., None],),
-        lambda state: apply_channel(ops, state),
+        states, (np.asarray(m)[..., None],), (np.asarray(n)[..., None],),
+        (gad_channel(params)[..., None, :, :, :],),
     )
     own = fidelity(states, outputs)
     leaked = fidelity(states, outputs[..., BB84_PARTNERS, :, :])

@@ -3,7 +3,7 @@
 A pre-channel measurement diag(1, m) partially collapses toward |0>;
 a post-channel reversal diag(n, 1) undoes the collapse probabilistically.
 Two-qubit variants are tensor products of the single-qubit forms.
-measure_damp_reverse runs the protocol from its strengths, and
+measure_damp_reverse runs the protocol from its strengths and channels, and
 apply_postselected applies one measurement given by its raw diagonal.
 """
 
@@ -14,6 +14,7 @@ import functools
 from ._elementwise import (
     FLOAT_MAX, check_finite, check_range, namespace, np, quietly, real_trace, reject,
 )
+from .channels import apply_channel, apply_on_qubit
 
 MIN_POSTSELECT_PROB = 1e-14
 _BAD_STRENGTH = "strengths must be finite and non-negative, got {!r}"
@@ -56,14 +57,19 @@ def _tensored(strengths, name) -> np.ndarray:
     return xp.assemble(entries, (len(entries),), float)
 
 
-def measure_damp_reverse(rho: np.ndarray, m: tuple, n: tuple, damp) -> tuple[np.ndarray, float]:
+def measure_damp_reverse(rho: np.ndarray, m: tuple, n: tuple, channels) -> tuple[np.ndarray, float]:
     """The generic protection route: measure diag(1, m) on each qubit of rho,
-    damp, then reverse with diag(n, 1) on each qubit. Returns the state and
-    the joint success probability of both outcomes, which must reach the
-    cutoff. m and n hold one strength, float or array, per qubit; they, rho
-    and any channel stack in damp broadcast as for apply_postselected."""
+    apply its channel, a Kraus stack, then reverse with diag(n, 1). Returns the
+    state and the joint success probability of both outcomes, which must reach
+    the cutoff. m, n and channels hold one entry per qubit, strengths float or
+    array; they and rho broadcast as for apply_postselected and apply_on_qubit."""
     state, prob_pre = _postselect(_tensored(m, "m"), rho)
-    state, prob_post = _postselect(_tensored(n, "n")[..., ::-1], damp(state))
+    reverse = _tensored(n, "n")[..., ::-1]  # checked before any channel is applied
+    if len(channels) != len(m):
+        raise ValueError(f"expected one channel per qubit ({len(m)}), got {len(channels)}")
+    for qubit, ops in enumerate(channels):
+        state = apply_channel(ops, state) if len(m) == 1 else apply_on_qubit(ops, state, qubit)
+    state, prob_post = _postselect(reverse, state)
     return state, require_postselection(prob_pre * prob_post)
 
 

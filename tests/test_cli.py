@@ -262,7 +262,6 @@ def test_config_errors(tmp_path, capsys):
     bad.write_text("p = 0.8\nno equals sign here\n")
     assert entry(["optimal", "--config", str(bad)]) == 2
     assert "bad.cfg:2" in capsys.readouterr().err
-    assert entry(["optimal", "--config", str(tmp_path / "missing.cfg")]) == 2
     bad.write_text("p = 0.8\nr = 0.3\nbogus = 1\n")
     assert entry(["optimal", "--config", str(bad)]) == 2
     assert f"{bad}:3: unknown key 'bogus'" in capsys.readouterr().err
@@ -276,6 +275,42 @@ def test_config_errors(tmp_path, capsys):
         entry(["verify", "--config", str(bad)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+    # only a leading subcommand that declares --config reads the file, from
+    # the tokens before --, and none when help is asked for; a file read here
+    # would answer with its own error and exit 2 without a SystemExit
+    _, commands = cli._build_parser()
+    assert {name for name, sp in commands.items() if "--config" in sp.format_usage()} == (
+        cli._CONFIG_COMMANDS)
+    broken, missing = str(tmp_path / "broken.cfg"), str(tmp_path / "missing.cfg")
+    Path(broken).write_text("p 0.8\n")
+    for argv, code, stream, text in (
+        (["optimal", "-h", "--config", missing], 0, "out", "usage: decoshield optimal"),
+        (["optimal", "--config", broken, "--help"], 0, "out", "usage: decoshield optimal"),
+        (["--config", broken, "optimal"], 2, "err", f"invalid choice: '{broken}'"),
+        (["verify", "--config", broken], 2, "err", f"unrecognized arguments: --config {broken}"),
+        (["optimal", "--", "--config", broken], 2, "err", "unrecognized arguments: --"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv)
+        assert exc.value.code == code
+        assert text in getattr(capsys.readouterr(), stream), argv
+    assert entry(["optimal", "--config", broken, "--", "extra"]) == 2
+    assert capsys.readouterr().err == f"error: {broken}:1: expected key=value, got 'p 0.8'\n"
+
+
+def test_os_errors_name_their_flag(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert entry(["optimal", "--config", str(missing)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --config: [Errno 2] No such file or directory: '{missing}'\n")
+    (tmp_path / "latin.cfg").write_bytes(b"p = 0.8\xff\n")
+    assert entry(["optimal", "--config", str(tmp_path / "latin.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config: ") and "can't decode" in err
+    nowhere = tmp_path / "absent" / "x.csv"
+    assert entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--out", str(nowhere)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --out: [Errno 2] No such file or directory: '{nowhere}'\n")
 
 
 def test_out_of_range_parameters(capsys):

@@ -5,8 +5,8 @@ pipeline_state draws, with the sha256 of each final state's bytes and the
 repr of its joint probability, or the message of the PostSelectionError it
 raised. The draws cover channels with p, r in {0, 1}, complex amplitudes,
 strengths above one and joint probabilities just above and below the
-cutoff. It also holds one stacked call each of kraus_pipeline_state,
-apply_protection and bb84_error_rate.
+cutoff. It also holds one stacked call each of measure_damp_reverse (under
+the key "kraus_pipeline_state"), apply_protection and bb84_error_rate.
 
 Run `PYTHONPATH=src python tests/test_pipeline_bits.py` to rewrite the
 file from the current code. Do so only for a change that is meant to move
@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from decoshield.channels import GadParams, gad_channel
-from decoshield.entangle import EntangledInput, kraus_pipeline_state, pipeline_state
+from decoshield.entangle import EntangledInput, pipeline_state
 from decoshield.linalg import equatorial_state
 from decoshield.qubit import apply_protection, bb84_error_rate
-from decoshield.weakmeas import MIN_POSTSELECT_PROB, PostSelectionError
+from decoshield.weakmeas import MIN_POSTSELECT_PROB, PostSelectionError, measure_damp_reverse
 
 RECORD = Path(__file__).with_name("data") / "pipeline_bits.json"
 
@@ -48,13 +48,13 @@ def lone_outcome(draw) -> dict:
 
 
 def stacked_pipeline(draws) -> dict:
-    """kraus_pipeline_state on the draws' states, channels and strengths
+    """measure_damp_reverse on the draws' states, channels and strengths
     stacked along one axis, the channels built as GadParams arrays."""
     rho = np.stack([lone_args(d)[0].density() for d in draws])
     ops = [gad_channel(GadParams(*map(np.array, zip(*(d[ch] for d in draws)))))
            for ch in ("ch1", "ch2")]
-    strengths = [np.array(s) for s in zip(*(d["strengths"] for d in draws))]
-    state, prob = kraus_pipeline_state(rho, *ops, *strengths)
+    m1, m2, n1, n2 = [np.array(s) for s in zip(*(d["strengths"] for d in draws))]
+    state, prob = measure_damp_reverse(rho, (m1, m2), (n1, n2), tuple(ops))
     return {"state_sha256": digest(state), "prob": [repr(v) for v in prob.tolist()]}
 
 

@@ -15,7 +15,7 @@ from decoshield import (
     EntangledInput, GadParams, PostSelectionError, SearchBox, XStateCoefficients, apply_channel,
     apply_on_qubit, apply_postselected, apply_protection, apply_via_dilation, average_fidelity_six,
     bb84_error_rate, concurrence_lambda1, concurrence_lambda2, equatorial_state, fidelity,
-    gad_channel, kraus_pipeline_state, measured_coefficients, optimal_parameters, optimal_reversal,
+    gad_channel, measured_coefficients, optimal_parameters, optimal_reversal,
     optimal_strengths, pipeline_state, protect_equatorial, protected_state, qkd_error_rate,
     reversed_state, simplex_maximize, stationarity_check, validate_density, wootters_concurrence,
 )
@@ -34,6 +34,7 @@ EXCITED = (EntangledInput.from_alpha_sq(0.0), *PAIR[1:])
 RHO = equatorial_state(0.4)
 PURE_GROUND = np.diag([1.0, 0.0]).astype(complex)
 MIXED, MIXED4 = np.diag([0.5, 0.5]).astype(complex), np.eye(4) / 4
+UNDAMPED = (np.eye(2, dtype=complex)[None],)  # the identity channel, on one qubit
 BOX = SearchBox.cube(0.0, 1.0, 2, 2)
 TILTED = (EntangledInput(math.sqrt(0.4), math.sqrt(0.6) * cmath.exp(0.7j)),
           GadParams(0.3, 0.6), GadParams(0.8, 0.2))
@@ -167,7 +168,7 @@ ROWS = [
     void(0.0, concurrence_lambda2, GROUND, 0.0, 0.0),
     void(0.0, reversed_state, GROUND, 0.0, 0.0),
     void(0.0, apply_postselected, [0.0, 1.0], PURE_GROUND),
-    *(void(0.0, measure_damp_reverse, PURE_GROUND, (1.0,), (n,), lambda state: state)
+    *(void(0.0, measure_damp_reverse, PURE_GROUND, (1.0,), (n,), UNDAMPED)
       for n in (0.0, np.array([0.5, 0.0, 2.0]))),
     *(void(shown, require_postselection, prob)
       for prob, shown in ((0.0, "0.0"), (math.nan, "nan"), (np.array([1, math.nan, 0]), "nan"))),
@@ -187,14 +188,14 @@ ROWS = [
     row(overflow("n1, n2 = 1e+200, 1e+200"), pipeline_state, BELL, REF, REF, 1, 1, 1e200, 1e200),
     row(overflow("m1, m2 = 1e+200, 1e+200"), pipeline_state, BELL, REF, REF,
         np.array([1.0, 1e200]), 1e200, 1.0, 1.0),
-    row(overflow("n1, n2 = 1e+200, 1e+200"), kraus_pipeline_state, BELL.density(),
-        gad_channel(REF), gad_channel(REF), 1.0, 1.0, 10**200, 10**200),
+    row(overflow("n1, n2 = 1e+200, 1e+200"), measure_damp_reverse, BELL.density(), (1.0, 1.0),
+        (10**200, 10**200), (gad_channel(REF), gad_channel(REF))),
     row(overflow("m1, m2 = 1e+200, 1e+200"), measure_damp_reverse, MIXED4, (1e200, 1e200),
-        (1.0, 1.0), lambda state: state),
+        (1.0, 1.0), UNDAMPED * 2),
     row(overflow("n1, n2 = 1e+200, 1e+200"), measure_damp_reverse, MIXED4, (1.0, 1.0),
-        (np.array([1e200]), 1e200), lambda state: state),
+        (np.array([1e200]), 1e200), UNDAMPED * 2),
     # measurement diagonals, built from strengths or given raw
-    *(row(bad_strength(bad), measure_damp_reverse, RHO, (bad,), (1.0,), lambda state: state)
+    *(row(bad_strength(bad), measure_damp_reverse, RHO, (bad,), (1.0,), UNDAMPED)
       for bad in (-0.1, math.inf, math.nan)),
     *(row(bad_strength(bad), apply_postselected, [1.0, bad], RHO)
       for bad in (-0.1, math.inf, math.nan)),
@@ -256,7 +257,7 @@ ROWS = [
         row(bad_strength(0.5 + 1j), pipeline_state, BELL, REF, REF, 1.0, 1.0, 1.0, z),
         row(bad_strength(0.5 + 1j), apply_protection, REF, z, 1.0, RHO),
         row(bad_strength(0.5 + 1j), measure_damp_reverse, MIXED4, (1.0, 1.0), (1.0, z),
-            lambda state: state),
+            UNDAMPED * 2),
         row(unit("p", 0.5 + 1j), GadParams, z, 0.3),
         row(unit("r", 0.5 + 1j), GadParams, 0.3, z),
     )),
@@ -350,6 +351,15 @@ ROWS = [
     # a stack of states is refused at its first non-finite entry
     row("rho must be finite, got inf", wootters_concurrence,
         np.stack([MIXED4, np.diag([0.25, math.inf, 0.25, 0.25])])),
+    # the protocol route takes one Kraus channel per qubit, each broadcasting
+    # against the state stack
+    row("expected one channel per qubit (2), got 1", measure_damp_reverse, MIXED4, (1.0, 1.0),
+        (1.0, 1.0), UNDAMPED),
+    row("expected one channel per qubit (2), got 3", measure_damp_reverse, MIXED4, (1.0, 1.0),
+        (1.0, 1.0), UNDAMPED * 3),
+    row(re.compile(r"operands could not be broadcast together with shapes \(2,[\d,]*\) "
+                   r"\(3,[\d,]*\) ?"), measure_damp_reverse, np.stack([MIXED4] * 3), (0.5, 1.0),
+        (1.0, 1.0), (gad_channel(GadParams(np.array([0.2, 0.5]), 0.3)), gad_channel(REF))),
 ]
 
 

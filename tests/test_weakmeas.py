@@ -4,13 +4,14 @@ from decoshield.linalg import equatorial_state
 from decoshield.weakmeas import _tensored, apply_postselected, measure_damp_reverse
 
 RNG = np.random.default_rng(90412)
+UNDAMPED = (np.eye(2, dtype=complex)[None],)  # the identity channel, on one qubit
 
 
 def weights(m, n):
     """The route's output diagonal from a maximally mixed state, with an identity
-    damp: the squared diagonals of both measurements, up to one common factor."""
+    channel: the squared diagonals of both measurements, up to one common factor."""
     dim = 2 ** len(m)
-    state, _ = measure_damp_reverse(np.eye(dim) / dim, m, n, lambda state: state)
+    state, _ = measure_damp_reverse(np.eye(dim) / dim, m, n, UNDAMPED * len(m))
     return np.diagonal(state, axis1=-2, axis2=-1).real
 
 

@@ -32,6 +32,10 @@ checked by `check_range` on closed ends only (0 < x is x >= math.ulp(0.0)),
 one number by `check_scalar`. A record checks and shapes its own entries
 once, when it is built (`GadParams` its channel parameters, of one shape,
 `XStateCoefficients` its weights, in its own `__init__`); closed forms trust it.
+The common call is all Python floats: `protect_equatorial`, `measured_coefficients`
+and `entangle._reversal` first test that every input is a float inside its check's
+range, and then skip `namespace` and the checks, calling the overflow and cutoff
+checks only when their comparison fails: same bits, same refusals, same order.
 
 numpy is imported on first use, through the handle `np` that every module
 of the package imports from here: a query on Python floats (the `optimal`
@@ -239,8 +243,6 @@ def check_strength(name: str, value, zero_ok: bool = False):
     positive, or non-negative when zero_ok, with a finite square that is
     nonzero for a positive entry; otherwise ValueError naming the strength."""
     lower = 0.0 if zero_ok else SQUARE_MIN
-    if type(value) is float and lower <= value <= SQUARE_MAX:  # the common call: no more tests
-        return value
     kind = "non-negative with a finite" if zero_ok else "positive with a finite nonzero"
     message = f"{name} must be finite and {kind} square, got {{!r}}"
     value = check_range(value, lower, SQUARE_MAX, message)

@@ -85,15 +85,15 @@ def apply_on_qubit(ops: np.ndarray, rho: np.ndarray, qubit: int) -> np.ndarray:
 
 def _kraus_sum(ops, rho, outer, inner):
     # sum_i E_i rho E_i^dag, E_i on the middle factor of an (outer, d, inner)
-    # space: row j of rho times E_i[r, j] on axes (i, outer, r, inner), then
-    # column c of E_i rho times conj(E_i[s, c]) on axes (i, s), in index order
-    d = ops.shape[-1]
-    size = outer * d * inner
+    # space: E_i[r, j] times row j of rho on axes (i, outer, r, j, inner), then
+    # column c of E_i rho times conj(E_i[s, c]) on axes (i, s, c), summed over j, c in order
+    d, size = ops.shape[-1], rho.shape[-1]  # size = outer * d * inner
     rows = rho.reshape(rho.shape[:-2] + (1, outer, 1, d, inner * size))
-    half = ordered_sum(ops[..., :, None, :, j, None] * rows[..., j, :] for j in range(d))
+    prods = ops[..., :, None, :, :, None] * rows
+    half = ordered_sum(prods[..., j, :] for j in range(d))
     cols = half.reshape(half.shape[:-3] + (size * outer, 1, d, inner))
-    dag = ops.conj()
-    terms = ordered_sum(cols[..., c, :] * dag[..., :, None, :, c, None] for c in range(d))
+    prods = cols * ops.conj()[..., :, None, :, :, None]
+    terms = ordered_sum(prods[..., c, :] for c in range(d))
     out = ordered_sum(terms[..., i, :, :, :] for i in range(ops.shape[-3]))
     return out.reshape(out.shape[:-3] + (size, size))
 

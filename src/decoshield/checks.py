@@ -129,8 +129,12 @@ def _max_gap(gap: float, tol: float) -> tuple[bool, str]:
     return gap <= tol, f"max gap {gap:.2e} (tol {tol:.0e})"
 
 
-def _search(objective: Callable[[np.ndarray], float], box: SearchBox) -> SearchResult:
-    return simplex_maximize(objective, grid_maximize(objective, box).argmax, box)
+def _search(objective: Callable[..., float], box: SearchBox) -> SearchResult:
+    """Grid, then simplex, search of objective(*coordinates): a (dim,) point
+    as Python floats, the (dim, N) lattice as dim arrays."""
+    def at(pt: np.ndarray) -> float:
+        return objective(*(pt.tolist() if pt.ndim == 1 else pt))
+    return simplex_maximize(at, grid_maximize(at, box).argmax, box)
 
 
 def _qubit_points(count: int) -> list[GadParams]:
@@ -242,7 +246,7 @@ def qubit_optimum_oracle(rng: np.random.Generator, count: int) -> tuple[bool, st
     points = _qubit_points(count)
     for params in points:
         best = optimal_strengths(params)
-        found = _search(lambda pt: protect_equatorial(params, pt[0], pt[1]).fidelity, QUBIT_BOX)
+        found = _search(lambda m, n: protect_equatorial(params, m, n).fidelity, QUBIT_BOX)
         arg_gap = _worst(arg_gap, _gap(found.argmax, np.array([best.m, best.n])))
         val_gap = _worst(val_gap, abs(found.value - best.f_max))
         converged += found.converged
@@ -261,12 +265,8 @@ def entangle_optimum_oracle(rng: np.random.Generator, count: int) -> tuple[bool,
     val_gap = 0.0
     converged = 0
     for ch1, ch2 in pairs:
-        found = _search(
-            lambda pt: concurrence_lambda2(
-                measured_coefficients(BELL, ch1, ch2, pt[0], 1.0), pt[1], pt[2]
-            ),
-            PAIR_BOX,
-        )
+        found = _search(lambda m, n1, n2: concurrence_lambda2(
+            measured_coefficients(BELL, ch1, ch2, m, 1.0), n1, n2), PAIR_BOX)
         val_gap = _worst(val_gap, abs(found.value - lambda2_max(ch1, ch2)))
         converged += found.converged
     ok = val_gap <= 1e-6 and converged == len(pairs)

@@ -16,11 +16,12 @@ import math
 from dataclasses import dataclass
 
 from ._elementwise import (
-    check_finite, check_range, check_scalar, check_strength, namespace, np, quietly, reject,
+    FLOAT_MAX, SCALAR, SQUARE_MAX, check_finite, check_range, check_scalar, check_strength,
+    namespace, np, quietly, reject,
 )
 from .channels import GadParams, gad_channel
 from .qubit import g_value
-from .weakmeas import measure_damp_reverse, require_postselection
+from .weakmeas import MIN_POSTSELECT_PROB, measure_damp_reverse, require_postselection
 
 NORM_ATOL = 1e-12
 # unit coefficients are products of channel weights; they vanish only at
@@ -153,9 +154,12 @@ def measured_coefficients(
     The pre-measurement scales the |11> component by m1 m2 before the
     channels act; the reversal is not applied here.
     """
-    xp, (p1, r1, p2, r2, m1, m2) = namespace(ch1.p, ch1.r, ch2.p, ch2.r, m1, m2)
-    m1 = check_strength("m1", m1, zero_ok=True)
-    m2 = check_strength("m2", m2, zero_ok=True)
+    xp, p1, r1, p2, r2 = SCALAR, ch1.p, ch1.r, ch2.p, ch2.r
+    if not (type(p1) is type(r1) is type(p2) is type(r2) is type(m1) is type(m2) is float
+            and 0.0 <= m1 <= SQUARE_MAX and 0.0 <= m2 <= SQUARE_MAX):  # as in protect_equatorial
+        xp, (p1, r1, p2, r2, m1, m2) = namespace(p1, r1, p2, r2, m1, m2)
+        m1 = check_strength("m1", m1, zero_ok=True)
+        m2 = check_strength("m2", m2, zero_ok=True)
     (a0, b0, c0, d0), (a1, b1, c1, d1) = _unit_coefficients(p1, r1, p2, r2)
     wa = abs(inp.alpha) ** 2
     wb = abs(inp.beta) ** 2
@@ -212,13 +216,18 @@ def _reversal(coeffs, n1, n2):
     """xp, n1, n2, a, b, c, d, trace: the record read once with the reversal
     (n1, n2), and its unnormalized trace after that reversal. Where the
     reversal strengths enter the chain, so where they and it are checked."""
-    xp, (n1, n2, a, b, c, d) = namespace(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d)
-    if xp.loud():
-        return quietly(_reversal, coeffs, n1, n2)
-    n1 = check_strength("n1", n1, zero_ok=True)
-    n2 = check_strength("n2", n2, zero_ok=True)
+    xp, a, b, c, d = SCALAR, coeffs.a, coeffs.b, coeffs.c, coeffs.d
+    if not (type(n1) is type(n2) is type(a) is type(b) is type(c) is type(d) is float
+            and 0.0 <= n1 <= SQUARE_MAX and 0.0 <= n2 <= SQUARE_MAX):  # as in protect_equatorial
+        xp, (n1, n2, a, b, c, d) = namespace(n1, n2, a, b, c, d)
+        if xp.loud():
+            return quietly(_reversal, coeffs, n1, n2)
+        n1 = check_strength("n1", n1, zero_ok=True)
+        n2 = check_strength("n2", n2, zero_ok=True)
     trace = n1 * n1 * n2 * n2 * a + n1 * n1 * b + n2 * n2 * c + d
-    return xp, n1, n2, a, b, c, d, check_finite(trace, "n1, n2", n1, n2)
+    if (trace <= FLOAT_MAX) is not True:  # a finite float skips the call
+        check_finite(trace, "n1, n2", n1, n2)
+    return xp, n1, n2, a, b, c, d, trace
 
 
 def reversed_state(
@@ -252,7 +261,9 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
     reduces to the unprotected value at unit strengths.
     """
     xp, n1, n2, _, b, c, _, raw = _reversal(coeffs, n1, n2)
-    return _lambda2(coeffs.e, b, c, n1, n2, require_postselection(raw), xp)
+    if (raw >= MIN_POSTSELECT_PROB) is not True:  # a passing float skips the call
+        require_postselection(raw)
+    return _lambda2(coeffs.e, b, c, n1, n2, raw, xp)
 
 
 def _lambda2(e, b, c, n1, n2, raw, xp):

@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 from ._elementwise import (
-    check_azimuth, check_finite, check_strength, namespace, np, ordered_sum, quietly, reject,
+    FLOAT_MAX, SCALAR, SQUARE_MAX, SQUARE_MIN, check_azimuth, check_finite, check_strength,
+    namespace, np, ordered_sum, quietly, reject,
 )
 from .channels import GadParams, gad_channel
 from .linalg import equatorial_state, fidelity
-from .weakmeas import measure_damp_reverse, require_postselection
+from .weakmeas import MIN_POSTSELECT_PROB, measure_damp_reverse, require_postselection
 
 # azimuths of the four key-distribution states and, for each state, the
 # index of its conjugate partner (azimuth shifted by pi)
@@ -114,18 +115,25 @@ def protect_equatorial(
     field is an array of their shape, with output_state of shape
     (..., 2, 2). Each entry equals the scalar call at that point bit for bit.
     """
-    xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
-    if xp.loud():
-        return quietly(protect_equatorial, params, m, n, phi)
-    m = check_strength("m", m)
-    n = check_strength("n", n)
-    check_azimuth(phi)
+    xp, p, r = SCALAR, params.p, params.r
+    if not (type(p) is type(r) is type(m) is type(n) is type(phi) is float  # the all-float call
+            and SQUARE_MIN <= m <= SQUARE_MAX and SQUARE_MIN <= n <= SQUARE_MAX
+            and -FLOAT_MAX <= phi <= FLOAT_MAX):  # passes only what the checks below pass
+        xp, (p, r, m, n) = namespace(p, r, m, n)
+        if xp.loud():
+            return quietly(protect_equatorial, params, m, n, phi)
+        m = check_strength("m", m)
+        n = check_strength("n", n)
+        check_azimuth(phi)
     diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
     lost = m * m * (1.0 - p * r)
     leak = (1.0 - p) * r
-    t = check_finite(diag0 + lost + leak, "m, n", m, n)
+    t = diag0 + lost + leak
+    if (t <= FLOAT_MAX) is not True:  # a finite float skips the call
+        check_finite(t, "m, n", m, n)
     success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
-    require_postselection(success)
+    if (success >= MIN_POSTSELECT_PROB) is not True:
+        require_postselection(success)
     coherence = m * n * xp.sqrt(1.0 - r)
     return ProtectionResult(0.5 + coherence / t, success, (diag0, lost + leak, coherence, phi, t))
 

@@ -7,16 +7,22 @@ point on Python floats. Where every point succeeds, each array entry must
 have the bits of the scalar result at that point, and every scalar result
 must be a plain Python float or complex; where some point raises, the
 array call must raise one of the same error types. A call on numpy
-scalars is checked the same way, as the one point of the float call.
+scalars is checked the same way, as the one point of the float call, and
+where either raises both must raise the same error with the same message.
+An all-float call takes its own path through the closed forms, so those
+calls draw strengths at the edges of each range and products that overflow,
+and one test runs every pair of those edges.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoshield._elementwise import FLOAT_MAX, SQUARE_MAX, SQUARE_MIN
 from decoshield.channels import GadParams, apply_via_dilation, gad_channel
 from decoshield.entangle import (
     EntangledInput,
@@ -50,6 +56,14 @@ channels = st.builds(GadParams, unit, unit)
 strength = st.floats(0.0, 50.0, exclude_min=True)
 strengths = st.lists(strength, min_size=1, max_size=6)
 phases = st.floats(0.0, 2.0 * math.pi)
+# each end of the strength ranges with its neighbours, and strengths whose
+# products overflow the closed forms; then the ends of the azimuth's range
+EDGES = [
+    *(math.nextafter(x, to) for x in (0.0, SQUARE_MIN, SQUARE_MAX) for to in (-math.inf, math.inf)),
+    0.0, SQUARE_MIN, SQUARE_MAX, 1e100,
+]
+EDGE_PHASES = [0.0, FLOAT_MAX, -FLOAT_MAX, math.inf, -math.inf, math.nan]
+edge_strength = st.one_of(st.sampled_from(EDGES), strength)
 
 
 def outcome(fn, *args):
@@ -75,8 +89,58 @@ def agree(array_result, point_results, *fields):
     return True
 
 
+def agree_f64(float_result, f64_result, *fields):
+    """Check a call on numpy scalars against the call on the Python floats
+    they hold: the same error and message, or agree's bits and types."""
+    if isinstance(float_result, Exception) or isinstance(f64_result, Exception):
+        assert (type(f64_result), str(f64_result)) == (type(float_result), str(float_result))
+        return False
+    return agree(float_result, [f64_result], *fields)
+
+
+def each_f64(*values):
+    """The values with each one in turn a numpy float64: one tuple per value."""
+    return [tuple(np.float64(v) if j == i else v for j, v in enumerate(values))
+            for i in range(len(values))]
+
+
+def all_f64(*values):
+    """The values all numpy float64: one tuple."""
+    return [tuple(map(np.float64, values))]
+
+
 def fields(*names):
     return [lambda r, k=k: getattr(r, k) for k in names]
+
+
+def protect_with_f64(params, m, n, phi, variants=each_f64):
+    """protect_equatorial on Python floats against the call on each variant
+    of its inputs with numpy scalars: the same bits, or the same refusal."""
+    want = outcome(protect_equatorial, params, m, n, phi)
+    for p, r, mi, ni, azimuth in variants(params.p, params.r, m, n, phi):
+        agree_f64(want, outcome(protect_equatorial, GadParams(p, r), mi, ni, azimuth),
+                  *fields("fidelity", "success_prob"))
+
+
+def measure_with_f64(inp, ch1, ch2, m1, m2, variants=each_f64):
+    """measured_coefficients, as protect_with_f64."""
+    want = outcome(measured_coefficients, inp, ch1, ch2, m1, m2)
+    for p1, r1, p2, r2, mi, mj in variants(ch1.p, ch1.r, ch2.p, ch2.r, m1, m2):
+        agree_f64(want, outcome(measured_coefficients, inp, GadParams(p1, r1), GadParams(p2, r2),
+                                mi, mj), *fields("a", "b", "c", "d", "e"))
+
+
+def reverse_with_f64(coeffs, n1, n2, variants=each_f64):
+    """concurrence_lambda2 and reversed_state, as protect_with_f64, the
+    record's four weights among the inputs."""
+    want_lam2 = outcome(concurrence_lambda2, coeffs, n1, n2)
+    want_state = outcome(reversed_state, coeffs, n1, n2)
+    for ni, nj, *weights in variants(n1, n2, coeffs.a, coeffs.b, coeffs.c, coeffs.d):
+        record = XStateCoefficients(*weights, coeffs.e)
+        agree_f64(want_lam2, outcome(concurrence_lambda2, record, ni, nj), lambda lam2: lam2)
+        got = outcome(reversed_state, record, ni, nj)
+        if agree_f64(want_state, got, lambda out: out[1]):
+            assert got[0].tobytes() == want_state[0].tobytes()
 
 
 def as_f64(params):
@@ -114,9 +178,23 @@ def test_quiet_rule_keeps_numpy_settings():
         assert np.geterr() == before, fn
 
 
+def test_float_calls_at_every_pair_of_edges():
+    # every pair of edge strengths, and each edge azimuth, on fixed channels,
+    # each input a numpy scalar in turn; the properties below draw the edges
+    # with random channels and make every input a numpy scalar at once
+    ch1, ch2 = GadParams(0.8, 0.3), GadParams(0.95, 0.3)
+    bell = EntangledInput.from_alpha_sq(0.5)
+    coeffs = measured_coefficients(bell, ch1, ch2, 1.3, 1.0)
+    for a, b in itertools.product(EDGES, repeat=2):
+        for phi in EDGE_PHASES:
+            protect_with_f64(ch1, a, b, phi)
+        measure_with_f64(bell, ch1, ch2, a, b)
+        reverse_with_f64(coeffs, a, b)
+
+
 @PROPERTY
-@given(channels, strengths, strengths, phases)
-def test_qubit_closed_forms(params, ms, ns, phi):
+@given(channels, strengths, strengths, phases, edge_strength, edge_strength)
+def test_qubit_closed_forms(params, ms, ns, phi, em, en):
     m, n = np.array(ms)[:, None], np.array(ns)[None, :]
     points = [(mi, ni) for mi in ms for ni in ns]
 
@@ -133,21 +211,20 @@ def test_qubit_closed_forms(params, ms, ns, phi):
     each = [outcome(qkd_error_rate, params, mi, ni) for mi, ni in points]
     agree(outcome(qkd_error_rate, params, m, n), each, lambda rate: rate)
 
-    # numpy scalars give plain floats with the bits of the float call
+    # numpy scalars give plain floats with the bits, or the refusal, of the
+    # float call, at edge strengths
+    protect_with_f64(params, em, en, phi, all_f64)
     f64 = np.float64
-    agree(outcome(protect_equatorial, params, ms[0], ns[0], phi),
-          [outcome(protect_equatorial, as_f64(params), f64(ms[0]), f64(ns[0]), phi)],
-          *fields("fidelity", "success_prob"))
-    agree(outcome(average_fidelity_six, params, ms[0], ns[0]),
-          [outcome(average_fidelity_six, as_f64(params), f64(ms[0]), f64(ns[0]))],
-          *fields("f0", "f1", "fe", "favg"))
-    agree(outcome(qkd_error_rate, params, ms[0], ns[0]),
-          [outcome(qkd_error_rate, as_f64(params), f64(ms[0]), f64(ns[0]))], lambda rate: rate)
+    agree_f64(outcome(average_fidelity_six, params, em, en),
+              outcome(average_fidelity_six, as_f64(params), f64(em), f64(en)),
+              *fields("f0", "f1", "fe", "favg"))
+    agree_f64(outcome(qkd_error_rate, params, em, en),
+              outcome(qkd_error_rate, as_f64(params), f64(em), f64(en)), lambda rate: rate)
 
 
 @PROPERTY
-@given(channels, channels, unit, phases, strengths, strength)
-def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
+@given(channels, channels, unit, phases, strengths, strength, edge_strength, edge_strength)
+def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2, em, en):
     alpha, beta = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * cmath.exp(1j * phase)
     inp = EntangledInput(alpha, beta)
     m1 = np.array(ms)
@@ -159,12 +236,18 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
         as_numpy = EntangledInput(*(np.complex128(a) if type(a) is complex else np.float64(a)
                                     for a in amps))
         assert (type(as_numpy.alpha), type(as_numpy.beta)) == tuple(map(type, amps))
-        agree(outcome(measured_coefficients, EntangledInput(*amps), ch1, ch2, ms[0], 1.0),
-              [outcome(measured_coefficients, as_numpy, ch1, ch2, ms[0], 1.0)], *xstate)
-        agree(outcome(optimal_parameters, EntangledInput(*amps), ch1, ch2),
-              [outcome(optimal_parameters, as_numpy, ch1, ch2)],
-              *fields("lambda1", "lambda2", "lambda2_max", "m_opt", "n1_opt", "n2_opt", "h",
-                      "alpha_sq_opt", "success_prob"))
+        agree_f64(outcome(measured_coefficients, EntangledInput(*amps), ch1, ch2, ms[0], 1.0),
+                  outcome(measured_coefficients, as_numpy, ch1, ch2, ms[0], 1.0), *xstate)
+        agree_f64(outcome(optimal_parameters, EntangledInput(*amps), ch1, ch2),
+                  outcome(optimal_parameters, as_numpy, ch1, ch2),
+                  *fields("lambda1", "lambda2", "lambda2_max", "m_opt", "n1_opt", "n2_opt", "h",
+                          "alpha_sq_opt", "success_prob"))
+
+    # numpy scalars at edge strengths: the bits, or the refusal, of the float call
+    measure_with_f64(inp, ch1, ch2, em, en, all_f64)
+    agree_f64(outcome(optimized_protection, inp, ch1, ch2, em),
+              outcome(optimized_protection, inp, as_f64(ch1), as_f64(ch2), np.float64(em)),
+              *(lambda res, k=k: res[k] for k in range(4)))
 
     # lambda2_max on a stack of channels, a resetting one (zero penalty) among them
     reset = GadParams(1.0, 1.0)
@@ -174,9 +257,6 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
 
     coeffs = outcome(measured_coefficients, inp, ch1, ch2, m1, m2)
     each_coeffs = [outcome(measured_coefficients, inp, ch1, ch2, m, m2) for m in ms]
-    f64 = np.float64
-    agree(each_coeffs[0], [outcome(measured_coefficients, inp, as_f64(ch1), as_f64(ch2),
-                                   f64(ms[0]), f64(m2))], *xstate)
     if not agree(coeffs, each_coeffs, *xstate, concurrence_lambda1):
         return
     # array weights with the Python complex coherence of one point
@@ -187,12 +267,14 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2):
 
     reversal = outcome(optimal_reversal, coeffs)
     each_reversal = [outcome(optimal_reversal, c) for c in each_coeffs]
+    f64 = np.float64
     first_f64 = XStateCoefficients(*(f64(v) for v in (first.a, first.b, first.c, first.d)), first.e)
-    if agree(each_reversal[0], [outcome(optimal_reversal, first_f64)],
-             lambda nn: nn[0], lambda nn: nn[1]):
+    if agree_f64(each_reversal[0], outcome(optimal_reversal, first_f64),
+                 lambda nn: nn[0], lambda nn: nn[1]):
         n1, n2 = each_reversal[0]
-        agree(outcome(concurrence_lambda2, first, n1, n2),
-              [outcome(concurrence_lambda2, first, f64(n1), f64(n2))], lambda lam2: lam2)
+        agree_f64(outcome(concurrence_lambda2, first, n1, n2),
+                  outcome(concurrence_lambda2, first, f64(n1), f64(n2)), lambda lam2: lam2)
+    reverse_with_f64(first, en, em, all_f64)
     if not agree(reversal, each_reversal, lambda nn: nn[0], lambda nn: nn[1]):
         return
 

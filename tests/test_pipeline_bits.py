@@ -8,6 +8,14 @@ strengths above one and joint probabilities just above and below the
 cutoff. It also holds one stacked call each of measure_damp_reverse (under
 the key "kraus_pipeline_state"), apply_protection and bb84_error_rate.
 
+The record holds only where numpy multiplies complex arrays with its fused
+x86-64-v3 (AVX2 + FMA3) loop, numpy's choice on a CPU that has those. That
+loop's complex product differs from Python's in the last bit for 43 842 of
+100 000 random pairs, and a * b from b * a for about a third. With
+NPY_DISABLE_CPU_FEATURES="X86_V4 X86_V3 AVX512_ICL AVX512_SPR", numpy
+takes its unfused loop, whose product equals Python's, and both tests here
+fail. Disabling only X86_V4 and the AVX-512 groups leaves them passing.
+
 Run `PYTHONPATH=src python tests/test_pipeline_bits.py` to rewrite the
 file from the current code. Do so only for a change that is meant to move
 the pipeline's bits: the point of the record is that the routes keep them.

@@ -39,7 +39,10 @@ checks only when their comparison fails: same bits, same refusals, same order.
 
 numpy is imported on first use, through the handle `np` that every module
 of the package imports from here: a query on Python floats (the `optimal`
-subcommand, `--help`, a usage error) never loads it.
+subcommand, `--help`, a usage error) never loads it. The package modules
+load the same way (see the package docstring): `import decoshield` loads
+none, a one-qubit query this module, `linalg`, `channels`, `weakmeas`,
+`qubit` and `cli`, a pair query also `entangle`, `verify` every module.
 """
 
 from __future__ import annotations

@@ -99,10 +99,12 @@ def _kraus_sum(ops, rho, outer, inner):
 
 
 def check_trace_preserving(ops: np.ndarray) -> float:
-    """Max-norm completeness defect ||sum E^dag E - I||_max (the adjoint channel
-    on I); for a (..., k, d, d) stack of channels, the largest in the stack."""
-    eye = np.eye(ops.shape[-1])
-    return float(np.abs(apply_channel(dagger(ops), eye) - eye).max())
+    """Max-norm completeness defect ||sum_i E_i^dag E_i - I||_max, each conj(E[c, r]) E[c, s]
+    added over c, then i, in order; for a (..., k, d, d) stack of channels, the largest."""
+    d, conj = ops.shape[-1], ops.conj()
+    terms = ordered_sum(conj[..., c, :, None] * ops[..., c, None, :] for c in range(d))
+    gram = ordered_sum(terms[..., i, :, :] for i in range(ops.shape[-3]))
+    return float(np.abs(gram - np.eye(d)).max())
 
 
 def apply_via_dilation(params: GadParams, rho: np.ndarray) -> np.ndarray:

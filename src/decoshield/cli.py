@@ -16,8 +16,6 @@ from typing import Sequence
 
 from ._elementwise import check_strength, np
 from .channels import GadParams
-from .checks import CHECKS, VERIFY_SEED
-from .entangle import EntangledInput, optimal_parameters, optimized_protection
 from .qubit import (
     average_fidelity_six,
     baseline_fidelity,
@@ -35,6 +33,14 @@ CSV_CHUNK_ROWS = 4096
 
 class CliError(Exception):
     """Argument-level problem; reported with the offending flag name."""
+
+
+@functools.cache
+def _entangle():
+    """decoshield.entangle, imported by the first call that needs it: the
+    one-qubit path never loads it. Its names are read through the module."""
+    from . import entangle
+    return entangle
 
 
 def _range_type(text: str) -> np.ndarray:
@@ -193,15 +199,16 @@ def _cmd_qubit_sweep(args: argparse.Namespace) -> int:
 def _cmd_entangle(args: argparse.Namespace) -> int:
     ch1 = _call("--p1/--r1", GadParams, args.p1, args.r1)
     ch2 = _call("--p2/--r2", GadParams, args.p2, args.r2)
-    inp = _call("--alpha-sq", EntangledInput.from_alpha_sq, args.alpha_sq)
+    entangle = _entangle()
+    inp = _call("--alpha-sq", entangle.EntangledInput.from_alpha_sq, args.alpha_sq)
     ms = args.sweep_m
     try:
-        n1, n2, lam2, success = optimized_protection(inp, ch1, ch2, ms)
+        n1, n2, lam2, success = entangle.optimized_protection(inp, ch1, ch2, ms)
     except ValueError as exc:
         # the array call fails when any point does; the first failing point,
         # run alone, names its m and gives that point's own message
         for m in ms.tolist():
-            _call(f"--sweep-m: at m={m:g}", optimized_protection, inp, ch1, ch2, m)
+            _call(f"--sweep-m: at m={m:g}", entangle.optimized_protection, inp, ch1, ch2, m)
         raise CliError(f"--sweep-m: {exc}") from None
     concurrence = np.where(lam2 > 0.0, lam2, 0.0)  # max(0.0, lambda2) at each point
     _call(
@@ -221,7 +228,7 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
             raise CliError("--p and --r are both required for the one-qubit query")
         params = _call("--p/--r", GadParams, args.p, args.r)
         if not 0.0 <= args.alpha_sq <= 1.0:  # unused here, but refused as the pair query does
-            _call("--alpha-sq", EntangledInput.from_alpha_sq, args.alpha_sq)
+            _call("--alpha-sq", _entangle().EntangledInput.from_alpha_sq, args.alpha_sq)
         best = _call("--p/--r", optimal_strengths, params)
         if best.projective:
             # m, n -> 0 pushes every one of the six fidelities to 1
@@ -246,8 +253,9 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
                 raise CliError(f"{flag} is required for the two-qubit query")
         ch1 = _call("--p1/--r1", GadParams, args.p1, args.r1)
         ch2 = _call("--p2/--r2", GadParams, args.p2, args.r2)
-        inp = _call("--alpha-sq", EntangledInput.from_alpha_sq, args.alpha_sq)
-        report = _call("--alpha-sq", optimal_parameters, inp, ch1, ch2)
+        entangle = _entangle()
+        inp = _call("--alpha-sq", entangle.EntangledInput.from_alpha_sq, args.alpha_sq)
+        report = _call("--alpha-sq", entangle.optimal_parameters, inp, ch1, ch2)
         lines = [
             ("lambda1", report.lambda1),
             ("concurrence_unprotected", min(1.0, max(0.0, report.lambda1))),
@@ -266,9 +274,11 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(VERIFY_SEED)
+    from . import checks  # the battery loads every module; only verify needs it
+
+    rng = np.random.default_rng(checks.VERIFY_SEED)
     failures = 0
-    for name, check, count in CHECKS:
+    for name, check, count in checks.CHECKS:
         ok, detail = check(rng, count)
         print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
         if not ok:

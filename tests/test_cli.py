@@ -356,14 +356,14 @@ def test_entangle_reports_dead_sweep_points(monkeypatch, capsys):
     )
     # an array call that fails where every lone point passes is reported
     # with the array call's own message
-    lone_only = decoshield.cli.optimized_protection
+    lone_only = decoshield.entangle.optimized_protection
 
     def refuse_arrays(inp, ch1, ch2, m):
         if isinstance(m, np.ndarray):
             raise ValueError("array call refused")
         return lone_only(inp, ch1, ch2, m)
 
-    monkeypatch.setattr(decoshield.cli, "optimized_protection", refuse_arrays)
+    monkeypatch.setattr(decoshield.entangle, "optimized_protection", refuse_arrays)
     assert entry(
         ["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3",
          "--sweep-m", "0.5:1:3"]
@@ -498,7 +498,7 @@ def test_unknown_subcommand_exits_with_usage():
 
 def test_verify_reports_failures(monkeypatch, capsys):
     failing = (("always-fails", lambda rng, count: (False, "gap 1.00e+00 (tol 1e-12)"), 1),)
-    monkeypatch.setattr(decoshield.cli, "CHECKS", failing)
+    monkeypatch.setattr(decoshield.checks, "CHECKS", failing)
     assert entry(["verify"]) == 1
     assert capsys.readouterr().out == (
         "[FAIL] always-fails: gap 1.00e+00 (tol 1e-12)\n1 check(s) failed\n"
@@ -696,3 +696,32 @@ def test_one_shot_calls_never_import_numpy(monkeypatch):
         "print(before, 'numpy' in sys.modules)\n"
     )
     assert fresh_interpreter(script) == "False True\n"
+
+
+def test_one_shot_calls_import_only_what_they_run():
+    # the package root loads no submodule; a one-qubit query leaves out the
+    # pair, search and battery modules, a pair query the last two
+    script = (
+        "import contextlib, io, json, sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('decoshield.'))\n"
+        "import decoshield\n"
+        "stages = [loaded()]\n"
+        "from decoshield.cli import entry\n"
+        f"for argv in {ONE_SHOT[:2]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        entry(argv)\n"
+        "    stages.append(loaded())\n"
+        "names = dir(decoshield)\n"
+        "scope = {}\n"
+        "exec('from decoshield import *', scope)\n"
+        "print(json.dumps([stages, names, sorted(scope.keys() - {'__builtins__'})]))\n"
+    )
+    stages, names, star = json.loads(fresh_interpreter(script))
+    one_qubit = ["decoshield._elementwise", "decoshield.channels", "decoshield.cli",
+                 "decoshield.linalg", "decoshield.qubit", "decoshield.weakmeas"]
+    assert stages == [[], one_qubit, sorted([*one_qubit, "decoshield.entangle"])]
+    assert len(decoshield.__all__) == 42
+    assert names == sorted(names) and set(decoshield.__all__) <= set(names)
+    assert star == decoshield.__all__
+    with pytest.raises(AttributeError, match="no attribute 'cli_entry'"):
+        decoshield.cli_entry  # noqa: B018

@@ -7,20 +7,21 @@ namespaces, picked once per call by `namespace` from the strengths and
 channel parameters: SCALAR keeps plain float arithmetic (no 0-d arrays,
 no numpy scalars in results), ARRAY broadcasts; the closed forms branch on
 nothing else. Besides the arithmetic (`minimum`, `maximum`, `sqrt`,
-`modulus`, `pow`, `complex`), each has `assemble(entries, shape, dtype)`,
-an array of that shape from its entries in C order (for ARRAY a stack, one
-per point), `broadcast(*values)`, `per_matrix(value)`, a value per point
-shaped to divide a stack of matrices, `where(cond, a, b)`, a where cond
-holds and b elsewhere, and `loud()`, whether an array call re-runs inside
-`quietly`.
+`modulus`, `pow`, `cos`, `sin`, `complex`), each has
+`assemble(entries, shape, dtype)`, an array of that shape from its entries
+in C order (for ARRAY a stack, one per point), `broadcast(*values)`,
+`per_matrix(value)`, a value per point shaped to divide a stack of
+matrices, `where(cond, a, b)`, a where cond holds and b elsewhere, and
+`loud()`, whether an array call re-runs inside `quietly`.
 
 Every array entry equals the scalar call at that point bit for bit. Real
 `+ - * /` and sqrt are correctly rounded and minimum and maximum exact
-either way, but numpy's SIMD power and complex modulus differ from libm's
-pow and hypot in the last ulp on some inputs, so ARRAY routes those two
-through libm as well. Complex values are assembled from real and
-imaginary parts computed in real arithmetic, because numpy's complex
-product can differ from Python's in the sign of a zero part.
+either way, but numpy's SIMD power, complex modulus, cosine and sine
+differ from libm's pow, hypot, cos and sin in the last ulp on some inputs,
+so ARRAY routes those four through libm as well. Complex values are
+assembled from real and imaginary parts computed in real arithmetic,
+because numpy's complex product can differ from Python's in the sign of a
+zero part.
 
 The Kraus pipeline builds its measurement diagonals on the same two paths;
 its matrix stages run on stacks, where the helpers here give each matrix the
@@ -30,8 +31,9 @@ Every check that takes arrays refuses through `reject`, naming the first
 failing entry in C order as a Python scalar; NaN always fails. A range is
 checked by `check_range` on closed ends only (0 < x is x >= math.ulp(0.0)),
 one number by `check_scalar`. A record checks and shapes its own entries
-once, when it is built (`GadParams` its channel parameters, of one shape,
-`XStateCoefficients` its weights, in its own `__init__`); closed forms trust it.
+once, when it is built (`GadParams` its channel parameters and
+`EntangledInput` its amplitudes, each pair of one shape, `XStateCoefficients`
+its weights, in its own `__init__`); closed forms trust it.
 The common call is all Python floats: `protect_equatorial`, `measured_coefficients`
 and `entangle._reversal` first test that every input is a float inside its check's
 range, and then skip `namespace` and the checks, calling the overflow and cutoff
@@ -73,6 +75,12 @@ np = _NumpyOnDemand("numpy")
 def _libm_pow(x, y: float) -> np.ndarray:
     x = np.asarray(x)
     return np.array([v ** y for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _libm(fn, x) -> np.ndarray:
+    """fn, a function of one float, at each entry of x."""
+    x = np.asarray(x)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _libm_modulus(z: np.ndarray) -> np.ndarray:
@@ -117,6 +125,8 @@ SCALAR = SimpleNamespace(
     sqrt=math.sqrt,
     modulus=abs,
     pow=pow,
+    cos=math.cos,
+    sin=math.sin,
     complex=complex,
     assemble=lambda entries, shape, dtype: np.array(entries, dtype).reshape(shape),
     broadcast=lambda *values: values,
@@ -135,10 +145,13 @@ def _array() -> SimpleNamespace:
         sqrt=np.sqrt,
         modulus=_libm_modulus,
         pow=_libm_pow,
+        cos=functools.partial(_libm, math.cos),
+        sin=functools.partial(_libm, math.sin),
         complex=_complex_array,
         assemble=_assemble_array,
         broadcast=np.broadcast_arrays,
-        per_matrix=operator.itemgetter((..., None, None)),  # a value per point, vs (..., d, d)
+        # a value per point, shaped against a (..., d, d) stack
+        per_matrix=lambda value: np.asarray(value)[..., None, None],
         loud=loud,
         where=np.where,
     )
@@ -236,8 +249,7 @@ def check_scalar(name: str, value, kind: str = "a scalar"):
 
 
 def check_azimuth(phi):
-    """phi, once it is one finite real number; otherwise ValueError naming phi."""
-    check_scalar("phi", phi)
+    """phi, once every entry is finite and real; otherwise ValueError naming phi."""
     return check_range(phi, -FLOAT_MAX, FLOAT_MAX, "phi must be finite and real, got {!r}")
 
 

@@ -5,11 +5,16 @@ sample count and returns (ok, detail). `decoshield verify` runs every entry
 of CHECKS at its verify count from one generator seeded with VERIFY_SEED;
 the acceptance gate runs the same families with its own seeds and counts.
 
-Random families draw with one procedure: p, r uniform in [0.02, 0.98] with
-boundary values injected every BOUNDARY_EVERY draws, strengths uniform in
-[0.05, 2.0], and two-qubit inputs with random weights and phases on both
-amplitudes. The oracle and scan families visit fixed points and ignore the
-generator; every search they run must converge.
+Random families draw all `count` samples at once, one generator call per
+quantity, in the order the family names them: p and r uniform in
+[0.02, 0.98], then boundary values, 0 or 1, for r at every draw i with
+i % BOUNDARY_EVERY == 0 and for p where it is BOUNDARY_EVERY // 2 (the
+second qubit of a pair counts its draws from 7, so its boundaries fall on
+other draws); strengths uniform in [0.05, 2.0]; azimuths uniform in
+[0, 2 pi); two-qubit inputs with weights |alpha|^2 uniform in
+[0.05, 0.95] and a uniform phase on each amplitude. Each route then runs
+once, on the family's whole stack. The oracle and scan families visit
+fixed points and ignore the generator; every search they run must converge.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .entangle import (
     protected_state,
     reversed_state,
 )
-from .linalg import equatorial_state, fidelity, validate_density, wootters_concurrence
+from .linalg import dagger, equatorial_state, fidelity, validate_density, wootters_concurrence
 from .optimize import (
     SearchBox,
     SearchResult,
@@ -77,43 +82,41 @@ PAIR_SETS = tuple(
 REF_PAIR = PAIR_SETS[0]
 
 
-def _channel(rng: np.random.Generator, index: int) -> GadParams:
-    p = float(rng.uniform(0.02, 0.98))
-    r = float(rng.uniform(0.02, 0.98))
-    if index % BOUNDARY_EVERY == 0:
-        r = float(rng.choice([0.0, 1.0]))
-    if index % BOUNDARY_EVERY == BOUNDARY_EVERY // 2:
-        p = float(rng.choice([0.0, 1.0]))
+def _channels(rng: np.random.Generator, count: int, offset: int = 0) -> GadParams:
+    """count channels; draw i has r on a boundary where (offset + i) %
+    BOUNDARY_EVERY is 0, and p where it is BOUNDARY_EVERY // 2."""
+    p, r = rng.uniform(0.02, 0.98, count), rng.uniform(0.02, 0.98, count)
+    for values, phase in ((r, 0), (p, BOUNDARY_EVERY // 2)):
+        at = values[(phase - offset) % BOUNDARY_EVERY::BOUNDARY_EVERY]
+        at[:] = rng.integers(0, 2, at.size)  # 0.0 or 1.0
     return GadParams(p, r)
 
 
-def _pair(rng: np.random.Generator, index: int) -> tuple[GadParams, GadParams]:
-    # offset the second index so the two qubits hit boundaries on different draws
-    return _channel(rng, index), _channel(rng, index + 7)
+def _pair(rng: np.random.Generator, count: int) -> tuple[GadParams, GadParams]:
+    # the second qubit's draws count from 7, so its boundaries fall on other draws
+    return _channels(rng, count), _channels(rng, count, 7)
 
 
-def _input(rng: np.random.Generator) -> EntangledInput:
-    alpha_sq = float(rng.uniform(0.05, 0.95))
-    phase_a, phase_b = rng.uniform(0.0, 2.0 * math.pi, size=2)
+def _inputs(rng: np.random.Generator, count: int) -> EntangledInput:
+    alpha_sq = rng.uniform(0.05, 0.95, count)
+    phase_a, phase_b = rng.uniform(0.0, 2.0 * math.pi, (2, count))
     return EntangledInput(
-        math.sqrt(alpha_sq) * complex(np.exp(1j * phase_a)),
-        math.sqrt(1.0 - alpha_sq) * complex(np.exp(1j * phase_b)),
+        np.sqrt(alpha_sq) * np.exp(1j * phase_a), np.sqrt(1.0 - alpha_sq) * np.exp(1j * phase_b)
     )
 
 
-def _strengths(rng: np.random.Generator, count: int) -> list[float]:
-    return [float(v) for v in rng.uniform(0.05, 2.0, size=count)]
+def _strengths(rng: np.random.Generator, rows: int, count: int) -> np.ndarray:
+    return rng.uniform(0.05, 2.0, (rows, count))
 
 
-def _stacked(channels) -> GadParams:
-    """The channels as one GadParams of (len(channels),) arrays."""
-    return GadParams(np.array([ch.p for ch in channels]), np.array([ch.r for ch in channels]))
+def _azimuths(rng: np.random.Generator, count: int) -> np.ndarray:
+    return rng.uniform(0.0, 2.0 * math.pi, count)
 
 
-def _density(rng: np.random.Generator) -> np.ndarray:
-    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = mat @ mat.conj().T
-    return rho / rho.trace()
+def _densities(rng: np.random.Generator, count: int) -> np.ndarray:
+    mat = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    rho = mat @ dagger(mat)
+    return rho / rho.trace(0, -2, -1)[:, None, None]
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,8 +148,9 @@ def _qubit_points(count: int) -> list[GadParams]:
 def kraus_completeness(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """The four corner channels and `count` drawn ones are complete and fix
     their thermal state diag(p, 1 - p), all checked as one stack."""
-    corners = [GadParams(p, r) for p in (0.0, 1.0) for r in (0.0, 1.0)]
-    stack = _stacked(corners + [_channel(rng, i) for i in range(count)])
+    drawn = _channels(rng, count)
+    corners = [[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]]  # their p, then their r
+    stack = GadParams(*np.append(corners, [drawn.p, drawn.r], 1))
     ch = gad_channel(stack)
     thermal = (np.stack([stack.p, 1.0 - stack.p], -1)[..., None] * np.eye(2)).astype(complex)
     defect = _worst(check_trace_preserving(ch), _gap(apply_channel(ch, thermal), thermal))
@@ -154,84 +158,64 @@ def kraus_completeness(rng: np.random.Generator, count: int) -> tuple[bool, str]
 
 
 def dilation_vs_kraus(rng: np.random.Generator, count: int) -> tuple[bool, str]:
-    """Kraus sum and environment dilation act alike on random mixed states,
-    each route run on all draws as one stack."""
-    channels, states = zip(*((_channel(rng, i), _density(rng)) for i in range(count)))
-    stack, rho = _stacked(channels), np.stack(states)
+    """Kraus sum and environment dilation act alike on random mixed states."""
+    stack, rho = _channels(rng, count), _densities(rng, count)
     kraus = apply_channel(gad_channel(stack), rho)
     return _max_gap(_gap(kraus, apply_via_dilation(stack, rho)), 1e-12)
 
 
 def qubit_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """Closed-form protected state, fidelity and success probability match
-    the measure/damp/reverse pipeline, run on all draws as one stack."""
-    draws = []
-    for i in range(count):
-        params = _channel(rng, i)
-        m, n = _strengths(rng, 2)
-        if i % 17 == 0:
-            m = 1.0
-        draws.append((params, m, n, float(rng.uniform(0.0, 2.0 * math.pi))))
-    closed = [protect_equatorial(*draw) for draw in draws]
-    channels, m, n, phi = zip(*draws)
-    psi = np.stack([equatorial_state(azimuth) for azimuth in phi])
-    states, probs = apply_protection(_stacked(channels), np.array(m), np.array(n), psi)
+    the measure/damp/reverse pipeline."""
+    stack = _channels(rng, count)
+    m, n = _strengths(rng, 2, count)
+    m[::17] = 1.0
+    phi = _azimuths(rng, count)
+    closed = protect_equatorial(stack, m, n, phi)
+    psi = equatorial_state(phi)
+    states, probs = apply_protection(stack, m, n, psi)
     gap = _worst(
-        _gap(np.stack([res.output_state for res in closed]), states),
-        _gap(np.array([res.success_prob for res in closed]), probs),
-        _gap(np.array([res.fidelity for res in closed]), fidelity(psi, states)),
+        _gap(closed.output_state, states),
+        _gap(closed.success_prob, probs),
+        _gap(closed.fidelity, fidelity(psi, states)),
     )
     return _max_gap(gap, 1e-12)
 
 
 def entangle_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """Closed-form X state and success probability match the two-qubit
-    Kraus pipeline, run on all draws as one stack."""
-    draws = []
-    for i in range(count):
-        ch1, ch2 = _pair(rng, i)
-        inp = _input(rng)
-        m1, m2, n1, n2 = _strengths(rng, 4)
-        if i % 13 == 0:
-            n1 = n2 = 1.0
-        draws.append((inp, ch1, ch2, m1, m2, n1, n2))
-    closed, success = [], []
-    for inp, ch1, ch2, m1, m2, n1, n2 in draws:
-        coeffs, prob = protected_state(inp, ch1, ch2, m1, m2, n1, n2)
-        closed.append(reversed_state(coeffs, n1, n2)[0])
-        success.append(prob)
-    inps, ch1s, ch2s, *strengths = zip(*draws)
-    m1, m2, n1, n2 = map(np.array, strengths)
+    Kraus pipeline."""
+    ch1, ch2 = _pair(rng, count)
+    inp = _inputs(rng, count)
+    m1, m2, n1, n2 = _strengths(rng, 4, count)
+    n1[::13] = n2[::13] = 1.0
+    coeffs, success = protected_state(inp, ch1, ch2, m1, m2, n1, n2)
+    closed = reversed_state(coeffs, n1, n2)[0]
     generic, probs = measure_damp_reverse(
-        np.stack([inp.density() for inp in inps]), (m1, m2), (n1, n2),
-        (gad_channel(_stacked(ch1s)), gad_channel(_stacked(ch2s))),
-    )
-    return _max_gap(_worst(_gap(np.stack(closed), generic), _gap(np.array(success), probs)), 1e-12)
+        inp.density(), (m1, m2), (n1, n2), (gad_channel(ch1), gad_channel(ch2)))
+    return _max_gap(_worst(_gap(closed, generic), _gap(success, probs)), 1e-12)
 
 
 def xstate_vs_wootters(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """X-state concurrence before and after protection equals the Wootters
-    eigenvalue concurrence, the Wootters route run on all states as one stack."""
-    closed, states = [], []
-    for i in range(count):
-        ch1, ch2 = _pair(rng, i)
-        inp = _input(rng)
-        base = channel_degraded_state(inp, ch1, ch2)
-        m1, n1, n2 = _strengths(rng, 3)
-        coeffs = measured_coefficients(inp, ch1, ch2, m1, 1.0)
-        rho, _ = reversed_state(coeffs, n1, n2)
-        closed += [max(concurrence_lambda1(base), 0.0),  # max(lambda, 0.0) keeps a NaN
-                   max(concurrence_lambda2(coeffs, n1, n2), 0.0)]
-        states += [base.matrix(), rho]
-    return _max_gap(_gap(np.array(closed), wootters_concurrence(np.stack(states))), 1e-10)
+    eigenvalue concurrence."""
+    ch1, ch2 = _pair(rng, count)
+    inp = _inputs(rng, count)
+    m1, n1, n2 = _strengths(rng, 3, count)
+    base = channel_degraded_state(inp, ch1, ch2)
+    coeffs = measured_coefficients(inp, ch1, ch2, m1, 1.0)
+    rho, _ = reversed_state(coeffs, n1, n2)
+    closed = np.maximum(  # unlike max, np.maximum keeps a NaN
+        np.append(concurrence_lambda1(base), concurrence_lambda2(coeffs, n1, n2)), 0.0)
+    wootters = wootters_concurrence(np.concatenate([base.matrix(), rho]))
+    return _max_gap(_gap(closed, wootters), 1e-10)
 
 
 def qkd_error_complement(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """The four-state error rate three ways, pairwise equal: the closed
-    form, the pipeline, and one minus the closed-form equatorial fidelity.
-    Each route runs all draws, each through its own channel, as one call."""
-    channels, m, n = zip(*((_channel(rng, i), *_strengths(rng, 2)) for i in range(count)))
-    stack, m, n = _stacked(channels), np.array(m), np.array(n)
+    form, the pipeline, and one minus the closed-form equatorial fidelity."""
+    stack = _channels(rng, count)
+    m, n = _strengths(rng, 2, count)
     rate, pipeline = qkd_error_rate(stack, m, n), bb84_error_rate(stack, m, n)
     complement = 1.0 - protect_equatorial(stack, m, n).fidelity
     gap = _worst(_gap(rate, pipeline), _gap(rate, complement), _gap(pipeline, complement))
@@ -321,22 +305,22 @@ def protection_never_hurts(rng: np.random.Generator, count: int) -> tuple[bool, 
 def output_density_validity(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """Protected one- and two-qubit outputs are valid density matrices with
     success probabilities in (0, 1]."""
-    probs = []
+    ch1, ch2 = _pair(rng, count)
+    m, n1, n2 = _strengths(rng, 3, count)
+    phi = _azimuths(rng, count)
+    inp = _inputs(rng, count)
     try:
-        for i in range(count):
-            ch1, ch2 = _pair(rng, i)
-            m, n1, n2 = _strengths(rng, 3)
-            res = protect_equatorial(ch1, m, n1, float(rng.uniform(0.0, 2.0 * math.pi)))
-            validate_density(res.output_state)
-            coeffs, success = protected_state(_input(rng), ch1, ch2, m, 1.0, n1, n2)
-            validate_density(reversed_state(coeffs, n1, n2)[0])
-            probs += [res.success_prob, success]
+        res = protect_equatorial(ch1, m, n1, phi)
+        validate_density(res.output_state)
+        coeffs, success = protected_state(inp, ch1, ch2, m, 1.0, n1, n2)
+        validate_density(reversed_state(coeffs, n1, n2)[0])
     except ValueError as exc:
         return False, f"invalid output: {exc}"
+    probs = np.append(res.success_prob, success)
     lo, hi = float(np.min(probs)), float(np.max(probs))  # unlike min and max, keep a NaN
     return (
         0.0 < lo and hi <= 1.0 + 1e-12,
-        f"{len(probs)} states valid, success probability in [{lo:.2e}, {hi:.4f}]",
+        f"{probs.size} states valid, success probability in [{lo:.2e}, {hi:.4f}]",
     )
 
 

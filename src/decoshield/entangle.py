@@ -31,22 +31,39 @@ _DEGENERATE_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class EntangledInput:
-    """Amplitudes of alpha|00> + beta|11>, normalized to one."""
+    """Amplitudes of alpha|00> + beta|11>, normalized to one.
+
+    alpha and beta may be numpy arrays that broadcast together, one input
+    per entry: the record then holds both as complex arrays of one shape,
+    and density() and measured_coefficients take the whole stack, each
+    entry with the bits of the record built from its two Python complex
+    numbers. The checks name the first failing entry. A numpy scalar is
+    held as the Python number it holds.
+    """
 
     alpha: complex
     beta: complex
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):  # one number; a numpy scalar: the number it holds
-            z = getattr(self, name)
-            if type(z) not in (float, complex) and isinstance(check_scalar(name, z), np.generic):
-                object.__setattr__(self, name, z.item())
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            for name, amp in (("alpha", self.alpha), ("beta", self.beta)):
-                if not cmath.isfinite(amp):
-                    raise ValueError(f"{name} must be finite, got {amp!r}")
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1")
+        xp, alpha, beta = SCALAR, self.alpha, self.beta
+        if type(alpha) not in (float, complex) or type(beta) not in (float, complex):
+            xp, alpha, beta = _amplitudes(alpha, beta)
+            vars(self).update(alpha=alpha, beta=beta)  # frozen: past the dataclass's __setattr__
+        wa, wb = xp.pow(xp.modulus(alpha), 2), xp.pow(xp.modulus(beta), 2)
+        norm = wa + wb
+        ok = abs(norm - 1.0) <= NORM_ATOL
+        if ok is not True:
+            for name, amp in (("alpha", alpha), ("beta", beta)):  # finite: so is its modulus
+                message = f"{name} must be finite, got {{!r}}"
+                reject(xp.modulus(amp) <= FLOAT_MAX, ValueError, message, amp)
+            reject(ok, ValueError, "|alpha|^2 + |beta|^2 = {!r}, expected 1", norm)
+        if xp is SCALAR:
+            w = complex(alpha * beta.conjugate())
+        else:  # Python's complex product alpha * conj(beta), in real arithmetic
+            a, b, c, d = alpha.real, alpha.imag, beta.real, -beta.imag
+            w = xp.complex(a * c - b * d, a * d + b * c)
+        # |alpha|^2, |beta|^2 and alpha conj(beta), which measured_coefficients reads
+        vars(self)["_weights"] = wa, wb, w
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> EntangledInput:
@@ -55,10 +72,27 @@ class EntangledInput:
         return cls(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq))
 
     def density(self) -> np.ndarray:
-        vec = np.zeros(4, dtype=complex)  # the ket, alpha at |00> and beta at |11>
-        vec[0] = self.alpha
-        vec[3] = self.beta
-        return vec[:, None] * vec.conj()  # np.outer's product, without its wrapper
+        """The 4x4 density matrix; a (..., 4, 4) stack for a stack of inputs."""
+        # the ket, alpha at |00> and beta at |11>
+        vec = np.zeros(getattr(self.alpha, "shape", ()) + (4,), dtype=complex)
+        vec[..., 0] = self.alpha
+        vec[..., 3] = self.beta
+        return vec[..., :, None] * vec.conj()[..., None, :]  # np.outer's product, per input
+
+
+def _amplitudes(alpha, beta):
+    """xp and the two amplitudes: each numpy scalar as the Python number it
+    holds, and, when either is an array, both as complex arrays of one shape."""
+    amps = []
+    for name, z in (("alpha", alpha), ("beta", beta)):
+        if not isinstance(z, np.ndarray) and isinstance(
+                check_scalar(name, z, "a number or an array"), np.generic):
+            z = z.item()
+        amps.append(z)
+    if not any(isinstance(z, np.ndarray) for z in amps):
+        return SCALAR, *amps
+    alpha, beta = np.broadcast_arrays(*(np.asarray(z, complex) for z in amps))
+    return namespace(alpha)[0], alpha, beta
 
 
 @dataclass(frozen=True)
@@ -152,17 +186,18 @@ def measured_coefficients(
     """X-state coefficients after pre-measurement (m1, m2) and the channels.
 
     The pre-measurement scales the |11> component by m1 m2 before the
-    channels act; the reversal is not applied here.
+    channels act; the reversal is not applied here. The input, the channels'
+    p, r and the strengths may be stacks that broadcast together.
     """
     xp, p1, r1, p2, r2 = SCALAR, ch1.p, ch1.r, ch2.p, ch2.r
-    if not (type(p1) is type(r1) is type(p2) is type(r2) is type(m1) is type(m2) is float
-            and 0.0 <= m1 <= SQUARE_MAX and 0.0 <= m2 <= SQUARE_MAX):  # as in protect_equatorial
-        xp, (p1, r1, p2, r2, m1, m2) = namespace(p1, r1, p2, r2, m1, m2)
+    wa, wb, w = inp._weights
+    if not (type(p1) is type(r1) is type(p2) is type(r2) is type(m1) is type(m2) is type(wa)
+            is float  # as in protect_equatorial; a stack of inputs holds arrays
+            and 0.0 <= m1 <= SQUARE_MAX and 0.0 <= m2 <= SQUARE_MAX):
+        xp, (p1, r1, p2, r2, m1, m2, wa) = namespace(p1, r1, p2, r2, m1, m2, wa)
         m1 = check_strength("m1", m1, zero_ok=True)
         m2 = check_strength("m2", m2, zero_ok=True)
     (a0, b0, c0, d0), (a1, b1, c1, d1) = _unit_coefficients(p1, r1, p2, r2)
-    wa = abs(inp.alpha) ** 2
-    wb = abs(inp.beta) ** 2
     try:
         mm = xp.pow(m1 * m2, 2)
     except OverflowError:  # libm's pow: the square of m1 m2 leaves the float range
@@ -171,7 +206,6 @@ def measured_coefficients(
     a, b = a0 * wa + a1 * wb * mm, b0 * wa + b1 * wb * mm
     c, d = c0 * wa + c1 * wb * mm, d0 * wa + d1 * wb * mm
     keep = xp.sqrt((1.0 - r1) * (1.0 - r2))
-    w = complex(inp.alpha * inp.beta.conjugate())
     e = xp.complex(w.real * m1 * m2 * keep, w.imag * m1 * m2 * keep)
     return XStateCoefficients(a, b, c, d, e)
 
@@ -326,8 +360,9 @@ def pipeline_state(
 ) -> tuple[np.ndarray, float]:
     """Generic route: local pre-measurements, one Kraus channel per qubit,
     local reversals, run by weakmeas.measure_damp_reverse. Returns the final
-    state and joint success probability. The strengths and the channels' p, r
-    may be arrays that broadcast together, each entry with its own call's bits."""
+    state and joint success probability. The input, the strengths and the
+    channels' p, r may be stacks that broadcast together, each entry with its
+    own call's bits."""
     return measure_damp_reverse(
         inp.density(), (m1, m2), (n1, n2), (gad_channel(ch1), gad_channel(ch2)))
 
@@ -342,10 +377,11 @@ def optimal_parameters(
     h^2 = b0 c0 / (b1 c1) on unit coefficients. The attained concurrence
     argument lambda2_max does not depend on the input weights; the success
     probability does, peaking at |alpha|^2 = 1/(1 + h). Each channel is one
-    channel: p, r arrays are refused by the channel's name.
+    channel, and the input one input: a stack is refused by its name.
     """
     for name, ch in (("ch1", ch1), ("ch2", ch2)):
         check_scalar(name, ch.p, "one channel")  # a record's p has the channels' shape
+    check_scalar("inp", inp.alpha, "one input")
     lam1 = concurrence_lambda1(channel_degraded_state(inp, ch1, ch2))
     lam2_bar = lambda2_max(ch1, ch2)
     lo, hi = component_coefficients(ch1, ch2)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 
-from ._elementwise import check_azimuth, np, real_trace, reject
+from ._elementwise import check_azimuth, namespace, np, real_trace, reject
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -28,36 +28,39 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def equatorial_state(phi: float) -> np.ndarray:
-    """Density matrix of (|0> + e^{i phi} |1>) / sqrt(2), for a finite real phi.
+    """Density matrix of (|0> + e^{i phi} |1>) / sqrt(2), for a finite real phi;
+    a (..., 2, 2) stack for an array of azimuths, each matrix with the bits
+    of its lone call (libm's cos and sin at every entry).
 
     The Bloch form (I + cos(theta) Z + sin(theta) (cos(phi) X + sin(phi) Y)) / 2
     at polar angle theta = pi/2, with the float cos(pi/2) = 6.1e-17 kept on
     the diagonal: the bits of bb84_error_rate that tests/data/pipeline_bits.json
     records were computed with it.
     """
-    check_azimuth(phi)
-    phi %= 2.0 * math.pi
-    coherence = complex(0.5 * math.cos(phi), -0.5 * math.sin(phi))
-    return np.array([
-        [0.5 * (1.0 + _COS_EQUATOR), coherence],
-        [coherence.conjugate(), 0.5 * (1.0 - _COS_EQUATOR)],
-    ])
+    xp, (phi,) = namespace(check_azimuth(phi))
+    phi = phi % (2.0 * math.pi)
+    coherence = xp.complex(0.5 * xp.cos(phi), -0.5 * xp.sin(phi))
+    return xp.assemble((
+        0.5 * (1.0 + _COS_EQUATOR), coherence,
+        coherence.conjugate(), 0.5 * (1.0 - _COS_EQUATOR),
+    ), (2, 2), complex)
 
 
 def validate_density(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and positive (NaN fails)."""
+    """Raise ValueError unless rho is Hermitian, unit-trace and positive (NaN
+    fails); for a (..., d, d) stack, unless every matrix is. Each test runs
+    on the whole stack, in that order, and names the value of the first
+    matrix that fails it."""
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1] or rho.shape[-1] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
-    herm = np.abs(rho - dagger(rho)).max()
-    if not herm <= HERMITICITY_ATOL:  # each test written so that NaN fails
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    tr = rho.trace()
-    if not abs(tr - 1.0) <= TRACE_ATOL:
-        raise ValueError(f"trace is {tr}, expected 1")
-    w = np.linalg.eigvalsh(rho)
-    if not w.min() >= EIGENVALUE_FLOOR:
-        raise ValueError(f"negative eigenvalue {w.min():.3e}")
+    herm = np.abs(rho - dagger(rho)).max((-2, -1))
+    message = "not Hermitian: max |rho - rho^dag| = {:.3e}"
+    reject(herm <= HERMITICITY_ATOL, ValueError, message, herm)
+    tr = rho.trace(0, -2, -1)
+    reject(abs(tr - 1.0) <= TRACE_ATOL, ValueError, "trace is {}, expected 1", tr)
+    low = np.linalg.eigvalsh(rho).min(-1)
+    reject(low >= EIGENVALUE_FLOOR, ValueError, "negative eigenvalue {:.3e}", low)
 
 
 def fidelity(psi: np.ndarray, rho: np.ndarray):

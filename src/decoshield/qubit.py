@@ -8,7 +8,6 @@ the generic channel/measurement pipeline for cross-checking.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ _TINY = math.ulp(0.0)  # the least positive float
 def _bb84_states() -> np.ndarray:
     """Their density matrices, one stack built on first use; `fidelity`
     checks on every call that each is pure, as a reference must be."""
-    return np.stack([equatorial_state(phi) for phi in BB84_AZIMUTHS])
+    return equatorial_state(np.array(BB84_AZIMUTHS))
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,9 @@ class ProtectionResult:
     @functools.cached_property
     def output_state(self) -> np.ndarray:
         diag0, diag1, coherence, phi, t = self._entries
-        xp, _ = namespace(t)
-        rot = cmath.exp(-1j * phi)
-        off = xp.complex(coherence * rot.real, coherence * rot.imag)
+        xp, (t, phi) = namespace(t, phi)
+        # coherence e^{-i phi}, with libm's cos and sin at every entry
+        off = xp.complex(coherence * xp.cos(-phi), coherence * xp.sin(-phi))
         state = xp.assemble((diag0, off, off.conjugate(), diag1), (2, 2), complex)
         state /= xp.per_matrix(t)  # in place: on a grid, the largest array here
         return state
@@ -110,10 +109,11 @@ def protect_equatorial(
     first read; a success probability below the cutoff raises
     PostSelectionError, as the pipeline does.
 
-    Scalar in, float out; array in, array out: m, n, p and r may be numpy
-    arrays that broadcast together (phi stays a scalar), and then every
-    field is an array of their shape, with output_state of shape
-    (..., 2, 2). Each entry equals the scalar call at that point bit for bit.
+    Scalar in, float out; array in, array out: m, n, p, r and phi may be
+    numpy arrays that broadcast together. The fidelity and the success
+    probability do not depend on phi and take the shape of m, n, p and r;
+    output_state takes the shape of all five, as (..., 2, 2). Each entry
+    equals the scalar call at that point bit for bit.
     """
     xp, p, r = SCALAR, params.p, params.r
     if not (type(p) is type(r) is type(m) is type(n) is type(phi) is float  # the all-float call

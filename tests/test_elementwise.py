@@ -64,6 +64,14 @@ EDGES = [
 ]
 EDGE_PHASES = [0.0, FLOAT_MAX, -FLOAT_MAX, math.inf, -math.inf, math.nan]
 edge_strength = st.one_of(st.sampled_from(EDGES), strength)
+# azimuth arrays over the whole finite range, and stacks of input amplitudes
+azimuths = st.lists(st.one_of(phases, st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=4)
+amplitudes = st.lists(
+    st.tuples(unit, phases, phases).map(lambda w: (math.sqrt(w[0]) * cmath.exp(1j * w[1]),
+                                                   math.sqrt(1.0 - w[0]) * cmath.exp(1j * w[2]))),
+    min_size=1, max_size=4,
+)
 
 
 def outcome(fn, *args):
@@ -193,8 +201,8 @@ def test_float_calls_at_every_pair_of_edges():
 
 
 @PROPERTY
-@given(channels, strengths, strengths, phases, edge_strength, edge_strength)
-def test_qubit_closed_forms(params, ms, ns, phi, em, en):
+@given(channels, strengths, strengths, phases, edge_strength, edge_strength, azimuths)
+def test_qubit_closed_forms(params, ms, ns, phi, em, en, phis):
     m, n = np.array(ms)[:, None], np.array(ns)[None, :]
     points = [(mi, ni) for mi in ms for ni in ns]
 
@@ -203,6 +211,15 @@ def test_qubit_closed_forms(params, ms, ns, phi, em, en):
     if agree(res, each, *fields("fidelity", "success_prob")):
         want = np.array([r.output_state for r in each])
         assert res.output_state.reshape(want.shape).tobytes() == want.tobytes()
+
+    # an azimuth array against the m axis, at the first n; and its equatorial states
+    each = [outcome(protect_equatorial, params, mi, ns[0], a) for mi in ms for a in phis]
+    res = outcome(protect_equatorial, params, m, ns[0], np.array(phis))
+    if agree(res, each):
+        want = np.array([r.output_state for r in each])
+        assert res.output_state.reshape(want.shape).tobytes() == want.tobytes()
+    want = np.array([equatorial_state(a) for a in phis])
+    assert equatorial_state(np.array(phis)).tobytes() == want.tobytes()
 
     each = [outcome(average_fidelity_six, params, mi, ni) for mi, ni in points]
     agree(outcome(average_fidelity_six, params, m, n), each,
@@ -223,8 +240,9 @@ def test_qubit_closed_forms(params, ms, ns, phi, em, en):
 
 
 @PROPERTY
-@given(channels, channels, unit, phases, strengths, strength, edge_strength, edge_strength)
-def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2, em, en):
+@given(channels, channels, unit, phases, strengths, strength, edge_strength, edge_strength,
+       amplitudes)
+def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2, em, en, pairs):
     alpha, beta = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * cmath.exp(1j * phase)
     inp = EntangledInput(alpha, beta)
     m1 = np.array(ms)
@@ -242,6 +260,22 @@ def test_entangle_chain(ch1, ch2, alpha_sq, phase, ms, m2, em, en):
                   outcome(optimal_parameters, as_numpy, ch1, ch2),
                   *fields("lambda1", "lambda2", "lambda2_max", "m_opt", "n1_opt", "n2_opt", "h",
                           "alpha_sq_opt", "success_prob"))
+
+    # a stack of inputs on the first axis, the strengths ms on the second: each
+    # entry with the bits of the record built from its two amplitudes
+    stack = EntangledInput(*(np.array(amp)[:, None] for amp in zip(*pairs)))
+    inputs = [EntangledInput(a, b) for a, b in pairs]
+    assert stack.density()[:, 0].tobytes() == np.array([i.density() for i in inputs]).tobytes()
+    each = [outcome(measured_coefficients, i, ch1, ch2, m, m2) for i in inputs for m in ms]
+    agree(outcome(measured_coefficients, stack, ch1, ch2, m1, m2), each, *xstate)
+    each = [outcome(protected_state, i, ch1, ch2, m, m2, m2, ms[-1]) for i in inputs for m in ms]
+    res = outcome(protected_state, stack, ch1, ch2, m1, m2, m2, ms[-1])
+    if agree(res, each, lambda res: res[1]):
+        each = [reversed_state(coeffs, m2, ms[-1]) for coeffs, _ in each]
+        res = reversed_state(res[0], m2, ms[-1])
+        agree(res, each, lambda out: out[1])
+        want = np.array([state for state, _ in each])
+        assert res[0].reshape(want.shape).tobytes() == want.tobytes()
 
     # numpy scalars at edge strengths: the bits, or the refusal, of the float call
     measure_with_f64(inp, ch1, ch2, em, en, all_f64)

@@ -304,9 +304,10 @@ ROWS = [
       for fn, args in ((equatorial_state, ()), (protect_equatorial, (REF, 0.5, 0.7)))),
     row("not Hermitian: max |rho - rho^dag| = nan", validate_density,
         np.full((2, 2), math.nan, complex)),
-    # an azimuth is one number, and the Wootters route names a non-finite entry
-    *(row("phi must be a scalar, got shape (2,)", fn, *args, phi)
-      for phi in (np.array([0.1, 0.2]), [0.1, 0.2])
+    # an azimuth array is refused at its first non-finite entry, a list as
+    # given, and the Wootters route names a non-finite entry
+    *(row(f"phi must be finite and real, got {shown}", fn, *args, phi)
+      for phi, shown in ((np.array([0.1, math.inf, math.nan]), "inf"), ([0.1, 0.2], "[0.1, 0.2]"))
       for fn, args in ((equatorial_state, ()), (protect_equatorial, (REF, 0.5, 0.7)))),
     row("rho must be finite, got (nan+0j)", wootters_concurrence,
         np.full((4, 4), math.nan, complex)),
@@ -332,8 +333,9 @@ ROWS = [
     # the pair optimum takes one channel per qubit
     row("ch1 must be one channel, got shape (2,)", optimal_parameters,
         BELL, GadParams(np.array([0.9, 0.5]), np.array([0.5, 0.3])), PAIR[2]),
-    # an amplitude, a search bound and a difference step are each one number
-    row("beta must be a scalar, got shape (2,)", EntangledInput, 0.6, np.array([0.8, 0.8])),
+    # an amplitude stack is refused at its first unnormalized pair; a search
+    # bound and a difference step are each one number
+    row("|alpha|^2 + |beta|^2 = 1.17, expected 1", EntangledInput, 0.6, np.array([0.8, 0.9, 1.0])),
     row("bounds must be scalars, got shape (2,)", SearchBox, (np.array([0.1, 0.2]),), (1.0,), (3,)),
     row("step must be a scalar, got shape (2,)", stationarity_check, lambda x: float(x @ x),
         np.zeros(2), np.array([1e-4, 1e-4])),
@@ -360,6 +362,17 @@ ROWS = [
     row(re.compile(r"operands could not be broadcast together with shapes \(2,[\d,]*\) "
                    r"\(3,[\d,]*\) ?"), measure_damp_reverse, np.stack([MIXED4] * 3), (0.5, 1.0),
         (1.0, 1.0), (gad_channel(GadParams(np.array([0.2, 0.5]), 0.3)), gad_channel(REF))),
+    # the pair optimum takes one input; a stack of density matrices is
+    # refused at its first failing matrix, an amplitude list as no number
+    row("inp must be one input, got shape (2,)", optimal_parameters,
+        EntangledInput(np.array([0.6, 0.8]), np.array([0.8, 0.6])), *PAIR[1:]),
+    row("not Hermitian: max |rho - rho^dag| = 2.000e-01", validate_density,
+        np.stack([MIXED, np.array([[0.5, 0.2], [0.0, 0.5]])])),
+    row("negative eigenvalue -2.000e-01", validate_density,
+        np.stack([MIXED, np.diag([1.2, -0.2]), np.diag([1.5, -0.5])])),
+    row("alpha must be a number or an array, got shape (2,)", EntangledInput, [0.6, 0.8], 0.8),
+    row("beta must be finite, got (nan+0j)", EntangledInput,
+        np.array([0.6, 0.6, 0.6]), np.array([0.8, math.nan, math.inf])),
 ]
 
 

@@ -38,6 +38,7 @@ from .entangle import (
     lambda2_max,
     measured_coefficients,
     optimal_parameters,
+    pipeline_state,
     protected_state,
     reversed_state,
 )
@@ -59,7 +60,6 @@ from .qubit import (
     protect_equatorial,
     qkd_error_rate,
 )
-from .weakmeas import measure_damp_reverse
 
 VERIFY_SEED = 716253
 BOUNDARY_EVERY = 25
@@ -191,8 +191,7 @@ def entangle_closed_form_vs_pipeline(rng: np.random.Generator, count: int) -> tu
     n1[::13] = n2[::13] = 1.0
     coeffs, success = protected_state(inp, ch1, ch2, m1, m2, n1, n2)
     closed = reversed_state(coeffs, n1, n2)[0]
-    generic, probs = measure_damp_reverse(
-        inp.density(), (m1, m2), (n1, n2), (gad_channel(ch1), gad_channel(ch2)))
+    generic, probs = pipeline_state(inp, ch1, ch2, m1, m2, n1, n2)
     return _max_gap(_worst(_gap(closed, generic), _gap(success, probs)), 1e-12)
 
 

@@ -49,14 +49,18 @@ class EntangledInput:
         if type(alpha) not in (float, complex) or type(beta) not in (float, complex):
             xp, alpha, beta = _amplitudes(alpha, beta)
             vars(self).update(alpha=alpha, beta=beta)  # frozen: past the dataclass's __setattr__
-        wa, wb = xp.pow(xp.modulus(alpha), 2), xp.pow(xp.modulus(beta), 2)
-        norm = wa + wb
-        ok = abs(norm - 1.0) <= NORM_ATOL
+        try:
+            wa, wb = xp.pow(xp.modulus(alpha), 2), xp.pow(xp.modulus(beta), 2)
+            ok = abs(wa + wb - 1.0) <= NORM_ATOL
+        except OverflowError:  # a square past the float range, in libm or from an int
+            wa, wb, ok = _square_modulus(alpha), _square_modulus(beta), False
         if ok is not True:
-            for name, amp in (("alpha", alpha), ("beta", beta)):  # finite: so is its modulus
-                message = f"{name} must be finite, got {{!r}}"
-                reject(xp.modulus(amp) <= FLOAT_MAX, ValueError, message, amp)
-            reject(ok, ValueError, "|alpha|^2 + |beta|^2 = {!r}, expected 1", norm)
+            for name, amp in (("alpha", alpha), ("beta", beta)):
+                finite = (abs(amp.real) <= FLOAT_MAX) & (abs(amp.imag) <= FLOAT_MAX)
+                reject(finite, ValueError, f"{name} must be finite, got {{!r}}", amp)
+            norm = wa + wb
+            reject(abs(norm - 1.0) <= NORM_ATOL, ValueError,
+                   "|alpha|^2 + |beta|^2 = {!r}, expected 1", norm)
         if xp is SCALAR:
             w = complex(alpha * beta.conjugate())
         else:  # Python's complex product alpha * conj(beta), in real arithmetic
@@ -78,6 +82,16 @@ class EntangledInput:
         vec[..., 0] = self.alpha
         vec[..., 3] = self.beta
         return vec[..., :, None] * vec.conj()[..., None, :]  # np.outer's product, per input
+
+
+def _square_modulus(amp):
+    """|amp|^2 at each entry, by libm's hypot and pow, or inf past the float range."""
+    if isinstance(amp, np.ndarray):
+        return np.array([_square_modulus(z) for z in amp.ravel().tolist()]).reshape(amp.shape)
+    try:
+        return abs(complex(amp)) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _amplitudes(alpha, beta):

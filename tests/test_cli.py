@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,16 +34,6 @@ from decoshield.qubit import average_fidelity_six, protect_equatorial, qkd_error
 
 def fmt(value):
     return format(value, ".12g")
-
-
-def test_stdout_output(capsys):
-    code = entry(
-        ["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--grid", "2", "--out", "-"]
-    )
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "m,n,fidelity,success_prob"
-    assert len(lines) == 5
 
 
 def scalar_csv(header, rows):
@@ -170,192 +161,203 @@ def test_one_row_blocks_share_writes(monkeypatch):
         assert max(text.count("\n") for text in writes) <= chunk
 
 
-def parse_report(text):
-    report = {}
-    for line in text.strip().splitlines():
-        key, value = line.split(" = ", 1)
-        report[key] = value
-    return report
+def ok(argv, out):  # a call that prints out and exits 0
+    return argv, 0, out, ""
 
 
-def test_optimal_single_qubit(capsys):
-    assert entry(["optimal", "--p", "0.8", "--r", "0.3"]) == 0
-    report = parse_report(capsys.readouterr().out)
-    assert float(report["m_opt"]) == pytest.approx(0.7456990116859171, abs=1e-15)
-    assert float(report["n_opt"]) == pytest.approx(0.6705118179915145, abs=1e-15)
-    assert float(report["fidelity_max"]) == pytest.approx(0.9334029602017091, abs=1e-15)
-    assert float(report["favg_max"]) == pytest.approx(0.9141607240755422, abs=1e-15)
-    assert float(report["qkd_error_min"]) == pytest.approx(
-        1.0 - 0.9334029602017091, abs=1e-15
-    )
-    assert float(report["success_prob"]) == pytest.approx(0.48261093218230866, abs=1e-15)
-    assert report["projective"] == "False"
-    # p = 1: the projective limit, where every six-state fidelity reaches 1
-    assert entry(["optimal", "--p", "1", "--r", "0.6"]) == 0
-    report = parse_report(capsys.readouterr().out)
-    assert report["favg_max"] == "1.0" and report["success_prob"] == "0.0"
-    assert report["projective"] == "True"
+def refused(argv, message):  # one error line that names the flag: exit 2, no rows
+    return argv, 2, "", f"error: {message}\n"
 
 
-def test_optimal_two_qubit(capsys):
-    assert entry(
-        ["optimal", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"]
-    ) == 0
-    report = parse_report(capsys.readouterr().out)
-    assert float(report["lambda1"]) == pytest.approx(0.32851863987147606, abs=1e-15)
-    assert float(report["m_opt"]) == pytest.approx(0.34345808848291176, abs=1e-15)
-    assert float(report["n1_opt"]) == pytest.approx(0.5036155644446407, abs=1e-15)
-    assert float(report["n2_opt"]) == pytest.approx(0.4421086912138565, abs=1e-15)
-    assert float(report["lambda2_max"]) == pytest.approx(0.5299918639561245, abs=1e-15)
-    assert float(report["success_prob"]) == pytest.approx(0.06037974781746659, abs=1e-15)
-    assert report["degenerate"] == "None"
-    # a channel that resets its qubit: no entanglement survives, at any strength
-    assert entry(["optimal", "--p1", "0", "--r1", "1", "--p2", "0.3", "--r2", "0.4"]) == 0
-    report = parse_report(capsys.readouterr().out)
-    assert report["lambda2_max"] == "0.0"
-    assert report["degenerate"] == "'projective-limit'"
-    # lambda1 of the Bell input rounds one ulp above 1; a concurrence stays in [0, 1]
-    for r in ("0", "1e-17"):
-        assert entry(["optimal", "--p1", "0.3", "--r1", r, "--p2", "0.3", "--r2", r]) == 0
-        report = parse_report(capsys.readouterr().out)
-        assert report["concurrence_unprotected"] == report["concurrence_protected"] == "1.0"
+def usage(argv, last):  # an argparse exit: the usage block, wrapped by COLUMNS, then last
+    return argv, "SystemExit(2)", "", last
 
 
-def test_optimal_mode_selection_is_exclusive(capsys):
-    assert entry(["optimal"]) == 2
-    assert entry(["optimal", "--p", "0.8", "--r", "0.3", "--p1", "0.9"]) == 2
-    assert entry(["optimal", "--p", "0.8"]) == 2
-    assert entry(["optimal", "--p1", "0.9", "--r1", "0.5"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
+PAIR = "--p1 0.9 --r1 0.5 --p2 0.95 --r2 0.3"
+ONE_QUBIT = (  # the worked example, also in README
+    "m_opt = 0.7456990116859171\nn_opt = 0.6705118179915145\nfidelity_max = 0.9334029602017091\n"
+    "fidelity_baseline = 0.9183300132670378\nfavg_max = 0.9141607240755422\n"
+    "qkd_error_min = 0.0665970397982909\nsuccess_prob = 0.48261093218230866\nprojective = False\n")
+PAIR_OPTIMUM = (  # also in README
+    "lambda1 = 0.32851863987147606\nconcurrence_unprotected = 0.32851863987147606\n"
+    "m_opt = 0.34345808848291176\nn1_opt = 0.5036155644446407\nn2_opt = 0.4421086912138565\n"
+    "lambda2_max = 0.5299918639561245\nconcurrence_protected = 0.5299918639561245\n"
+    "h = 0.11796345854433564\nalpha_sq_opt = 0.8944836187240573\n"
+    "success_prob = 0.06037974781746659\ndegenerate = None\n")
 
 
-def test_config_supplies_defaults(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# defaults for the worked example\np = 0.8\nr = 0.3\n\n")
-    assert entry(["optimal", "--config", str(cfg)]) == 0
-    report = parse_report(capsys.readouterr().out)
-    assert float(report["m_opt"]) == pytest.approx(0.7456990116859171, abs=1e-15)
+# the pair printout where the optimum is the projective limit, by lambda1 and the concurrence
+projective_limit = (
+    "lambda1 = {0}\nconcurrence_unprotected = {1}\nm_opt = 0.0\nn1_opt = 0.0\nn2_opt = 0.0\n"
+    "lambda2_max = {1}\nconcurrence_protected = {1}\nh = 0.0\nalpha_sq_opt = 1.0\n"
+    "success_prob = 0.0\ndegenerate = 'projective-limit'\n").format
+OPTIMAL_HELP = """\
+usage: decoshield optimal [-h] [--p P] [--r R] [--p1 P1] [--r1 R1] [--p2 P2]
+                          [--r2 R2] [--alpha-sq ALPHA_SQ] [--config CONFIG]
+
+One qubit: --p/--r. Two qubits: --p1/--r1/--p2/--r2 [--alpha-sq]. Values are
+printed at full precision, one key = value per line.
+
+options:
+  -h, --help           show this help message and exit
+  --p P                one-qubit stationary weight
+  --r R                one-qubit damping strength
+  --p1 P1              qubit-1 stationary weight
+  --r1 R1              qubit-1 damping strength
+  --p2 P2              qubit-2 stationary weight
+  --r2 R2              qubit-2 damping strength
+  --alpha-sq ALPHA_SQ  |alpha|^2 (default 0.5)
+  --config CONFIG      key=value defaults file; explicit flags win
+"""
+# config files, by name in config_folder; missing.cfg is absent
+CONFIGS = {
+    "good.cfg": b"# defaults for the worked example\np = 0.8\nr = 0.3\n\n",
+    "override.cfg": b"p = 0.8\nr = 0.9\n", "empty.cfg": b"p =\n", "broken.cfg": b"p 0.8\n",
+    "pair.cfg": b"alpha_sq = 0.5\np1 = 0.9\nr1 = 0.5\np2 = 0.95\nr2 = 0.3\n",
+    "prefix.cfg": b"alpha = 0.2\np1 = 0.9\nr1 = 0.5\np2 = 0.95\nr2 = 0.3\n",
+    "noequals.cfg": b"p = 0.8\nno equals sign here\n", "latin.cfg": b"p = 0.8\xff\n",
+    "bad.cfg": b"p = 0.8\nr = 0.3\nbogus = 1\n",
+}
+STILL = "--p 1 --r 0 --m-range 1e-8:1e-8:1 --n-range 1e-8:1e-8:1"
+invalid_choice = (r"decoshield: error: argument command: invalid choice: '{}' "
+                  r"\(choose from .+\)").format  # argparse's list, quoted by its version's rule
+positive = "strengths must be finite and positive with a finite nonzero square, got {}".format
+void = "success probability {} below cutoff".format
+
+# every answer of the CLI but a sweep's rows and verify: (command line, exit code or
+# SystemExit, stdout, stderr), run in config_folder with COLUMNS=80; a text in full, or by an
+# anchored regex where Python or argparse writes it; an argparse exit by its last line
+ANSWERS = [
+    ok("qubit-fidelity --p 0.8 --r 0.3 --grid 2 --out -",
+       "m,n,fidelity,success_prob\n0.5,0.5,0.918330013267,0.25\n0.5,1,0.834664010614,0.625\n"
+       "1,0.5,0.875183868401,0.5575\n1,1,0.918330013267,1\n"),
+    # the optimum queries; at p = 1 the projective limit, every six-state fidelity 1; a
+    # channel that resets its qubit keeps no entanglement; lambda1 of the Bell input
+    # rounds one ulp above 1, and a concurrence stays in [0, 1]
+    ok("optimal --p 0.8 --r 0.3", ONE_QUBIT),
+    ok("optimal --p 1 --r 0.6",
+       "m_opt = 0.0\nn_opt = 0.0\nfidelity_max = 1.0\nfidelity_baseline = 0.816227766016838\n"
+       "favg_max = 1.0\nqkd_error_min = 0.0\nsuccess_prob = 0.0\nprojective = True\n"),
+    ok(f"optimal {PAIR}", PAIR_OPTIMUM),
+    ok("optimal --p1 0 --r1 1 --p2 0.3 --r2 0.4", projective_limit(0.0, 0.0)),
+    *(ok(f"optimal --p1 0.3 --r1 {r} --p2 0.3 --r2 {r}", projective_limit(1.0000000000000002, 1.0))
+      for r in ("0", "1e-17")),
+    # one mode, whole
+    *(refused(argv, "give either --p/--r (one qubit) or --p1/--r1/--p2/--r2")
+      for argv in ("optimal", "optimal --p 0.8 --r 0.3 --p1 0.9")),
+    refused("optimal --p 0.8", "--p and --r are both required for the one-qubit query"),
+    refused("optimal --p1 0.9 --r1 0.5", "--p2 is required for the two-qubit query"),
+    # a config file gives defaults, past comments and blank lines, by underscore keys; flags win
+    ok("optimal --config good.cfg", ONE_QUBIT),
+    ok("optimal --config override.cfg --r 0.3", ONE_QUBIT),
+    ok("optimal --config=pair.cfg", PAIR_OPTIMUM),
+    # a bad line is named by FILE:LINE; a prefix of a flag is not that flag
+    refused("optimal --config empty.cfg", "empty.cfg:1: empty key or value"),
+    refused("optimal --config noequals.cfg",
+            "noequals.cfg:2: expected key=value, got 'no equals sign here'"),
+    refused("optimal --config bad.cfg", "bad.cfg:3: unknown key 'bogus'"),
+    refused("optimal --config prefix.cfg", "prefix.cfg:1: unknown key 'alpha'"),
+    # only a leading subcommand declaring --config reads it, before --, and not for help
+    usage("verify --config broken.cfg",
+          "decoshield: error: unrecognized arguments: --config broken.cfg"),
+    ("optimal -h --config missing.cfg", "SystemExit(0)", OPTIMAL_HELP, ""),
+    ("optimal --config broken.cfg --help", "SystemExit(0)", OPTIMAL_HELP, ""),
+    usage("--config broken.cfg optimal", re.compile(invalid_choice(r"broken\.cfg"))),
+    usage("optimal --config",
+          "decoshield optimal: error: argument --config: expected one argument"),
+    usage("optimal -- --config broken.cfg",
+          "decoshield: error: unrecognized arguments: -- --config broken.cfg"),
+    refused("optimal --config broken.cfg -- extra",
+            "broken.cfg:1: expected key=value, got 'p 0.8'"),
+    # an OSError names its flag
+    refused("optimal --config missing.cfg",
+            "--config: [Errno 2] No such file or directory: 'missing.cfg'"),
+    ("optimal --config latin.cfg", 2, "",
+     re.compile(r"error: --config: '[\w-]+' codec can't decode byte 0xff in position 7: .+\n")),
+    refused("qubit-fidelity --p 0.8 --r 0.3 --out absent/x.csv",
+            "--out: [Errno 2] No such file or directory: 'absent/x.csv'"),
+    # out-of-range values; the one-qubit query refuses an --alpha-sq it does not read
+    refused("qubit-fidelity --p 1.5 --r 0.3", "--p/--r: p must be in [0, 1], got 1.5"),
+    refused(f"entangle {PAIR} --alpha-sq 1.5",
+            "--alpha-sq: alpha_sq must lie in [0, 1], got 1.5"),
+    *(refused(f"optimal --p 0.8 --r 0.3 --alpha-sq {bad}",
+              f"--alpha-sq: alpha_sq must lie in [0, 1], got {shown}")
+      for bad, shown in (("7", "7.0"), ("nan", "nan"))),
+    refused("qubit-fidelity --p 0.8 --r 0.3 --grid 1", "--grid: need at least 2 points, got 1"),
+    refused("qubit-fidelity --p 0.8 --r 0.3 --m-range 0:1:5", "--m-range: " + positive(0.0)),
+    # a dead sweep point names its m: an |11> input killed by m = 0, on the default sweep and
+    # another; past the first point, 1/m^2 pushes the success probability below the cutoff
+    *(refused(f"entangle {PAIR} --alpha-sq 0{sweep}",
+              "--sweep-m: at m=0: degenerate coefficients, reversal optimum undefined")
+      for sweep in ("", " --sweep-m 0:1:3")),
+    refused(f"entangle {PAIR} --alpha-sq 1 --sweep-m 0:1e8:5",
+            "--sweep-m: at m=2.5e+07: " + void(4.800000000000003e-18)),
+    # a library ValueError, PostSelectionError included; both sweeps name the joint
+    # probability of the two outcomes, not the reversal stage's 2e-16, from one evaluation
+    refused(f"qubit-fidelity {STILL}", "--m-range/--n-range: " + void(1.0000000000000001e-16)),
+    refused(f"qkd-error {STILL}", "--m-range/--n-range: " + void(1.0000000000000001e-16)),
+    refused(f"optimal {PAIR} --alpha-sq 1e-300",
+            "--alpha-sq: degenerate coefficients, reversal optimum undefined"),
+    refused("optimal --p 0.9999999999999999 --r 1", "--p/--r: " + void(2.220446049250313e-16)),
+    *(refused(f"{command} --p 0.8 --r 0.3 --m-range 1:1e160:2", "--m-range: " + positive(1e160))
+      for command in ("qubit-fidelity", "qubit-average")),
+    refused(f"entangle {PAIR} --sweep-m 1:1e160:2", "--sweep-m: at m=1e+160: m1 must be finite"
+            " and non-negative with a finite square, got 1e+160"),
+    refused(f"entangle {PAIR} --sweep-m 1:1e100:3",
+            "--sweep-m: at m=5e+99: strengths m = 5e+99 overflow the float range"),
+    *(refused(f"{command} --p 0.8 --r 0.3 --m-range 1e100:1e100:1 --n-range 1e100:1e100:1",
+              "--m-range/--n-range: strengths m, n = 1e+100, 1e+100 overflow the float range")
+      for command in ("qubit-fidelity", "qubit-average", "qkd-error")),
+    refused("optimal --p 1e-200 --r 1",
+            "--p/--r: p = 1e-200 with r = 1.0: optimal reversal strength overflows"),
+    # argparse's own exits: a malformed range, an unknown subcommand
+    *(usage(f"qubit-fidelity --p 0.8 --r 0.3 --m-range {bad}",
+            f"decoshield qubit-fidelity: error: argument --m-range: {message}")
+      for bad, message in (
+          ("0.1-1-5", "expected LO:HI:STEPS, got '0.1-1-5'"),
+          ("1:0:5", "need LO <= HI, got '1:0:5'"), ("0.1:1:0", "steps must be at least 1, got 0"),
+          ("nan:1:2", "LO and HI must be finite, got 'nan:1:2'"),
+          ("1:inf:2", "LO and HI must be finite, got '1:inf:2'"),
+          ("a:b:3", "could not convert string to float: 'a'"))),
+    usage("melt", re.compile(invalid_choice("melt"))),
+]
 
 
-def test_explicit_flags_beat_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 0.8\nr = 0.9\n")
-    assert entry(["optimal", "--config", str(cfg), "--r", "0.3"]) == 0
-    report = parse_report(capsys.readouterr().out)
-    assert float(report["fidelity_max"]) == pytest.approx(0.9334029602017091, abs=1e-15)
+@pytest.fixture
+def in_config_folder(config_folder, monkeypatch):
+    monkeypatch.chdir(config_folder)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
 
 
-def test_config_with_underscore_keys(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha_sq = 0.5\np1 = 0.9\nr1 = 0.5\np2 = 0.95\nr2 = 0.3\n")
-    assert entry(["optimal", "--config=" + str(cfg)]) == 0
-    report = parse_report(capsys.readouterr().out)
-    assert float(report["lambda2_max"]) == pytest.approx(0.5299918639561245, abs=1e-15)
+@pytest.mark.parametrize("argv, code, out, err", ANSWERS, ids=[row[0] for row in ANSWERS])
+def test_answers(in_config_folder, argv, code, out, err):
+    got_code, got_out, got_err = capture(argv.split())
+    if code == "SystemExit(2)":
+        block, got_err, end = got_err.rsplit("\n", 2)
+        assert block.startswith("usage: decoshield") and end == "", block
+    assert (got_code, got_out) == (code, out)
+    assert err.fullmatch(got_err) if isinstance(err, re.Pattern) else got_err == err, got_err
 
 
-def test_config_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("p =\n")
-    assert entry(["optimal", "--config", str(bad)]) == 2
-    assert capsys.readouterr().err == f"error: {bad}:1: empty key or value\n"
-    bad.write_text("p = 0.8\nno equals sign here\n")
-    assert entry(["optimal", "--config", str(bad)]) == 2
-    assert "bad.cfg:2" in capsys.readouterr().err
-    bad.write_text("p = 0.8\nr = 0.3\nbogus = 1\n")
-    assert entry(["optimal", "--config", str(bad)]) == 2
-    assert f"{bad}:3: unknown key 'bogus'" in capsys.readouterr().err
-    # a prefix of a flag is not that flag
-    bad.write_text("alpha = 0.2\np1 = 0.9\nr1 = 0.5\np2 = 0.95\nr2 = 0.3\n")
-    assert entry(["optimal", "--config", str(bad)]) == 2
-    assert f"{bad}:1: unknown key 'alpha'" in capsys.readouterr().err
-    # verify reads no keys, so it takes no --config
-    bad.write_text("")
-    with pytest.raises(SystemExit) as exc:
-        entry(["verify", "--config", str(bad)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
-    # only a leading subcommand that declares --config reads the file, from
-    # the tokens before --, and none when help is asked for; a file read here
-    # would answer with its own error and exit 2 without a SystemExit
+def test_shared_parser_holds_no_state(in_config_folder):
+    # entry() builds its parser once per process: run forward or backward,
+    # every row gives the same exit code, stdout and stderr
+    calls = [argv.split() for argv, *_ in ANSWERS]
+    forward = [capture(argv) for argv in calls]
+    assert forward == [capture(argv) for argv in reversed(calls)][::-1]
+    assert [code for code, _, _ in forward] == [code for _, code, _, _ in ANSWERS]
+
+
+def test_config_commands_are_those_that_declare_it():
+    # entry() reads a config file before parsing only for a subcommand that declares
+    # --config; for any other, the file's own error would come before argparse's
     _, commands = cli._build_parser()
     assert {name for name, sp in commands.items() if "--config" in sp.format_usage()} == (
         cli._CONFIG_COMMANDS)
-    broken, missing = str(tmp_path / "broken.cfg"), str(tmp_path / "missing.cfg")
-    Path(broken).write_text("p 0.8\n")
-    for argv, code, stream, text in (
-        (["optimal", "-h", "--config", missing], 0, "out", "usage: decoshield optimal"),
-        (["optimal", "--config", broken, "--help"], 0, "out", "usage: decoshield optimal"),
-        (["--config", broken, "optimal"], 2, "err", f"invalid choice: '{broken}'"),
-        (["verify", "--config", broken], 2, "err", f"unrecognized arguments: --config {broken}"),
-        (["optimal", "--", "--config", broken], 2, "err", "unrecognized arguments: --"),
-    ):
-        with pytest.raises(SystemExit) as exc:
-            entry(argv)
-        assert exc.value.code == code
-        assert text in getattr(capsys.readouterr(), stream), argv
-    assert entry(["optimal", "--config", broken, "--", "extra"]) == 2
-    assert capsys.readouterr().err == f"error: {broken}:1: expected key=value, got 'p 0.8'\n"
-
-
-def test_os_errors_name_their_flag(tmp_path, capsys):
-    missing = tmp_path / "missing.cfg"
-    assert entry(["optimal", "--config", str(missing)]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: --config: [Errno 2] No such file or directory: '{missing}'\n")
-    (tmp_path / "latin.cfg").write_bytes(b"p = 0.8\xff\n")
-    assert entry(["optimal", "--config", str(tmp_path / "latin.cfg")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --config: ") and "can't decode" in err
-    nowhere = tmp_path / "absent" / "x.csv"
-    assert entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--out", str(nowhere)]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: --out: [Errno 2] No such file or directory: '{nowhere}'\n")
-
-
-def test_out_of_range_parameters(capsys):
-    assert entry(["qubit-fidelity", "--p", "1.5", "--r", "0.3"]) == 2
-    assert "--p/--r" in capsys.readouterr().err
-    assert entry(["entangle", "--p1", "0.9", "--r1", "0.5",
-                  "--p2", "0.95", "--r2", "0.3", "--alpha-sq", "1.5"]) == 2
-    assert "error: --alpha-sq: alpha_sq must lie in [0, 1]" in capsys.readouterr().err
-    # the one-qubit query reads no --alpha-sq, yet refuses a bad one
-    for alpha_sq in ("7", "nan"):
-        assert entry(["optimal", "--p", "0.8", "--r", "0.3", "--alpha-sq", alpha_sq]) == 2
-        assert capsys.readouterr().err == (
-            f"error: --alpha-sq: alpha_sq must lie in [0, 1], got {float(alpha_sq)}\n"
-        )
-    assert entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--grid", "1"]) == 2
-    assert capsys.readouterr().err == "error: --grid: need at least 2 points, got 1\n"
-
-
-def test_zero_strengths_rejected_in_qubit_sweeps(capsys):
-    assert entry(
-        ["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--m-range", "0:1:5"]
-    ) == 2
-    assert "--m-range" in capsys.readouterr().err
 
 
 def test_entangle_reports_dead_sweep_points(monkeypatch, capsys):
-    # |11> input killed by a zero-strength pre-measurement cannot be
-    # post-selected, and the failing m is named
-    assert entry(
-        ["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3",
-         "--alpha-sq", "0", "--sweep-m", "0:1:3"]
-    ) == 2
-    assert "--sweep-m: at m=0" in capsys.readouterr().err
-    # a failure past the first point names that point: here 1/m^2 pushes
-    # the success probability below the cutoff from the second m on
-    assert entry(
-        ["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3",
-         "--alpha-sq", "1", "--sweep-m", "0:1e8:5"]
-    ) == 2
-    assert capsys.readouterr().err == (
-        "error: --sweep-m: at m=2.5e+07: success probability "
-        "4.800000000000003e-18 below cutoff\n"
-    )
-    # an array call that fails where every lone point passes is reported
-    # with the array call's own message
+    # an array call failing where every lone point passes is reported by its own message
     lone_only = decoshield.entangle.optimized_protection
 
     def refuse_arrays(inp, ch1, ch2, m):
@@ -364,48 +366,8 @@ def test_entangle_reports_dead_sweep_points(monkeypatch, capsys):
         return lone_only(inp, ch1, ch2, m)
 
     monkeypatch.setattr(decoshield.entangle, "optimized_protection", refuse_arrays)
-    assert entry(
-        ["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3",
-         "--sweep-m", "0.5:1:3"]
-    ) == 2
+    assert entry(["entangle", *PAIR.split(), "--sweep-m", "0.5:1:3"]) == 2
     assert capsys.readouterr() == ("", "error: --sweep-m: array call refused\n")
-
-
-def test_library_errors_exit_with_usage(capsys):
-    # a library ValueError, PostSelectionError included, is one error line
-    # naming the flag: no traceback, no rows
-    still = ["--p", "1", "--r", "0", "--m-range", "1e-8:1e-8:1", "--n-range", "1e-8:1e-8:1"]
-    huge = ["--p", "0.8", "--r", "0.3", "--m-range", "1:1e160:2"]
-    overflow = ["--p", "0.8", "--r", "0.3", "--m-range", "1e100:1e100:1",
-                "--n-range", "1e100:1e100:1"]
-    pair = ["--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"]
-    cases = [
-        (["qubit-fidelity", *still], "--m-range/--n-range: success probability"),
-        (["qkd-error", *still], "--m-range/--n-range: success probability"),
-        (["optimal", *pair, "--alpha-sq", "1e-300"], "--alpha-sq: degenerate coefficients"),
-        (["optimal", "--p", "0.9999999999999999", "--r", "1"], "--p/--r: success probability"),
-        (["qubit-fidelity", *huge], "--m-range: strengths must be finite"),
-        (["qubit-average", *huge], "--m-range: strengths must be finite"),
-        (["entangle", *pair, "--sweep-m", "1:1e160:2"], "--sweep-m: at m=1e+160: m1 must be"),
-        (["entangle", *pair, "--sweep-m", "1:1e100:3"],
-         "--sweep-m: at m=5e+99: strengths m = 5e+99 overflow"),
-        (["qubit-fidelity", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
-        (["qubit-average", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
-        (["qkd-error", *overflow], "--m-range/--n-range: strengths m, n = 1e+100, 1e+100"),
-        (["optimal", "--p", "1e-200", "--r", "1"], "--p/--r: p = 1e-200 with r = 1.0"),
-    ]
-    for argv, start in cases:
-        assert entry(argv) == 2, argv
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {start}"), (argv, err)
-        assert err.count("\n") == 1, err
-    # both sweeps name the joint probability of the two outcomes, not the
-    # reversal stage's 2e-16, from the one evaluation they share
-    named = []
-    for command in ("qubit-fidelity", "qkd-error"):
-        assert entry([command, *still]) == 2
-        named.append(capsys.readouterr().err.split()[4])
-    assert named[0] == named[1], named
 
 
 def test_benchmark_sweep_keeps_its_recorded_digest(capsys):
@@ -482,20 +444,6 @@ def test_sweeps_print_only_physical_values(argv):
             assert math.isfinite(value) and lo <= value <= hi, (argv, header, row)
 
 
-def test_malformed_range_exits_with_usage(capsys):
-    for bad in ("0.1-1-5", "1:0:5", "0.1:1:0", "nan:1:2", "1:inf:2", "a:b:3"):
-        with pytest.raises(SystemExit) as exc:
-            entry(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--m-range", bad])
-        assert exc.value.code == 2
-        assert "--m-range" in capsys.readouterr().err
-
-
-def test_unknown_subcommand_exits_with_usage():
-    with pytest.raises(SystemExit) as exc:
-        entry(["melt"])
-    assert exc.value.code == 2
-
-
 def test_verify_reports_failures(monkeypatch, capsys):
     failing = (("always-fails", lambda rng, count: (False, "gap 1.00e+00 (tol 1e-12)"), 1),)
     monkeypatch.setattr(decoshield.checks, "CHECKS", failing)
@@ -517,34 +465,6 @@ def test_verify_stdout_matches_record(capsys):
     assert [line.split(":", 1)[0] for line in lines[:-1]] == [
         f"[ok] {name}" for name, _, _ in CHECKS
     ]
-
-
-def test_shared_parser_holds_no_state(tmp_path, capsys):
-    # entry() builds its parser once per process: in either order, every
-    # call gives the same exit code, stdout and stderr
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("p = 0.8\nr = 0.3\nbogus = 1\n")
-    calls = [
-        ["optimal", "--p", "0.5"],
-        ["optimal", "--config", str(cfg)],
-        ["optimal", "-h"],
-        ["optimal", "--p", "0.8", "--r", "0.3"],
-        ["optimal", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3"],
-        ["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--grid", "3", "--out", "-"],
-        ["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3", "--out", "-"],
-    ]
-
-    def run(argv):
-        try:
-            code = entry(argv)
-        except SystemExit as exc:
-            code = exc.code
-        return (code, *capsys.readouterr())
-
-    forward = [run(argv) for argv in calls]
-    backward = [run(argv) for argv in reversed(calls)][::-1]
-    assert forward == backward
-    assert [code for code, _, _ in forward] == [2, 2, 0, 0, 0, 0, 0]
 
 
 def test_parser_is_built_once_and_lazily(monkeypatch):
@@ -623,9 +543,8 @@ def command_lines(draw):
 @pytest.fixture(scope="module")
 def config_folder(tmp_path_factory):
     folder = tmp_path_factory.mktemp("configs")
-    (folder / "good.cfg").write_text("p = 0.8\nr = 0.3\n")
-    (folder / "bad.cfg").write_text("p = 0.8\nr = 0.3\nbogus = 1\n")
-    (folder / "broken.cfg").write_text("p 0.8\n")
+    for name, text in CONFIGS.items():
+        (folder / name).write_bytes(text)
     return folder
 
 

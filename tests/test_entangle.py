@@ -43,7 +43,7 @@ def random_input():
     return EntangledInput(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq) * phase)
 
 
-def test_input_validation():
+def test_bell_density_has_the_x_state_layout():
     rho = BELL.density()
     # alpha|00> + beta|11>: nonzero only where rows and columns 0 and 3 meet
     assert rho[0, 0] == rho[0, 3] == rho[3, 0] == rho[3, 3]
@@ -170,7 +170,7 @@ def test_protected_state_is_valid():
         validate_density(reversed_state(coeffs, n1, n2)[0])
 
 
-def test_negative_strengths_rejected():
+def test_pipeline_takes_strengths_the_closed_forms_refuse():
     # the pipeline rescales its operators: it takes what the closed forms refuse
     assert pipeline_state(BELL, REF1, REF2, 1.0, 1.0, 1e100, 1e100)[1] > 0.0
 

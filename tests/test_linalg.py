@@ -42,7 +42,7 @@ def test_dagger():
     assert np.allclose(dagger(a), a.conj().T)
 
 
-def test_validate_density_rejects_defects():
+def test_validate_density_accepts_a_mixed_state():
     validate_density(np.diag([0.25, 0.75]).astype(complex))
 
 

@@ -52,7 +52,7 @@ def test_unit_strengths_reduce_to_bare_channel():
         assert abs(res.success_prob - 1.0) < 1e-12
 
 
-def test_strength_validation():
+def test_huge_strengths_pass_the_pipeline_and_arrays_compute_as_scalars():
     # the pipeline rescales its operators: it takes what the closed form refuses
     assert bb84_error_rate(REF, 1e100, 1e100) == 0.5
     # an integer array is computed as float64, as its ints are, not wrapped

@@ -373,6 +373,13 @@ ROWS = [
     row("alpha must be a number or an array, got shape (2,)", EntangledInput, [0.6, 0.8], 0.8),
     row("beta must be finite, got (nan+0j)", EntangledInput,
         np.array([0.6, 0.6, 0.6]), np.array([0.8, math.nan, math.inf])),
+    # a finite amplitude whose square or modulus leaves the float range makes
+    # the norm infinite; a stack names its first failing entry
+    *(row("|alpha|^2 + |beta|^2 = inf, expected 1", EntangledInput, *amps) for amps in (
+        (1e200, 0.0), (complex(1e308, 1e308), 0.0), (0.0, complex(1.5e308, 1.5e308)),
+        (np.array([0.6, 1e200, 0.9]), 0.8), (0.6, np.array([0.8, complex(1e308, 1e308)])))),
+    row("|alpha|^2 + |beta|^2 = 1.4500000000000002, expected 1", EntangledInput,
+        np.array([0.6, 0.9, 1e200]), 0.8),
 ]
 
 

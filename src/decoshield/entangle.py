@@ -36,9 +36,8 @@ class EntangledInput:
     alpha and beta may be numpy arrays that broadcast together, one input
     per entry: the record then holds both as complex arrays of one shape,
     and density() and measured_coefficients take the whole stack, each
-    entry with the bits of the record built from its two Python complex
-    numbers. The checks name the first failing entry. A numpy scalar is
-    held as the Python number it holds.
+    entry with the bits of its own lone record. The checks name the first
+    failing entry. A numpy scalar is held as the Python number it holds.
     """
 
     alpha: complex
@@ -49,25 +48,18 @@ class EntangledInput:
         if type(alpha) not in (float, complex) or type(beta) not in (float, complex):
             xp, alpha, beta = _amplitudes(alpha, beta)
             vars(self).update(alpha=alpha, beta=beta)  # frozen: past the dataclass's __setattr__
-        try:
-            wa, wb = xp.pow(xp.modulus(alpha), 2), xp.pow(xp.modulus(beta), 2)
-            ok = abs(wa + wb - 1.0) <= NORM_ATOL
-        except OverflowError:  # a square past the float range, in libm or from an int
-            wa, wb, ok = _square_modulus(alpha), _square_modulus(beta), False
-        if ok is not True:
+        wa, wb = _square_modulus(alpha), _square_modulus(beta)
+        norm = wa + wb
+        if (abs(norm - 1.0) <= NORM_ATOL) is not True:
             for name, amp in (("alpha", alpha), ("beta", beta)):
                 finite = (abs(amp.real) <= FLOAT_MAX) & (abs(amp.imag) <= FLOAT_MAX)
                 reject(finite, ValueError, f"{name} must be finite, got {{!r}}", amp)
-            norm = wa + wb
             reject(abs(norm - 1.0) <= NORM_ATOL, ValueError,
                    "|alpha|^2 + |beta|^2 = {!r}, expected 1", norm)
-        if xp is SCALAR:
-            w = complex(alpha * beta.conjugate())
-        else:  # Python's complex product alpha * conj(beta), in real arithmetic
-            a, b, c, d = alpha.real, alpha.imag, beta.real, -beta.imag
-            w = xp.complex(a * c - b * d, a * d + b * c)
+        # Python's complex product alpha * conj(beta), in real arithmetic
+        a, b, c, d = alpha.real, alpha.imag, beta.real, -beta.imag
         # |alpha|^2, |beta|^2 and alpha conj(beta), which measured_coefficients reads
-        vars(self)["_weights"] = wa, wb, w
+        vars(self)["_weights"] = wa, wb, xp.complex(a * c - b * d, a * d + b * c)
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> EntangledInput:
@@ -85,8 +77,9 @@ class EntangledInput:
 
 
 def _square_modulus(amp):
-    """|amp|^2 at each entry, by libm's hypot and pow, or inf past the float range."""
-    if isinstance(amp, np.ndarray):
+    """|amp|^2 of a lone amplitude, or at each entry of a stack, by libm's
+    hypot and pow with no numpy arithmetic; inf past the float range."""
+    if type(amp) not in (float, complex) and isinstance(amp, np.ndarray):  # floats load no numpy
         return np.array([_square_modulus(z) for z in amp.ravel().tolist()]).reshape(amp.shape)
     try:
         return abs(complex(amp)) ** 2
@@ -117,8 +110,9 @@ class XStateCoefficients:
     current pipeline stage; e is the coherence between |00> and |11>. Its
     own __init__ checks each weight, a float or an array, once, in abcd
     order: a complex, negative or NaN entry is refused by the weight's name,
-    so the readers below trust the record. Then e: a non-finite entry, or an
-    array beside four scalar weights, is refused by the name e.
+    so the readers below trust the record. Then e: an array beside four
+    scalar weights, a non-finite entry, or one whose modulus leaves the float
+    range, is refused by the name e.
     """
 
     a: float
@@ -132,14 +126,16 @@ class XStateCoefficients:
         weights = a, b, c, d
         if (type(a) is type(b) is type(c) is type(d) is float
                 and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0
-                and type(e) is complex and cmath.isfinite(e)):
-            return  # the common record, four valid floats and a finite complex: no more tests
+                and type(e) is complex and cmath.isfinite(e + e)):
+            return  # the common record: four valid floats, e + e finite (so |e| too): no more tests
         for name, weight in zip("abcd", weights):
             kind = "real" if np.iscomplexobj(weight) else "non-negative"
             check_range(weight, 0.0, math.inf, f"{name} must be {kind}, got {{!r}}")
         if not any(np.ndim(weight) for weight in weights):
             check_scalar("e", e, "a scalar beside scalar weights")
         reject(np.isfinite(e), ValueError, "e must be finite, got {!r}", e)
+        reject(quietly(np.abs, e) <= FLOAT_MAX, ValueError,
+               "e must have a finite modulus, got {!r}", e)
 
     def matrix(self) -> np.ndarray:
         """The 4x4 X state, unnormalized when trace != 1; a (..., 4, 4) stack

@@ -83,9 +83,8 @@ def _lattice_values(objective: Callable[[np.ndarray], float], points: np.ndarray
         values = objective(points.T)
     except Exception:
         return None
-    if not (
-        isinstance(values, np.ndarray) and values.dtype == float and values.shape == points.shape[:1]
-    ):
+    if not (isinstance(values, np.ndarray) and values.dtype == float
+            and values.shape == points.shape[:1]):
         return None
     return np.where(np.isnan(values), -math.inf, values)
 

@@ -175,7 +175,8 @@ def test_apply_on_qubit_leaves_other_factor_alone():
     for qubit in (0, 1):
         out = apply_on_qubit(gad_channel(params), stack, qubit)
         for i in range(2):
-            assert out[i].tobytes() == apply_on_qubit(gad_channel(params), stack[i], qubit).tobytes()
+            alone = apply_on_qubit(gad_channel(params), stack[i], qubit)
+            assert out[i].tobytes() == alone.tobytes()
 
 
 def test_channel_stack_on_lone_state():

@@ -60,7 +60,8 @@ NAN_ROUTES = [
     (checks.kraus_completeness, 3, "check_trace_preserving", lambda ops: math.nan),
     (checks.entangle_optimum_oracle, 1, "lambda2_max", lambda ch1, ch2: math.nan),
     (checks.average_optimum_stationary, 1, "stationarity_check", lambda *args: math.nan),
-    (checks.qubit_closed_form_vs_pipeline, 3, "fidelity", lambda psi, rho: nan_like(rho[..., 0, 0])),
+    (checks.qubit_closed_form_vs_pipeline, 3, "fidelity",
+     lambda psi, rho: nan_like(rho[..., 0, 0])),
     (checks.alpha_weight_independence, 5, "optimal_parameters", nan_for_later_weights),
     (checks.output_density_validity, 3, "protected_state", nan_success),
     (checks.output_density_validity, 3, "protect_equatorial", nan_state),

@@ -173,6 +173,7 @@ def test_quiet_rule_keeps_numpy_settings():
         (protected_state, bell, ch1, ch2, 1.0, 1.0, big, big),
         (reversed_state, coeffs, big, big),
         (optimized_protection, bell, ch1, ch2, big),
+        (EntangledInput, np.array([0.6, complex(1.5e308, 1.5e308)]), 0.8),
     ]
     before = np.geterr()
     for fn, *args in calls:
@@ -237,6 +238,19 @@ def test_qubit_closed_forms(params, ms, ns, phi, em, en, phis):
               *fields("f0", "f1", "fe", "favg"))
     agree_f64(outcome(qkd_error_rate, params, em, en),
               outcome(qkd_error_rate, as_f64(params), f64(em), f64(en)), lambda rate: rate)
+
+
+def test_stacked_inputs_have_the_bits_of_their_lone_records():
+    # real amplitudes of either sign, and complex ones with a -0.0 imaginary
+    # part: alpha conj(beta) has a zero part, whose sign each entry must keep
+    pairs = [(0.6, -0.8), (-0.6, 0.8), (-0.6, -0.8), (0.6, 0.8), (-1.0, 0.0), (0.0, -1.0),
+             (complex(0.6, -0.0), 0.8), (0.6, complex(-0.8, -0.0)),
+             (complex(-0.6, -0.0), complex(0.8, -0.0))]
+    ch1, ch2 = GadParams(0.9, 0.5), GadParams(0.95, 0.3)
+    stack = EntangledInput(*(np.array(amps) for amps in zip(*pairs)))
+    each = [measured_coefficients(EntangledInput(a, b), ch1, ch2, 1.3, 0.7) for a, b in pairs]
+    assert agree(measured_coefficients(stack, ch1, ch2, 1.3, 0.7), each,
+                 *fields("a", "b", "c", "d", "e"))
 
 
 @PROPERTY

@@ -377,9 +377,17 @@ ROWS = [
     # the norm infinite; a stack names its first failing entry
     *(row("|alpha|^2 + |beta|^2 = inf, expected 1", EntangledInput, *amps) for amps in (
         (1e200, 0.0), (complex(1e308, 1e308), 0.0), (0.0, complex(1.5e308, 1.5e308)),
-        (np.array([0.6, 1e200, 0.9]), 0.8), (0.6, np.array([0.8, complex(1e308, 1e308)])))),
+        (np.array([0.6, 1e200, 0.9]), 0.8), (0.6, np.array([0.8, complex(1e308, 1e308)])),
+        (np.array([0.6, complex(1.5e308, 1.5e308)]), 0.8))),
     row("|alpha|^2 + |beta|^2 = 1.4500000000000002, expected 1", EntangledInput,
         np.array([0.6, 0.9, 1e200]), 0.8),
+    # an int past the float range is not finite, as a strength of 10**400 is not
+    row(f"alpha must be finite, got {10**400!r}", EntangledInput, 10**400, 0.0),
+    # a finite coherence whose modulus leaves the float range, lone and stacked
+    row("e must have a finite modulus, got (1.5e+308+1.5e+308j)", XStateCoefficients,
+        0.3, 0.1, 0.1, 0.3, complex(1.5e308, 1.5e308)),
+    row("e must have a finite modulus, got (1.5e+308+1.5e+308j)", XStateCoefficients,
+        np.array([0.3, 0.3]), 0.1, 0.1, 0.3, np.array([0.1 + 0j, complex(1.5e308, 1.5e308)])),
 ]
 
 

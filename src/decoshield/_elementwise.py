@@ -31,9 +31,9 @@ Every check that takes arrays refuses through `reject`, naming the first
 failing entry in C order as a Python scalar; NaN always fails. A range is
 checked by `check_range` on closed ends only (0 < x is x >= math.ulp(0.0)),
 one number by `check_scalar`. A record checks and shapes its own entries
-once, when it is built (`GadParams` its channel parameters and
-`EntangledInput` its amplitudes, each pair of one shape, `XStateCoefficients`
-its weights, in its own `__init__`); closed forms trust it.
+once, when it is built (`GadParams` its channel parameters, whose population
+transfer it also holds, `EntangledInput` its amplitudes, each pair of one
+shape, `XStateCoefficients` its weights, in its own `__init__`); closed forms trust it.
 The common call is all Python floats: `protect_equatorial`, `measured_coefficients`
 and `entangle._reversal` first test that every input is a float inside its check's
 range, and then skip `namespace` and the checks, calling the overflow and cutoff
@@ -70,11 +70,6 @@ class _NumpyOnDemand(ModuleType):
 
 
 np = _NumpyOnDemand("numpy")
-
-
-def _libm_pow(x, y: float) -> np.ndarray:
-    x = np.asarray(x)
-    return np.array([v ** y for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _libm(fn, x) -> np.ndarray:
@@ -144,7 +139,7 @@ def _array() -> SimpleNamespace:
         maximum=np.maximum,
         sqrt=np.sqrt,
         modulus=_libm_modulus,
-        pow=_libm_pow,
+        pow=lambda x, y: _libm(lambda v: v ** y, x),
         cos=functools.partial(_libm, math.cos),
         sin=functools.partial(_libm, math.sin),
         complex=_complex_array,

@@ -20,6 +20,9 @@ class GadParams:
     p and r may also be numpy arrays that broadcast together, one channel
     per entry; the functions that take such a stack say so. Such a record
     holds both, once checked, as float64 views broadcast to one shape.
+    It also holds `_transfer` = (s, u, v, w), the row-stochastic population transfer
+    T = [[s, u], [v, w]] (T[i, j] moved from |i><i| to |j><j|) that the closed forms
+    read; the Kraus and dilation routes never read it, so they stay independent.
     """
 
     p: float
@@ -28,11 +31,13 @@ class GadParams:
     def __post_init__(self) -> None:
         check_range(self.p, 0.0, 1.0, "p must be in [0, 1], got {}")
         check_range(self.r, 0.0, 1.0, "r must be in [0, 1], got {}")
-        if type(self.p) is type(self.r) is float:  # the common record: no numpy call
-            return
-        if isinstance(self.p, np.ndarray) or isinstance(self.r, np.ndarray):
-            p, r = np.broadcast_arrays(np.asarray(self.p, float), np.asarray(self.r, float))
-            vars(self).update(p=p, r=r)  # frozen: set past the dataclass's __setattr__
+        p, r = self.p, self.r
+        if not type(p) is type(r) is float:  # the common record: no numpy call
+            if isinstance(p, np.ndarray) or isinstance(r, np.ndarray):
+                p, r = np.broadcast_arrays(np.asarray(p, float), np.asarray(r, float))
+                vars(self).update(p=p, r=r)  # frozen: set past the dataclass's __setattr__
+            _, (p, r) = namespace(p, r)  # a numpy scalar as its float, as the closed forms take it
+        vars(self)["_transfer"] = 1.0 - r + p * r, (1.0 - p) * r, p * r, 1.0 - p * r
 
 
 def gad_channel(params: GadParams) -> np.ndarray:

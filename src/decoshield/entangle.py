@@ -179,14 +179,7 @@ def component_coefficients(
 
     First tuple: image of |00><00|. Second: image of |11><11|.
     """
-    return _unit_coefficients(ch1.p, ch1.r, ch2.p, ch2.r)
-
-
-def _unit_coefficients(p1, r1, p2, r2):
-    # each channel's row-stochastic transfer T = [[s, u], [v, w]], where
-    # T[i, j] is the population moved from |i><i| to |j><j|
-    s1, u1, v1, w1 = 1.0 - r1 + p1 * r1, (1.0 - p1) * r1, p1 * r1, 1.0 - p1 * r1
-    s2, u2, v2, w2 = 1.0 - r2 + p2 * r2, (1.0 - p2) * r2, p2 * r2, 1.0 - p2 * r2
+    (s1, u1, v1, w1), (s2, u2, v2, w2) = ch1._transfer, ch2._transfer
     return (s1 * s2, s1 * u2, u1 * s2, u1 * u2), (v1 * v2, v1 * w2, w1 * v2, w1 * w2)
 
 
@@ -207,7 +200,7 @@ def measured_coefficients(
         xp, (p1, r1, p2, r2, m1, m2, wa) = namespace(p1, r1, p2, r2, m1, m2, wa)
         m1 = check_strength("m1", m1, zero_ok=True)
         m2 = check_strength("m2", m2, zero_ok=True)
-    (a0, b0, c0, d0), (a1, b1, c1, d1) = _unit_coefficients(p1, r1, p2, r2)
+    (a0, b0, c0, d0), (a1, b1, c1, d1) = component_coefficients(ch1, ch2)
     try:
         mm = xp.pow(m1 * m2, 2)
     except OverflowError:  # libm's pow: the square of m1 m2 leaves the float range
@@ -294,8 +287,8 @@ def concurrence_lambda1(coeffs: XStateCoefficients) -> float:
 
     Negative values mean the state is separable (the caller clips at zero).
     """
-    xp, (b, c) = namespace(coeffs.b, coeffs.c)
-    return 2.0 * (xp.modulus(coeffs.e) - xp.sqrt(b * c))
+    xp, (_, b, c, _) = namespace(coeffs.a, coeffs.b, coeffs.c, coeffs.d)  # as _reversal's xp
+    return _lambda2(coeffs.e, b, c, 1.0, 1.0, 1.0, xp)  # 2.0 * 1.0 * 1.0 * x / 1.0 is 2x exactly
 
 
 def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> float:
@@ -312,8 +305,13 @@ def concurrence_lambda2(coeffs: XStateCoefficients, n1: float, n2: float) -> flo
 
 def _lambda2(e, b, c, n1, n2, raw, xp):
     """concurrence_lambda2 from the coherence e, the weights b, c and the
-    raw reversed trace, once it has passed the cutoff."""
-    return 2.0 * n1 * n2 * (xp.modulus(e) - xp.sqrt(b * c)) / raw
+    raw reversed trace, once past the cutoff; refuses by e a result that overflows."""
+    if xp.loud():
+        return quietly(_lambda2, e, b, c, n1, n2, raw, xp)
+    lam = 2.0 * n1 * n2 * (xp.modulus(e) - xp.sqrt(b * c)) / raw
+    if (lam <= FLOAT_MAX) is not True:  # a finite float skips the call
+        reject(lam <= FLOAT_MAX, ValueError, "e = {!r}: the concurrence overflows", e)
+    return lam
 
 
 def optimal_reversal(coeffs: XStateCoefficients) -> tuple[float, float]:
@@ -354,9 +352,10 @@ def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:
     each entry equal to the scalar call on its channels bit for bit.
     """
     xp, (p1, r1, p2, r2) = namespace(ch1.p, ch1.r, ch2.p, ch2.r)
+    (s1, _, _, w1), (s2, _, _, w2) = ch1._transfer, ch2._transfer
     keep = xp.sqrt((1.0 - r1) * (1.0 - r2))
-    leak1 = r1 * xp.sqrt(p1 * (1.0 - p1) * (1.0 - r2 * p2) * (1.0 - r2 + r2 * p2))
-    leak2 = r2 * xp.sqrt(p2 * (1.0 - p2) * (1.0 - r1 * p1) * (1.0 - r1 + r1 * p1))
+    leak1 = r1 * xp.sqrt(p1 * (1.0 - p1) * w2 * s2)
+    leak2 = r2 * xp.sqrt(p2 * (1.0 - p2) * w1 * s1)
     penalty = g_value(ch1) * g_value(ch2)
     # the product is 0 for a channel that resets its qubit (r = 1, p in {0, 1}),
     # where every strength gives lambda2 = 0 exactly, so the supremum is 0; it

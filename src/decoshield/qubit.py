@@ -125,17 +125,17 @@ def protect_equatorial(
         m = check_strength("m", m)
         n = check_strength("n", n)
         check_azimuth(phi)
-    diag0 = n * n * (p * r * m * m + p * r - r + 1.0)
-    lost = m * m * (1.0 - p * r)
-    leak = (1.0 - p) * r
-    t = diag0 + lost + leak
+    _, u, v, w = params._transfer
+    diag0 = n * n * (v * m * m + v - r + 1.0)
+    lost = m * m * w
+    t = diag0 + lost + u
     if (t <= FLOAT_MAX) is not True:  # a finite float skips the call
         check_finite(t, "m, n", m, n)
     success = 0.5 * t * xp.minimum(1.0, 1.0 / (m * m)) * xp.minimum(1.0, 1.0 / (n * n))
     if (success >= MIN_POSTSELECT_PROB) is not True:
         require_postselection(success)
     coherence = m * n * xp.sqrt(1.0 - r)
-    return ProtectionResult(0.5 + coherence / t, success, (diag0, lost + leak, coherence, phi, t))
+    return ProtectionResult(0.5 + coherence / t, success, (diag0, lost + u, coherence, phi, t))
 
 
 def qkd_error_rate(params: GadParams, m: float, n: float) -> float:
@@ -167,19 +167,19 @@ def qkd_error_rate(params: GadParams, m: float, n: float) -> float:
     m, n = m * 1.0, n * 1.0  # an int as the float protect_equatorial takes it for
     # a, b (as (1 - p) + p (1 - r)) and the gap add non-negative terms: each is
     # accurate to a few ulps
-    pr = p * r
-    a = 1.0 - r + pr + m * m * pr
+    s, u, v, _ = params._transfer
+    a = s + m * m * v
     b = 1.0 - p + p * (1.0 - r)
     k = xp.sqrt(1.0 - r)
     root_a, root_b = xp.sqrt(a), xp.sqrt(b)
     far = n * root_a - m * root_b
-    near = n - m - n * ((r * (1.0 - p) - m * m * pr) / (1.0 + root_a)) + m * (pr / (1.0 + root_b))
+    near = n - m - n * ((u - m * m * v) / (1.0 + root_a)) + m * (v / (1.0 + root_b))
     diff = xp.where((a >= 0.25) & (b >= 0.25), near, far)
     # the denominator is 0 only where the numerator is (r = 1, p in {0, 1}):
     # the floor keeps 0 / 0 out and changes no other quotient
-    slope = (p * (1.0 - p) * r * r + m * m * pr * b) / xp.maximum(xp.sqrt(a * b) + k, _TINY)
+    slope = (p * (1.0 - p) * r * r + m * m * v * b) / xp.maximum(xp.sqrt(a * b) + k, _TINY)
     # m n slope is at most t / 2: this order never passes it
-    gap = diff * diff + m * n * slope * 2.0 + (1.0 - p) * r
+    gap = diff * diff + m * n * slope * 2.0 + u
     return gap / (gap + m * n * k * 2.0) * 0.5  # halved last: gap may be subnormal
 
 
@@ -203,13 +203,12 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
         return quietly(optimal_strengths, params)
     reject(p != 0.0, ValueError, "p = 0: optimal pre-measurement strength diverges")
     reject((p != 1.0) | (r != 1.0), ValueError, "p = 1 with r = 1: optimum is degenerate")
-    stay0 = 1.0 - r + p * r
-    stay1 = 1.0 - p * r
-    # a tiny p underflows p stay0, e.g. p^2 at r = 1; p and r are named as floats
+    s, _, _, w = params._transfer
+    # a tiny p underflows p s, e.g. p^2 at r = 1; p and r are named as floats
     message = "p = {!r} with r = {!r}: optimal reversal strength overflows"
-    reject(p * stay0 != 0.0, ValueError, message, p * 1.0, r * 1.0)
-    m = xp.pow((1.0 - p) * stay0 / (p * stay1), 0.25)
-    n = xp.pow((1.0 - p) * stay1 / (p * stay0), 0.25)
+    reject(p * s != 0.0, ValueError, message, p * 1.0, r * 1.0)
+    m = xp.pow((1.0 - p) * s / (p * w), 0.25)
+    n = xp.pow((1.0 - p) * w / (p * s), 0.25)
     f_max = 0.5 * (1.0 + xp.sqrt(1.0 - r) / g_value(params))
     return OptimalStrengths(m, n, f_max, projective=(p == 1.0))
 
@@ -221,7 +220,8 @@ def g_value(params: GadParams) -> float:
     and dips to sqrt(1-r) at p in {0, 1}. An array for an array of channels.
     """
     xp, (p, r) = namespace(params.p, params.r)
-    return xp.sqrt((1.0 - r * p) * (1.0 - r + r * p)) + r * xp.sqrt(p * (1.0 - p))
+    s, _, _, w = params._transfer
+    return xp.sqrt(w * s) + r * xp.sqrt(p * (1.0 - p))
 
 
 def bb84_error_rate(params: GadParams, m: float, n: float) -> float:
@@ -263,7 +263,7 @@ def average_fidelity_six(params: GadParams, m: float, n: float) -> AverageFideli
     xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
     fe = protect_equatorial(params, m, n).fidelity
     m, n = xp.broadcast(m, n)  # f0 and f1 do not depend on m
-    stay0 = 1.0 - r + r * p
-    f0 = n * n * stay0 / (r - r * p + n * n * stay0)
-    f1 = (1.0 - r * p) / (1.0 - r * p + n * n * r * p)
+    s, _, _, w = params._transfer
+    f0 = n * n * s / (r - r * p + n * n * s)
+    f1 = w / (w + n * n * r * p)
     return AverageFidelityReport(f0, f1, fe, (f0 + f1 + 4.0 * fe) / 6.0)

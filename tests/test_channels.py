@@ -13,7 +13,7 @@ from decoshield.channels import (
 )
 from decoshield.entangle import EntangledInput, measured_coefficients, pipeline_state
 from decoshield.linalg import validate_density
-from decoshield.qubit import baseline_fidelity, g_value, optimal_strengths
+from decoshield.qubit import baseline_fidelity, bb84_error_rate, g_value, optimal_strengths
 
 RNG = np.random.default_rng(77103)
 
@@ -108,6 +108,25 @@ def test_population_transfer_weights():
     from_excited = apply_channel(ch, np.diag([0.0, 1.0]).astype(complex))
     assert abs(from_excited[0, 0] - p * r) < 1e-15
     assert abs(from_excited[1, 1] - (1 - p * r)) < 1e-15
+
+
+def test_routes_never_read_the_transfer():
+    # the Kraus and dilation routes build on p and r alone, so they stay
+    # independent of the closed forms, which read the record's transfer
+    rho, inp = random_density(RNG), EntangledInput.from_alpha_sq(0.3)
+
+    def routes(ch):
+        state, prob = pipeline_state(inp, ch, ch, 0.7, 1.0, 1.3, 0.9)
+        return [np.asarray(out).tobytes() for out in (
+            gad_channel(ch), apply_via_dilation(ch, rho), state, prob,
+            bb84_error_rate(ch, 0.7, 1.3))]
+
+    for p, r in ((0.62, 0.37), (np.array([0.1, 0.62, 1.0]), np.array([0.0, 0.37, 0.9]))):
+        kept, bare = GadParams(p, r), GadParams(p, r)
+        vars(bare).pop("_transfer")
+        with pytest.raises(AttributeError):
+            g_value(bare)  # a closed form reads it
+        assert routes(bare) == routes(kept)
 
 
 def test_coherence_shrinks_by_sqrt_survival():

@@ -163,6 +163,8 @@ def test_quiet_rule_keeps_numpy_settings():
     ref, ch1, ch2 = GadParams(0.8, 0.3), GadParams(0.9, 0.5), GadParams(0.95, 0.3)
     bell = EntangledInput.from_alpha_sq(0.5)
     coeffs = measured_coefficients(bell, ch1, ch2, 1.0, 1.0)
+    weight, zero, big_e = np.full(2, 0.1), np.zeros(2), np.array([0.1 + 0j, 1e154 + 0j])
+    wide_e = XStateCoefficients(weight, weight, 0.1, 0.3, np.array([0.1, complex(9e307, 9e307)]))
     calls = [
         (protect_equatorial, ref, big, big),
         (qkd_error_rate, ref, big, big),
@@ -174,6 +176,11 @@ def test_quiet_rule_keeps_numpy_settings():
         (reversed_state, coeffs, big, big),
         (optimized_protection, bell, ch1, ch2, big),
         (EntangledInput, np.array([0.6, complex(1.5e308, 1.5e308)]), 0.8),
+        # concurrence arguments that overflow: |e| above half the float range,
+        # and a non-physical record at large reversal strengths
+        (concurrence_lambda1, wide_e),
+        (concurrence_lambda2, wide_e, 1.0, 1.0),
+        (concurrence_lambda2, XStateCoefficients(zero, 0.0, 0.0, 1.0, big_e), 1e77, 1e77),
     ]
     before = np.geterr()
     for fn, *args in calls:
@@ -251,6 +258,16 @@ def test_stacked_inputs_have_the_bits_of_their_lone_records():
     each = [measured_coefficients(EntangledInput(a, b), ch1, ch2, 1.3, 0.7) for a, b in pairs]
     assert agree(measured_coefficients(stack, ch1, ch2, 1.3, 0.7), each,
                  *fields("a", "b", "c", "d", "e"))
+
+
+def test_lambda1_of_a_stack_has_the_bits_of_its_lone_records():
+    # a stacked coherence beside float b and c: each entry's |e| is libm's,
+    # as on its own record and in concurrence_lambda2
+    rng = np.random.default_rng(5)
+    e = rng.uniform(0.0, 0.3, 200) * np.exp(1j * rng.uniform(0.0, 6.3, 200))
+    each = [concurrence_lambda1(XStateCoefficients(0.3, 0.1, 0.1, 0.3, complex(z))) for z in e]
+    stack = XStateCoefficients(np.full(200, 0.3), 0.1, 0.1, 0.3, e)
+    assert agree(concurrence_lambda1(stack), each, lambda lam: lam)
 
 
 @PROPERTY

@@ -256,11 +256,14 @@ def test_h_is_the_same_through_both_antidiagonal_products():
 
 
 def test_product_inputs_are_flagged():
+    bell = optimal_parameters(BELL, REF1, REF2)
     for a_sq in (0.0, 1.0):
         rep = optimal_parameters(EntangledInput.from_alpha_sq(a_sq), REF1, REF2)
         assert rep.degenerate == "no-entanglement"
         assert rep.lambda2 == 0.0
         assert rep.success_prob == 0.0
+        # h, and the weight where the success probability peaks, are the channels' alone
+        assert (rep.h, rep.alpha_sq_opt) == (bell.h, bell.alpha_sq_opt)
 
 
 def test_boundary_channels_are_flagged():

@@ -388,6 +388,17 @@ ROWS = [
         0.3, 0.1, 0.1, 0.3, complex(1.5e308, 1.5e308)),
     row("e must have a finite modulus, got (1.5e+308+1.5e+308j)", XStateCoefficients,
         np.array([0.3, 0.3]), 0.1, 0.1, 0.3, np.array([0.1 + 0j, complex(1.5e308, 1.5e308)])),
+    # a concurrence argument that overflows is refused by its coherence, lone and
+    # stacked: |e| above half the float range, at unit strengths
+    *(row("e = (9e+307+9e+307j): the concurrence overflows", fn, coeffs, *strengths)
+      for coeffs in (XStateCoefficients(0.3, 0.1, 0.1, 0.3, complex(9e307, 9e307)),
+                     XStateCoefficients(np.array([0.3, 0.3]), np.array([0.1, 0.1]), 0.1, 0.3,
+                                        np.array([0.1 + 0j, complex(9e307, 9e307)])))
+      for fn, strengths in ((concurrence_lambda1, ()), (concurrence_lambda2, (1.0, 1.0)))),
+    # and a non-physical record, |e|^2 > ad, at large reversal strengths and a unit trace
+    *(row("e = (1e+154+0j): the concurrence overflows", concurrence_lambda2, coeffs, 1e77, 1e77)
+      for coeffs in (XStateCoefficients(0.0, 0.0, 0.0, 1.0, 1e154 + 0j),
+                     XStateCoefficients(np.zeros(2), 0.0, 0.0, 1.0, np.array([0.1, 1e154 + 0j])))),
 ]
 
 
@@ -406,7 +417,6 @@ EXEMPT = (
     *((name, "a result record") for name in (
         "AverageFidelityReport", "ConcurrenceReport", "OptimalStrengths", "ProtectionResult",
         "SearchResult")),
-    ("concurrence_lambda1", "reads only X-state weights, which XStateCoefficients checks"),
     ("PostSelectionError", "the error type of a void run, not an entry point"),
     *((name, "takes only already-validated GadParams") for name in (
         "baseline_fidelity", "g_value", "gad_channel", "lambda2_max", "component_coefficients")),

@@ -97,9 +97,9 @@ def loud() -> bool:
 
 
 def quietly(fn, *args):
-    """fn(*args) with numpy's overflow and invalid-value warnings off, so an
-    entry that overflows turns inf or NaN for check_finite to name. A closed
-    form re-runs itself here: `if xp.loud(): return quietly(<itself>, ...)`."""
+    """fn(*args) with numpy's overflow and invalid-value warnings off, so an entry that
+    overflows turns inf or NaN for check_finite to name. A closed form re-runs itself
+    here (`if xp.loud(): return quietly(<itself>, ...)`), pinned by the refusal table."""
     with np.errstate(over="ignore", invalid="ignore"):
         return fn(*args)
 

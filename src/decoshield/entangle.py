@@ -109,10 +109,10 @@ class XStateCoefficients:
     a, b, c, d are the diagonal weights on |00>, |01>, |10>, |11> at the
     current pipeline stage; e is the coherence between |00> and |11>. Its
     own __init__ checks each weight, a float or an array, once, in abcd
-    order: a complex, negative or NaN entry is refused by the weight's name,
-    so the readers below trust the record. Then e: an array beside four
-    scalar weights, a non-finite entry, or one whose modulus leaves the float
-    range, is refused by the name e.
+    order: a complex, negative or non-finite entry is refused by the
+    weight's name, so the readers below trust the record. Then e: an array
+    beside four scalar weights, a non-finite entry, or one whose modulus
+    leaves the float range, is refused by the name e.
     """
 
     a: float
@@ -125,12 +125,12 @@ class XStateCoefficients:
         vars(self).update(a=a, b=b, c=c, d=d, e=e)  # frozen: set past the dataclass's __setattr__
         weights = a, b, c, d
         if (type(a) is type(b) is type(c) is type(d) is float
-                and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0
+                and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= FLOAT_MAX
                 and type(e) is complex and cmath.isfinite(e + e)):
-            return  # the common record: four valid floats, e + e finite (so |e| too): no more tests
+            return  # the common record: weights >= 0 with a finite sum, e + e finite: no more tests
         for name, weight in zip("abcd", weights):
-            kind = "real" if np.iscomplexobj(weight) else "non-negative"
-            check_range(weight, 0.0, math.inf, f"{name} must be {kind}, got {{!r}}")
+            kind = "real" if np.iscomplexobj(weight) else "finite and non-negative"
+            check_range(weight, 0.0, FLOAT_MAX, f"{name} must be {kind}, got {{!r}}")
         if not any(np.ndim(weight) for weight in weights):
             check_scalar("e", e, "a scalar beside scalar weights")
         reject(np.isfinite(e), ValueError, "e must be finite, got {!r}", e)

@@ -160,13 +160,10 @@ def qkd_error_rate(params: GadParams, m: float, n: float) -> float:
     that point bit for bit. bb84_error_rate is its independent route.
     """
     xp, (p, r, m, n) = namespace(params.p, params.r, m, n)
-    if xp.loud():
-        return quietly(qkd_error_rate, params, m, n)
     # its refusals: the strengths, a trace that overflows and a void run
     protect_equatorial(params, m, n)
     m, n = m * 1.0, n * 1.0  # an int as the float protect_equatorial takes it for
-    # a, b (as (1 - p) + p (1 - r)) and the gap add non-negative terms: each is
-    # accurate to a few ulps
+    # a, b (as (1 - p) + p (1 - r)) and the gap sum non-negative terms, each to a few ulps
     s, u, v, _ = params._transfer
     a = s + m * m * v
     b = 1.0 - p + p * (1.0 - r)
@@ -178,9 +175,12 @@ def qkd_error_rate(params: GadParams, m: float, n: float) -> float:
     # the denominator is 0 only where the numerator is (r = 1, p in {0, 1}):
     # the floor keeps 0 / 0 out and changes no other quotient
     slope = (p * (1.0 - p) * r * r + m * m * v * b) / xp.maximum(xp.sqrt(a * b) + k, _TINY)
-    # m n slope is at most t / 2: this order never passes it
-    gap = diff * diff + m * n * slope * 2.0 + u
-    return gap / (gap + m * n * k * 2.0) * 0.5  # halved last: gap may be subnormal
+    # m n slope is at most t / 2 and no term passes t, a kept run's positive trace; a
+    # root past 2^511 puts t near the float maximum: the terms are quartered, exactly
+    h = xp.where(xp.maximum(n * root_a, m * root_b) <= 2.0 ** 511, 1.0, 0.5)
+    diff, twice = diff * h, h * h * 2.0
+    gap = diff * diff + m * n * slope * twice + u * (h * h)
+    return gap / (gap + m * n * k * twice) * 0.5  # halved last: gap may be subnormal
 
 
 def optimal_strengths(params: GadParams) -> OptimalStrengths:

@@ -591,54 +591,39 @@ ONE_SHOT = (
 )
 
 
-def test_one_shot_calls_never_import_numpy(monkeypatch):
-    # both optimal modes, --help and two usage errors answer on Python floats
-    # alone, with the bytes they print here, where numpy is loaded
+def test_one_shot_calls_import_only_what_they_run(monkeypatch):
+    # in one fresh interpreter: the package root loads no submodule; a
+    # one-qubit query leaves out the pair, search and battery modules, a pair
+    # query the last two; both optimal modes, --help and two usage errors
+    # answer on Python floats alone, with the bytes they print here, where
+    # numpy is loaded; the first sweep loads it
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
     script = (
-        "import contextlib, io, json, sys\n"
-        "from decoshield.cli import entry\n"
-        f"{inspect.getsource(capture)}\n"
-        f"results = [capture(argv) for argv in {ONE_SHOT!r}]\n"
-        "print(json.dumps(['numpy' in sys.modules, results]))\n"
-    )
-    loaded, results = json.loads(fresh_interpreter(script))
-    assert not loaded
-    assert results == [capture(argv) for argv in ONE_SHOT]
-    assert [code for code, _, _ in results] == [0, 0, "SystemExit(0)", 2, 2]
-    # the first sweep loads it
-    script = (
-        "import os, sys\n"
-        "from decoshield.cli import entry\n"
-        "before = 'numpy' in sys.modules\n"
-        "entry(['qubit-fidelity', '--p', '0.8', '--r', '0.3', '--out', os.devnull])\n"
-        "print(before, 'numpy' in sys.modules)\n"
-    )
-    assert fresh_interpreter(script) == "False True\n"
-
-
-def test_one_shot_calls_import_only_what_they_run():
-    # the package root loads no submodule; a one-qubit query leaves out the
-    # pair, search and battery modules, a pair query the last two
-    script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, os, sys\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('decoshield.'))\n"
         "import decoshield\n"
         "stages = [loaded()]\n"
         "from decoshield.cli import entry\n"
-        f"for argv in {ONE_SHOT[:2]!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        entry(argv)\n"
+        f"{inspect.getsource(capture)}\n"
+        "results = []\n"
+        f"for argv in {ONE_SHOT!r}:\n"
+        "    results.append(capture(argv))\n"
         "    stages.append(loaded())\n"
-        "names = dir(decoshield)\n"
+        "numpy = ['numpy' in sys.modules]\n"
+        "sweep = capture(['qubit-fidelity', '--p', '0.8', '--r', '0.3', '--out', os.devnull])\n"
+        "numpy.append('numpy' in sys.modules)\n"
         "scope = {}\n"
         "exec('from decoshield import *', scope)\n"
-        "print(json.dumps([stages, names, sorted(scope.keys() - {'__builtins__'})]))\n"
+        "star = sorted(scope.keys() - {'__builtins__'})\n"
+        "print(json.dumps([stages, results, numpy, sweep, dir(decoshield), star]))\n"
     )
-    stages, names, star = json.loads(fresh_interpreter(script))
+    stages, results, numpy, sweep, names, star = json.loads(fresh_interpreter(script))
     one_qubit = ["decoshield._elementwise", "decoshield.channels", "decoshield.cli",
                  "decoshield.linalg", "decoshield.qubit", "decoshield.weakmeas"]
-    assert stages == [[], one_qubit, sorted([*one_qubit, "decoshield.entangle"])]
+    assert stages[:3] == [[], one_qubit, sorted([*one_qubit, "decoshield.entangle"])]
+    assert results == [capture(argv) for argv in ONE_SHOT]
+    assert [code for code, _, _ in results] == [0, 0, "SystemExit(0)", 2, 2]
+    assert numpy == [False, True] and sweep == [0, "", ""]
     assert len(decoshield.__all__) == 42
     assert names == sorted(names) and set(decoshield.__all__) <= set(names)
     assert star == decoshield.__all__

@@ -155,45 +155,6 @@ def as_f64(params):
     return GadParams(np.float64(params.p), np.float64(params.r))
 
 
-def test_quiet_rule_keeps_numpy_settings():
-    # an array call with an overflowing entry raises the ValueError it raises
-    # under numpy's default settings when overflow and invalid values raise,
-    # and leaves those settings as they were
-    big = np.array([1.0, 1e100])
-    ref, ch1, ch2 = GadParams(0.8, 0.3), GadParams(0.9, 0.5), GadParams(0.95, 0.3)
-    bell = EntangledInput.from_alpha_sq(0.5)
-    coeffs = measured_coefficients(bell, ch1, ch2, 1.0, 1.0)
-    weight, zero, big_e = np.full(2, 0.1), np.zeros(2), np.array([0.1 + 0j, 1e154 + 0j])
-    wide_e = XStateCoefficients(weight, weight, 0.1, 0.3, np.array([0.1, complex(9e307, 9e307)]))
-    calls = [
-        (protect_equatorial, ref, big, big),
-        (qkd_error_rate, ref, big, big),
-        (average_fidelity_six, ref, big, big),
-        (optimal_strengths, GadParams(np.array([0.5, 1e-300]), 1.0)),
-        (measured_coefficients, bell, ch1, ch2, big, big),
-        (concurrence_lambda2, coeffs, big, big),
-        (protected_state, bell, ch1, ch2, 1.0, 1.0, big, big),
-        (reversed_state, coeffs, big, big),
-        (optimized_protection, bell, ch1, ch2, big),
-        (EntangledInput, np.array([0.6, complex(1.5e308, 1.5e308)]), 0.8),
-        # concurrence arguments that overflow: |e| above half the float range,
-        # and a non-physical record at large reversal strengths
-        (concurrence_lambda1, wide_e),
-        (concurrence_lambda2, wide_e, 1.0, 1.0),
-        (concurrence_lambda2, XStateCoefficients(zero, 0.0, 0.0, 1.0, big_e), 1e77, 1e77),
-    ]
-    before = np.geterr()
-    for fn, *args in calls:
-        default = outcome(fn, *args)
-        assert type(default) is ValueError, (fn, default)
-        with np.errstate(over="raise", invalid="raise"):
-            raising = np.geterr()
-            err = outcome(fn, *args)
-            assert np.geterr() == raising, fn
-        assert (type(err), str(err)) == (ValueError, str(default)), fn
-        assert np.geterr() == before, fn
-
-
 def test_float_calls_at_every_pair_of_edges():
     # every pair of edge strengths, and each edge azimuth, on fixed channels,
     # each input a numpy scalar in turn; the properties below draw the edges

@@ -63,7 +63,7 @@ def test_records_stay_frozen_dataclasses():
                 setattr(record, f.name, 0.0)
         fields = dataclasses.asdict(record)
         assert type(record)(**fields) == type(record)(*fields.values()) == record
-    with pytest.raises(ValueError, match=r"^b must be non-negative, got -0\.2$"):
+    with pytest.raises(ValueError, match=r"^b must be finite and non-negative, got -0\.2$"):
         dataclasses.replace(coeffs, b=-0.2)
     # _entries is out of the repr and of equality
     assert "_entries" not in repr(result)

@@ -198,3 +198,10 @@ def test_error_rate_matches_decimal_reference():
         assert abs(Decimal(got) - want) <= Decimal(RATE_REL_TOL) * scale, (p, r, m, n, got, want)
         checked += 1
     assert checked > 2000, checked
+
+
+def test_error_rate_at_the_float_maximum():
+    # a trace of exactly the float maximum: the rate's terms are quartered, not overflowed
+    args = GadParams(0.341794723940113, 1.0), 2.7479873475453845e79, 8.345653970216337e74
+    with np.errstate(over="raise", invalid="raise"):
+        assert qkd_error_rate(*args) == qkd_error_rate(*args[:2], np.array([args[2]])) == 0.5

@@ -1,8 +1,10 @@
 """Every library refusal, pinned once: one row (entry point name, call, error
 type, message) per refusal, each message in full, or by an anchored regex
-where numpy writes the text."""
+where numpy writes the text. Each row holds under both numpy error settings
+and with numpy scalars for its Python floats."""
 
 import cmath
+import itertools
 import math
 import re
 from functools import partial
@@ -287,15 +289,15 @@ ROWS = [
     *(row(f"step must be finite and positive, got {shown}", stationarity_check, lambda x: 0.0,
           np.zeros(1), step) for step, shown in ((10**400, 10**400), (np.float64("nan"), "nan"))),
     # a negative or NaN X-state weight as a float, a numpy scalar or an array
-    *(row("d must be non-negative, got -0.3", XStateCoefficients, 0.3, 0.2, 0.2, d, 0.1)
+    *(row("d must be finite and non-negative, got -0.3", XStateCoefficients, 0.3, 0.2, 0.2, d, 0.1)
       for d in (-0.3, np.array([0.3, -0.3]))),
-    *(row("b must be non-negative, got -0.2", XStateCoefficients, a, b, 0.2, 0.3, 0.1)
+    *(row("b must be finite and non-negative, got -0.2", XStateCoefficients, a, b, 0.2, 0.3, 0.1)
       for a, b in ((0.3, -0.2), (0.3, np.float64(-0.2)), (np.array([0.3, 0.4]), -0.2),
                    (0.3, np.array([-0.2, 0.2])))),
-    *(row("c must be non-negative, got nan", XStateCoefficients, 0.3, 0.2, c, 0.3, 0.1)
+    *(row("c must be finite and non-negative, got nan", XStateCoefficients, 0.3, 0.2, c, 0.3, 0.1)
       for c in (math.nan, np.array([0.2, math.nan]))),
     # of two bad weights the first in abcd order is named
-    *(row("a must be non-negative, got -0.3", XStateCoefficients, -0.3, 0.2, 0.2, d, 0.1)
+    *(row("a must be finite and non-negative, got -0.3", XStateCoefficients, -0.3, 0.2, 0.2, d, 0.1)
       for d in (math.nan, 0.3)),
     # a NaN, infinite or complex azimuth, and a NaN density matrix
     *(row(f"phi must be finite and real, got {shown}", fn, *args, phi)
@@ -342,8 +344,8 @@ ROWS = [
     # a Python list is no number: refused by the value's name, shown as given
     row("p must be in [0, 1], got [0.3, 0.6]", GadParams, [0.3, 0.6], 0.5),
     row(positive("m", [0.5, 0.6]), protect_equatorial, GadParams(0.3, 0.5), [0.5, 0.6], 1.0),
-    row("a must be non-negative, got [0.3, 0.3]", XStateCoefficients, [0.3, 0.3], 0.2, 0.2, 0.3,
-        0.1),
+    row("a must be finite and non-negative, got [0.3, 0.3]", XStateCoefficients, [0.3, 0.3], 0.2,
+        0.2, 0.3, 0.1),
     # the closed-form error rate refuses what protect_equatorial refuses
     row(positive("m", 0.0), qkd_error_rate, REF, 0.0, 0.5),
     row(positive("n", math.inf), qkd_error_rate, HALF, np.array([0.5, 1.0]),
@@ -399,17 +401,42 @@ ROWS = [
     *(row("e = (1e+154+0j): the concurrence overflows", concurrence_lambda2, coeffs, 1e77, 1e77)
       for coeffs in (XStateCoefficients(0.0, 0.0, 0.0, 1.0, 1e154 + 0j),
                      XStateCoefficients(np.zeros(2), 0.0, 0.0, 1.0, np.array([0.1, 1e154 + 0j])))),
+    # array calls whose arithmetic overflows past their strength checks
+    row(overflow("m, n = 1e+100, 1e+100"), protect_equatorial, REF, *[np.array([1.0, 1e100])] * 2),
+    row("p = 1e-300 with r = 1.0: optimal reversal strength overflows", optimal_strengths,
+        GadParams(np.array([0.5, 1e-300]), 1.0)),
+    row(overflow("n1, n2 = 1e+100, 1e+100"), protected_state, *PAIR, 1.0, 1.0,
+        *[np.array([1.0, 1e100])] * 2),
+    row(overflow("n1, n2 = 1e+100, 1e+100"), reversed_state, COEFFS, *[np.array([1.0, 1e100])] * 2),
+    row(overflow("m = 1e+100"), optimized_protection, *PAIR, np.array([1.0, 1e100])),
+    # an infinite X-state weight, lone and stacked
+    *(row(f"{name} must be finite and non-negative, got inf", XStateCoefficients, *weights, 0.1)
+      for name, weights in (("b", (0.3, math.inf, 0.1, 0.3)), ("a", (math.inf, 0.2, 0.2, 0.3)),
+                            ("b", (0.3, np.array([0.1, math.inf]), 0.1, 0.3)))),
 ]
 
 
 @pytest.mark.parametrize("name, call, error, message", ROWS,
                          ids=[f"{r[0]}-{i}" for i, r in enumerate(ROWS)])
 def test_refusal(name, call, error, message):
-    with pytest.raises(Exception) as exc:
-        call()
-    assert exc.type is error
-    text = str(exc.value)
-    assert message.fullmatch(text) if isinstance(message, re.Pattern) else text == message
+    # under the suite's numpy settings and with overflow and invalid values
+    # raising, which the call leaves as they were; then each Python float
+    # among its arguments as a numpy float64, which refuses as the float does
+    calls = [call]
+    if any(type(arg) is float for arg in call.args):
+        calls.append(partial(call.func, *(np.float64(arg) if type(arg) is float else arg
+                                          for arg in call.args)))
+    before = np.geterr()
+    for run, raising in itertools.product(calls, ({}, {"over": "raise", "invalid": "raise"})):
+        with np.errstate(**raising):
+            inside = np.geterr()
+            with pytest.raises(Exception) as exc:
+                run()
+            assert np.geterr() == inside
+        assert np.geterr() == before
+        assert exc.type is error
+        text = str(exc.value)
+        assert message.fullmatch(text) if isinstance(message, re.Pattern) else text == message
 
 
 # every other public function or class, and why it has no row

@@ -180,8 +180,6 @@ QUBIT_SWEEPS = (
     ("qkd-error", "sweep the four-state key-distribution error rate",
      ("error_rate",), lambda *a: {"error_rate": qkd_error_rate(*a)}),
 )
-# the subcommands that declare --config: all but verify, which reads no keys
-_CONFIG_COMMANDS = frozenset((*(sweep[0] for sweep in QUBIT_SWEEPS), "entangle", "optimal"))
 
 
 def _cmd_qubit_sweep(args: argparse.Namespace) -> int:
@@ -290,35 +288,73 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_sweep_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=float, required=True, help="stationary weight on |0>")
-    sp.add_argument("--r", type=float, required=True, help="damping strength")
-    sp.add_argument(
-        "--grid", type=int, default=100,
-        help="points per strength axis when no explicit range is given (default 100)",
-    )
-    sp.add_argument(
-        "--m-range", type=_range_type, metavar="LO:HI:STEPS",
-        help="pre-measurement strengths (default 1/grid:1:grid)",
-    )
-    sp.add_argument(
-        "--n-range", type=_range_type, metavar="LO:HI:STEPS",
-        help="reversal strengths (default 1/grid:1:grid)",
-    )
-    _add_output_flags(sp)
-
-
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
-    sp.add_argument("--config", help="key=value defaults file; explicit flags win")
+_OUTPUT_FLAGS = {
+    "--out": {"default": "-", "help": "output CSV path, '-' for stdout"},
+    "--config": {"help": "key=value defaults file; explicit flags win"},
+}
+_SWEEP_FLAGS = {
+    "--p": {"type": float, "required": True, "help": "stationary weight on |0>"},
+    "--r": {"type": float, "required": True, "help": "damping strength"},
+    "--grid": {"type": int, "default": 100,
+               "help": "points per strength axis when no explicit range is given (default 100)"},
+    "--m-range": {"type": _range_type, "metavar": "LO:HI:STEPS",
+                  "help": "pre-measurement strengths (default 1/grid:1:grid)"},
+    "--n-range": {"type": _range_type, "metavar": "LO:HI:STEPS",
+                  "help": "reversal strengths (default 1/grid:1:grid)"},
+    **_OUTPUT_FLAGS,
+}
+# every subcommand: its help, its description, its flags, each a one-value flag given
+# by its add_argument keywords, and its parser's defaults; argparse and
+# _plain_namespace both read this table
+_COMMANDS = {
+    **{command: (summary, f"CSV columns: {','.join(('m', 'n', *columns))} "
+                          "(row order: m outer, n inner).",
+                 _SWEEP_FLAGS, {"handler": _cmd_qubit_sweep, "columns": columns,
+                                "evaluate": evaluate})
+       for command, summary, columns, evaluate in QUBIT_SWEEPS},
+    "entangle": (
+        "sweep protected concurrence over the pre-measurement strength",
+        "CSV columns: m,n1,n2,lambda2,concurrence,success_prob; n1,n2 are "
+        "re-optimized at every m.",
+        {"--p1": {"type": float, "required": True, "help": "qubit-1 stationary weight"},
+         "--r1": {"type": float, "required": True, "help": "qubit-1 damping strength"},
+         "--p2": {"type": float, "required": True, "help": "qubit-2 stationary weight"},
+         "--r2": {"type": float, "required": True, "help": "qubit-2 damping strength"},
+         "--alpha-sq": {"type": float, "default": 0.5,
+                        "help": "weight |alpha|^2 of the |00> component (default 0.5)"},
+         "--sweep-m": {"type": _range_type, "metavar": "LO:HI:STEPS", "default": "0:1:200",
+                       "help": "pre-measurement sweep (default 0:1:200)"},
+         **_OUTPUT_FLAGS},
+        {"handler": _cmd_entangle}),
+    "optimal": (
+        "print the optimal strengths and what they attain",
+        "One qubit: --p/--r. Two qubits: --p1/--r1/--p2/--r2 [--alpha-sq]. "
+        "Values are printed at full precision, one key = value per line.",
+        {"--p": {"type": float, "help": "one-qubit stationary weight"},
+         "--r": {"type": float, "help": "one-qubit damping strength"},
+         "--p1": {"type": float, "help": "qubit-1 stationary weight"},
+         "--r1": {"type": float, "help": "qubit-1 damping strength"},
+         "--p2": {"type": float, "help": "qubit-2 stationary weight"},
+         "--r2": {"type": float, "help": "qubit-2 damping strength"},
+         "--alpha-sq": {"type": float, "default": 0.5, "help": "|alpha|^2 (default 0.5)"},
+         "--config": _OUTPUT_FLAGS["--config"]},
+        {"handler": _cmd_optimal}),
+    "verify": (
+        "cross-check closed forms against pipelines and search oracles",
+        "Prints one [ok]/[FAIL] line per check; exit 1 on any failure.",
+        {}, {"handler": _cmd_verify}),
+}
+# the subcommands that declare --config: all but verify, which reads no keys
+_CONFIG_COMMANDS = frozenset(name for name, spec in _COMMANDS.items() if "--config" in spec[2])
 
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommands' parsers by name, built on the first
-    entry() call and then shared: parsing writes only into a fresh Namespace,
-    --sweep-m's string default is converted anew on every parse, and the
-    defaults set per subcommand are tuples and functions: no shared state."""
+    """The parser and its subcommands' parsers by name, built from _COMMANDS
+    on the first line entry() hands to argparse and then shared: parsing
+    writes only into a fresh Namespace, --sweep-m's string default is
+    converted anew on every parse, and the defaults set per subcommand are
+    tuples and functions: no shared state."""
     # flags must be spelled out: a prefix of a flag is not that flag, so an
     # abbreviated --config key is reported as unknown
     parser = argparse.ArgumentParser(
@@ -328,90 +364,73 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
-
-    def add_parser(command: str, **kwargs) -> argparse.ArgumentParser:
-        commands[command] = subparsers.add_parser(command, allow_abbrev=False, **kwargs)
-        return commands[command]
-
-    for command, summary, columns, evaluate in QUBIT_SWEEPS:
-        sp = add_parser(
-            command, help=summary,
-            description=f"CSV columns: {','.join(('m', 'n', *columns))} "
-                        "(row order: m outer, n inner).",
-        )
-        _add_sweep_flags(sp)
-        sp.set_defaults(handler=_cmd_qubit_sweep, columns=columns, evaluate=evaluate)
-
-    sp = add_parser(
-        "entangle",
-        help="sweep protected concurrence over the pre-measurement strength",
-        description=(
-            "CSV columns: m,n1,n2,lambda2,concurrence,success_prob; n1,n2 are "
-            "re-optimized at every m."
-        ),
-    )
-    sp.add_argument("--p1", type=float, required=True, help="qubit-1 stationary weight")
-    sp.add_argument("--r1", type=float, required=True, help="qubit-1 damping strength")
-    sp.add_argument("--p2", type=float, required=True, help="qubit-2 stationary weight")
-    sp.add_argument("--r2", type=float, required=True, help="qubit-2 damping strength")
-    sp.add_argument(
-        "--alpha-sq", type=float, default=0.5,
-        help="weight |alpha|^2 of the |00> component (default 0.5)",
-    )
-    sp.add_argument(
-        "--sweep-m", type=_range_type, metavar="LO:HI:STEPS",
-        default="0:1:200", help="pre-measurement sweep (default 0:1:200)",
-    )
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_entangle)
-
-    sp = add_parser(
-        "optimal",
-        help="print the optimal strengths and what they attain",
-        description=(
-            "One qubit: --p/--r. Two qubits: --p1/--r1/--p2/--r2 [--alpha-sq]. "
-            "Values are printed at full precision, one key = value per line."
-        ),
-    )
-    sp.add_argument("--p", type=float, help="one-qubit stationary weight")
-    sp.add_argument("--r", type=float, help="one-qubit damping strength")
-    sp.add_argument("--p1", type=float, help="qubit-1 stationary weight")
-    sp.add_argument("--r1", type=float, help="qubit-1 damping strength")
-    sp.add_argument("--p2", type=float, help="qubit-2 stationary weight")
-    sp.add_argument("--r2", type=float, help="qubit-2 damping strength")
-    sp.add_argument("--alpha-sq", type=float, default=0.5, help="|alpha|^2 (default 0.5)")
-    sp.add_argument("--config", help="key=value defaults file; explicit flags win")
-    sp.set_defaults(handler=_cmd_optimal)
-
-    sp = add_parser(
-        "verify",
-        help="cross-check closed forms against pipelines and search oracles",
-        description="Prints one [ok]/[FAIL] line per check; exit 1 on any failure.",
-    )
-    sp.set_defaults(handler=_cmd_verify)
-
+    for command, (summary, description, flags, defaults) in _COMMANDS.items():
+        sp = commands[command] = subparsers.add_parser(
+            command, help=summary, description=description, allow_abbrev=False)
+        for flag, kwargs in flags.items():
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(**defaults)
     return parser, commands
+
+
+def _plain_namespace(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a line of a subcommand and `--flag value`
+    pairs alone: each flag one of its own, no value starting with -, each
+    value converted by its flag's type, every required flag given. A repeated
+    flag keeps its last value; a flag not given takes its default, a string
+    one converted. None for any other line, and for a value argparse refuses."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None or len(argv) % 2 == 0:
+        return None
+    _, _, flags, defaults = spec
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or text.startswith("-"):
+            return None
+        try:
+            given[flag] = flags[flag].get("type", str)(text)
+        except (argparse.ArgumentTypeError, ValueError):  # what argparse reports
+            return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, kwargs in flags.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        value = given.get(flag, kwargs.get("default"))
+        if flag not in given and isinstance(value, str):
+            value = kwargs.get("type", str)(value)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    vars(args).update(defaults)
+    return args
 
 
 def entry(argv: Sequence[str] | None = None) -> int:
     """Run one command line (default sys.argv[1:]); return its exit code.
 
-    A first token naming a subcommand hands the rest to that subcommand's
-    parser alone, for the namespace and bytes the top-level parser gives. That
+    A plain line, a subcommand then `--flag value` pairs that
+    _plain_namespace takes, is parsed without argparse, into the namespace
+    argparse gives it. Every other line (help, `--flag=value`, an unknown
+    flag, `--`, a value starting with -, a missing flag, a value that does
+    not convert) goes to argparse, whose parsers are built on the first such
+    line, so each help, usage and error byte is argparse's. There a first
+    token naming a subcommand hands the rest to that subcommand's parser
+    alone, for the namespace and bytes the top-level parser gives; that
     parser runs when no subcommand leads (no tokens, -h, an unknown word, --)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
     try:
         argv, origins = _inject_config(argv)
-        subparser = commands.get(argv[0]) if argv else None
-        args, extras = (parser.parse_known_args(argv) if subparser is None else
-                        subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
-        for token in extras:
-            if token in origins:
-                where, key = origins[token]
-                raise CliError(f"{where}: unknown key {key!r}")
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _plain_namespace(argv)
+        if args is None:
+            parser, commands = _build_parser()
+            subparser = commands.get(argv[0]) if argv else None
+            args, extras = (
+                parser.parse_known_args(argv) if subparser is None else
+                subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
+            for token in extras:
+                if token in origins:
+                    where, key = origins[token]
+                    raise CliError(f"{where}: unknown key {key!r}")
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.handler(args)
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

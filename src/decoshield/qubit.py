@@ -192,7 +192,7 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
     At p = 1 both collapse to zero (projective limit, flagged) and the
     maximal fidelity is exactly 1. p = 0 is rejected: m diverges and the
     channel becomes pure excitation, outside this scheme. So is a p so small
-    that p (1 - r + pr) underflows to zero, where n overflows.
+    that p (1 - r + pr) underflows, to zero or so near it that m or n overflows.
 
     For an array of channels every field is an array, each entry equal to
     the scalar call on that channel bit for bit; the call raises when any
@@ -209,6 +209,7 @@ def optimal_strengths(params: GadParams) -> OptimalStrengths:
     reject(p * s != 0.0, ValueError, message, p * 1.0, r * 1.0)
     m = xp.pow((1.0 - p) * s / (p * w), 0.25)
     n = xp.pow((1.0 - p) * w / (p * s), 0.25)
+    reject((m <= FLOAT_MAX) & (n <= FLOAT_MAX), ValueError, message, p * 1.0, r * 1.0)
     f_max = 0.5 * (1.0 + xp.sqrt(1.0 - r) / g_value(params))
     return OptimalStrengths(m, n, f_max, projective=(p == 1.0))
 

@@ -310,6 +310,8 @@ ANSWERS = [
       for command in ("qubit-fidelity", "qubit-average", "qkd-error")),
     refused("optimal --p 1e-200 --r 1",
             "--p/--r: p = 1e-200 with r = 1.0: optimal reversal strength overflows"),
+    refused("optimal --p 1e-310 --r 0.5",
+            "--p/--r: p = 1e-310 with r = 0.5: optimal reversal strength overflows"),
     # argparse's own exits: a malformed range, an unknown subcommand
     *(usage(f"qubit-fidelity --p 0.8 --r 0.3 --m-range {bad}",
             f"decoshield qubit-fidelity: error: argument --m-range: {message}")
@@ -468,7 +470,7 @@ def test_verify_stdout_matches_record(capsys):
 
 
 def test_parser_is_built_once_and_lazily(monkeypatch):
-    argv = ["optimal", "--p", "0.8", "--r", "0.3"]
+    argv = ["optimal", "--p=0.8", "--r=0.3"]  # a line that entry() hands to argparse
     assert entry(argv) == 0
     built = []
     init = argparse.ArgumentParser.__init__
@@ -479,17 +481,7 @@ def test_parser_is_built_once_and_lazily(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert entry(argv) == 0
-    assert built == []
-    # nor does importing the package build one, in a fresh interpreter
-    count = (
-        "import argparse\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(init(*a, **k))\n"
-        "import decoshield, decoshield.cli\n"
-        "print(len(built))\n"
-    )
-    assert fresh_interpreter(count) == "0\n"
+    assert built == []  # that importing the package builds none, the one-shot test shows
 
 
 def fresh_interpreter(script):
@@ -549,17 +541,19 @@ def config_folder(tmp_path_factory):
 
 
 def parsed(argv):
-    """capture(argv), and the namespace and extras its outermost parse gave."""
-    results = []
-    parse = argparse.ArgumentParser.parse_known_args
+    """capture(argv), and the namespace that reached its handler, if one did."""
+    seen = []
 
-    def spy(self, *args, **kwargs):
-        results.append(parse(self, *args, **kwargs))
-        return results[-1]
+    class Seen(argparse.Namespace):  # every route builds its namespace by this name
+        def __getattribute__(self, name):
+            value = super().__getattribute__(name)  # argparse's hasattr, before it is set, raises
+            if name == "handler":
+                seen.append(repr(self))
+            return value
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-        return [*capture(argv), repr(results[-1]) if results else None]
+        mp.setattr(argparse, "Namespace", Seen)
+        return [*capture(argv), seen]
 
 
 @settings(max_examples=150)
@@ -570,13 +564,34 @@ def parsed(argv):
 @example(["optimal", "--p", "0.5", "--r", "0.5", "--bogus"])
 @example(["qubit-fidelity", "--r", "0.3"])
 @example([])
+# lines entry() leaves to argparse: an odd count, --flag=value, a value starting with -
+# (argparse takes -0.5 as a value, -inf as a flag), an unknown flag, a value that does not
+# convert
+@example(["optimal", "--p", "0.5", "--r"])
+@example(["optimal", "--p=0.5", "--r", "0.5"])
+@example(["optimal", "--p", "-0.5", "--r", "0.5"])
+@example(["optimal", "--p", "-inf", "--r", "0.5"])
+@example(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--grid", "2", "--out", "-"])
+@example(["optimal", "--p", "0.5", "--r", "0.5", "--bogus", "1"])
+@example(["qubit-fidelity", "--p", "0.8", "--r", "0.3", "--grid", "2.5"])
+# lines it parses: a repeated flag, the last one winning, a config file, a value with a
+# leading space, a subcommand with no flags, a string default converted
+@example(["optimal", "--p", "0.2", "--r", "0.3", "--p", "0.8"])
+@example(["optimal", "--config", "good.cfg", "--r", "0.6"])
+@example(["optimal", "--p", " 0.8", "--r", "0.3"])
+@example(["verify"])
+@example(["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3",
+          "--out", os.devnull])
 def test_subcommand_parser_answers_as_the_top_level_parser(config_folder, argv):
-    # entry() hands a call led by a subcommand to that subcommand's parser;
-    # with no subcommand known to entry(), the top-level parser takes every
-    # call and hands it on: both give the same namespace, extras and bytes
+    # entry() parses a plain line itself and hands any other line led by a
+    # subcommand to that subcommand's parser; with neither route, the
+    # top-level parser takes every line and hands it on: each route gives its
+    # handler the same namespace, and the same exit code and bytes
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(config_folder)
         direct = parsed(argv)
+        mp.setattr(cli, "_plain_namespace", lambda argv: None)
+        assert parsed(argv) == direct
         parser, _ = cli._build_parser()
         mp.setattr(cli, "_build_parser", lambda: (parser, {}))
         assert parsed(argv) == direct
@@ -596,33 +611,39 @@ def test_one_shot_calls_import_only_what_they_run(monkeypatch):
     # one-qubit query leaves out the pair, search and battery modules, a pair
     # query the last two; both optimal modes, --help and two usage errors
     # answer on Python floats alone, with the bytes they print here, where
-    # numpy is loaded; the first sweep loads it
+    # numpy is loaded; the first sweep loads it; the import and the optimal
+    # queries build no argument parser, --help builds them all, once
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
     script = (
-        "import contextlib, io, json, os, sys\n"
+        "import argparse, contextlib, io, json, os, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(init(*a, **k))\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('decoshield.'))\n"
         "import decoshield\n"
         "stages = [loaded()]\n"
         "from decoshield.cli import entry\n"
         f"{inspect.getsource(capture)}\n"
-        "results = []\n"
+        "results, parsers = [], []\n"
         f"for argv in {ONE_SHOT!r}:\n"
         "    results.append(capture(argv))\n"
         "    stages.append(loaded())\n"
+        "    parsers.append(len(built))\n"
         "numpy = ['numpy' in sys.modules]\n"
         "sweep = capture(['qubit-fidelity', '--p', '0.8', '--r', '0.3', '--out', os.devnull])\n"
         "numpy.append('numpy' in sys.modules)\n"
         "scope = {}\n"
         "exec('from decoshield import *', scope)\n"
         "star = sorted(scope.keys() - {'__builtins__'})\n"
-        "print(json.dumps([stages, results, numpy, sweep, dir(decoshield), star]))\n"
+        "print(json.dumps([stages, results, parsers, numpy, sweep, dir(decoshield), star]))\n"
     )
-    stages, results, numpy, sweep, names, star = json.loads(fresh_interpreter(script))
+    stages, results, parsers, numpy, sweep, names, star = json.loads(fresh_interpreter(script))
     one_qubit = ["decoshield._elementwise", "decoshield.channels", "decoshield.cli",
                  "decoshield.linalg", "decoshield.qubit", "decoshield.weakmeas"]
     assert stages[:3] == [[], one_qubit, sorted([*one_qubit, "decoshield.entangle"])]
     assert results == [capture(argv) for argv in ONE_SHOT]
     assert [code for code, _, _ in results] == [0, 0, "SystemExit(0)", 2, 2]
+    assert parsers == [0, 0, 7, 7, 7]  # the top-level parser and one per subcommand
     assert numpy == [False, True] and sweep == [0, "", ""]
     assert len(decoshield.__all__) == 42
     assert names == sorted(names) and set(decoshield.__all__) <= set(names)

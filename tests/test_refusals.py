@@ -413,6 +413,9 @@ ROWS = [
     *(row(f"{name} must be finite and non-negative, got inf", XStateCoefficients, *weights, 0.1)
       for name, weights in (("b", (0.3, math.inf, 0.1, 0.3)), ("a", (math.inf, 0.2, 0.2, 0.3)),
                             ("b", (0.3, np.array([0.1, math.inf]), 0.1, 0.3)))),
+    # a subnormal p (1 - r + pr), nonzero, whose optimal strengths overflow, lone and stacked
+    *(row("p = 1e-310 with r = 0.5: optimal reversal strength overflows", optimal_strengths,
+          GadParams(p, 0.5)) for p in (1e-310, np.array([0.5, 1e-310]))),
 ]
 
 

@@ -57,7 +57,10 @@ def _range_type(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"steps must be at least 1, got {steps}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"need LO <= HI, got {text!r}")
-    return np.linspace(lo, hi, steps)
+    try:
+        return np.linspace(lo, hi, steps)
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"too many steps to allocate, got {steps}") from None
 
 
 def _config_tokens(path: str) -> tuple[list[str], dict[str, tuple[str, str]]]:
@@ -101,13 +104,16 @@ def _inject_config(argv: list[str]) -> tuple[list[str], dict[str, tuple[str, str
     return [argv[0], *tokens, *argv[1:]], origins
 
 
-def _call(flag: str, fn, *args):
-    """fn(*args), with a library ValueError (PostSelectionError included) or
-    a file's OSError reported against flag: exit 2 with `error: <flag>: <message>`."""
+def _call(flag: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a library ValueError (PostSelectionError
+    included) or a file's OSError reported against flag, and a failed
+    allocation by a message of its own: exit 2 with `error: <flag>: <message>`."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (ValueError, OSError) as exc:
         raise CliError(f"{flag}: {exc}") from None
+    except MemoryError:
+        raise CliError(f"{flag}: too many points to allocate") from None
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -165,7 +171,7 @@ def _strength_axis(args: argparse.Namespace, flag: str) -> np.ndarray:
     if axis is None:
         if args.grid < 2:
             raise CliError(f"--grid: need at least 2 points, got {args.grid}")
-        axis = np.linspace(1.0 / args.grid, 1.0, args.grid)
+        axis = _call("--grid", np.linspace, 1.0 / args.grid, 1.0, args.grid)
     _call(flag, check_strength, "strengths", axis)
     return axis
 
@@ -185,9 +191,8 @@ QUBIT_SWEEPS = (
 def _cmd_qubit_sweep(args: argparse.Namespace) -> int:
     params = _call("--p/--r", GadParams, args.p, args.r)
     # the (m, n) grid: m outer, n inner in C order
-    m, n = np.meshgrid(
-        _strength_axis(args, "--m-range"), _strength_axis(args, "--n-range"), indexing="ij"
-    )
+    axes = _strength_axis(args, "--m-range"), _strength_axis(args, "--n-range")
+    m, n = _call("--m-range/--n-range", np.meshgrid, *axes, indexing="ij")
     values = _call("--m-range/--n-range", args.evaluate, params, m, n)
     columns = (m, n, *(values[c] for c in args.columns))
     _call("--out", _write_csv, args.out, ("m", "n", *args.columns), columns)
@@ -349,12 +354,11 @@ _CONFIG_COMMANDS = frozenset(name for name, spec in _COMMANDS.items() if "--conf
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommands' parsers by name, built from _COMMANDS
-    on the first line entry() hands to argparse and then shared: parsing
-    writes only into a fresh Namespace, --sweep-m's string default is
-    converted anew on every parse, and the defaults set per subcommand are
-    tuples and functions: no shared state."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built from _COMMANDS on the first line entry() hands to
+    argparse and then shared: parsing writes only into a fresh Namespace,
+    --sweep-m's string default is converted anew on every parse, and the
+    defaults set per subcommand are tuples and functions: no shared state."""
     # flags must be spelled out: a prefix of a flag is not that flag, so an
     # abbreviated --config key is reported as unknown
     parser = argparse.ArgumentParser(
@@ -363,14 +367,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
     for command, (summary, description, flags, defaults) in _COMMANDS.items():
-        sp = commands[command] = subparsers.add_parser(
+        sp = subparsers.add_parser(
             command, help=summary, description=description, allow_abbrev=False)
         for flag, kwargs in flags.items():
             sp.add_argument(flag, **kwargs)
         sp.set_defaults(**defaults)
-    return parser, commands
+    return parser
 
 
 def _plain_namespace(argv: list[str]) -> argparse.Namespace | None:
@@ -410,21 +413,15 @@ def entry(argv: Sequence[str] | None = None) -> int:
     _plain_namespace takes, is parsed without argparse, into the namespace
     argparse gives it. Every other line (help, `--flag=value`, an unknown
     flag, `--`, a value starting with -, a missing flag, a value that does
-    not convert) goes to argparse, whose parsers are built on the first such
-    line, so each help, usage and error byte is argparse's. There a first
-    token naming a subcommand hands the rest to that subcommand's parser
-    alone, for the namespace and bytes the top-level parser gives; that
-    parser runs when no subcommand leads (no tokens, -h, an unknown word, --)."""
+    not convert) goes to argparse, whose parser is built on the first such
+    line, so each help, usage and error byte is argparse's."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, origins = _inject_config(argv)
         args = _plain_namespace(argv)
         if args is None:
-            parser, commands = _build_parser()
-            subparser = commands.get(argv[0]) if argv else None
-            args, extras = (
-                parser.parse_known_args(argv) if subparser is None else
-                subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
+            parser = _build_parser()
+            args, extras = parser.parse_known_args(argv)
             for token in extras:
                 if token in origins:
                     where, key = origins[token]

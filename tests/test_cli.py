@@ -284,6 +284,11 @@ ANSWERS = [
               f"--alpha-sq: alpha_sq must lie in [0, 1], got {shown}")
       for bad, shown in (("7", "7.0"), ("nan", "nan"))),
     refused("qubit-fidelity --p 0.8 --r 0.3 --grid 1", "--grid: need at least 2 points, got 1"),
+    # a grid that cannot be allocated: it needs 2^47 bytes or more, past the address space
+    refused(f"qubit-fidelity --p 0.8 --r 0.3 --grid {10**15} --out {os.devnull}",
+            "--grid: too many points to allocate"),
+    refused(f"qubit-fidelity --p 0.8 --r 0.3 --m-range 0.1:1:{2**22} --n-range 0.1:1:{2**22}"
+            f" --out {os.devnull}", "--m-range/--n-range: too many points to allocate"),
     refused("qubit-fidelity --p 0.8 --r 0.3 --m-range 0:1:5", "--m-range: " + positive(0.0)),
     # a dead sweep point names its m: an |11> input killed by m = 0, on the default sweep and
     # another; past the first point, 1/m^2 pushes the success probability below the cutoff
@@ -321,6 +326,10 @@ ANSWERS = [
           ("nan:1:2", "LO and HI must be finite, got 'nan:1:2'"),
           ("1:inf:2", "LO and HI must be finite, got '1:inf:2'"),
           ("a:b:3", "could not convert string to float: 'a'"))),
+    *(usage(f"qkd-error --p 0.8 --r 0.3 --n-range{sep}0.1:1:{10**15} --out {os.devnull}",
+            f"decoshield qkd-error: error: argument --n-range: too many steps to allocate, got "
+            f"{10**15}")
+      for sep in (" ", "=")),  # one that cannot be allocated, as a pair or joined by =
     usage("melt", re.compile(invalid_choice("melt"))),
 ]
 
@@ -348,14 +357,6 @@ def test_shared_parser_holds_no_state(in_config_folder):
     forward = [capture(argv) for argv in calls]
     assert forward == [capture(argv) for argv in reversed(calls)][::-1]
     assert [code for code, _, _ in forward] == [code for _, code, _, _ in ANSWERS]
-
-
-def test_config_commands_are_those_that_declare_it():
-    # entry() reads a config file before parsing only for a subcommand that declares
-    # --config; for any other, the file's own error would come before argparse's
-    _, commands = cli._build_parser()
-    assert {name for name, sp in commands.items() if "--config" in sp.format_usage()} == (
-        cli._CONFIG_COMMANDS)
 
 
 def test_entangle_reports_dead_sweep_points(monkeypatch, capsys):
@@ -582,18 +583,14 @@ def parsed(argv):
 @example(["verify"])
 @example(["entangle", "--p1", "0.9", "--r1", "0.5", "--p2", "0.95", "--r2", "0.3",
           "--out", os.devnull])
-def test_subcommand_parser_answers_as_the_top_level_parser(config_folder, argv):
-    # entry() parses a plain line itself and hands any other line led by a
-    # subcommand to that subcommand's parser; with neither route, the
-    # top-level parser takes every line and hands it on: each route gives its
-    # handler the same namespace, and the same exit code and bytes
+def test_direct_parse_answers_as_argparse(config_folder, argv):
+    # entry() parses a plain line itself and hands any other line to argparse;
+    # with argparse taking every line, each line gives its handler the same
+    # namespace, and the same exit code and bytes
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(config_folder)
         direct = parsed(argv)
         mp.setattr(cli, "_plain_namespace", lambda argv: None)
-        assert parsed(argv) == direct
-        parser, _ = cli._build_parser()
-        mp.setattr(cli, "_build_parser", lambda: (parser, {}))
         assert parsed(argv) == direct
 
 

@@ -186,16 +186,12 @@ def ordered_sum(terms):
 
 
 def real_trace(x: np.ndarray):
-    """Real part of the trace of each matrix in a (..., d, d) stack, d a
-    power of two: a float for one matrix. The diagonal is added in pairs,
-    then pairs of pairs, as numpy's trace adds the diagonal of a lone 2x2
-    or 4x4 matrix."""
+    """Real part of the trace of each matrix in a (..., d, d) stack, its
+    diagonal added left to right: a float for one matrix."""
     diag = x.diagonal(0, -2, -1).real
     # one matrix: its diagonal as floats; a stack: one array per diagonal entry
     terms = diag.tolist() if diag.ndim == 1 else [diag[..., i] for i in range(diag.shape[-1])]
-    while len(terms) > 1:
-        terms = [a + b for a, b in zip(terms[::2], terms[1::2])]
-    return terms[0]
+    return ordered_sum(terms)
 
 
 def reject(ok, error, message: str, *values) -> None:

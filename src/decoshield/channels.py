@@ -83,7 +83,7 @@ def apply_on_qubit(ops: np.ndarray, rho: np.ndarray, qubit: int) -> np.ndarray:
     """
     if ops.shape[-2:] != (2, 2) or rho.shape[-2:] != (4, 4):
         raise ValueError("expected a single-qubit channel and a 4x4 state")
-    if qubit not in (0, 1):
+    if qubit not in (0, 1) or not isinstance(qubit, (int, np.integer)):  # 1.0 == 1
         raise ValueError(f"qubit must be 0 or 1, got {qubit}")
     return _kraus_sum(ops, rho, (1, 2)[qubit], (2, 1)[qubit])  # (outer, qubit, inner)
 
@@ -106,6 +106,8 @@ def _kraus_sum(ops, rho, outer, inner):
 def check_trace_preserving(ops: np.ndarray) -> float:
     """Max-norm completeness defect ||sum_i E_i^dag E_i - I||_max, each conj(E[c, r]) E[c, s]
     added over c, then i, in order; for a (..., k, d, d) stack of channels, the largest."""
+    if ops.ndim < 3 or ops.shape[-2] != ops.shape[-1]:
+        raise ValueError(f"expected a (..., k, d, d) stack of operators, got shape {ops.shape}")
     d, conj = ops.shape[-1], ops.conj()
     terms = ordered_sum(conj[..., c, :, None] * ops[..., c, None, :] for c in range(d))
     gram = ordered_sum(terms[..., i, :, :] for i in range(ops.shape[-3]))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 
 from ._elementwise import check_azimuth, namespace, np, real_trace, reject
@@ -12,14 +11,9 @@ TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PURITY_ATOL = 1e-10
 
-_COS_EQUATOR = math.cos(0.5 * math.pi)
-
-
-@functools.cache
-def _yy() -> np.ndarray:
-    """Y (x) Y, the spin flip of two qubits, built on first use."""
-    pauli_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    return np.kron(pauli_y, pauli_y)
+# Y (x) Y maps |ij> to t_i |3-i>, t = (-1, 1, 1, -1), so (Y x Y) a (Y x Y) is a
+# reversed on both axes times t_i t_j
+_FLIP_SIGNS = ((1, -1, -1, 1), (-1, 1, 1, -1), (-1, 1, 1, -1), (1, -1, -1, 1))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -30,20 +24,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def equatorial_state(phi: float) -> np.ndarray:
     """Density matrix of (|0> + e^{i phi} |1>) / sqrt(2), for a finite real phi;
     a (..., 2, 2) stack for an array of azimuths, each matrix with the bits
-    of its lone call (libm's cos and sin at every entry).
-
-    The Bloch form (I + cos(theta) Z + sin(theta) (cos(phi) X + sin(phi) Y)) / 2
-    at polar angle theta = pi/2, with the float cos(pi/2) = 6.1e-17 kept on
-    the diagonal: the bits of bb84_error_rate that tests/data/pipeline_bits.json
-    records were computed with it.
-    """
+    of its lone call (libm's cos and sin at every entry)."""
     xp, (phi,) = namespace(check_azimuth(phi))
     phi = phi % (2.0 * math.pi)
     coherence = xp.complex(0.5 * xp.cos(phi), -0.5 * xp.sin(phi))
-    return xp.assemble((
-        0.5 * (1.0 + _COS_EQUATOR), coherence,
-        coherence.conjugate(), 0.5 * (1.0 - _COS_EQUATOR),
-    ), (2, 2), complex)
+    return xp.assemble((0.5, coherence, coherence.conjugate(), 0.5), (2, 2), complex)
 
 
 def validate_density(rho: np.ndarray) -> None:
@@ -96,11 +81,11 @@ def wootters_concurrence(rho: np.ndarray):
     reject(np.isfinite(rho), ValueError, "rho must be finite, got {!r}", rho)
     # one eigendecomposition serves the check and the root; tiny negatives pass and are clipped
     w, v = np.linalg.eigh(rho)
-    if w.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"state is not positive: eigenvalue {w.min():.3e}")
+    low = w.min(initial=math.inf)  # an empty stack has none
+    if low < EIGENVALUE_FLOOR:
+        raise ValueError(f"state is not positive: eigenvalue {low:.3e}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
-    yy = _yy()
-    flipped = yy @ rho.conj() @ yy
+    flipped = rho.conj()[..., ::-1, ::-1] * _FLIP_SIGNS
     w = np.linalg.eigvalsh(root @ flipped @ root)
     w = np.clip(w, 0.0, None)
     lam = np.sort(np.sqrt(w))[..., ::-1]

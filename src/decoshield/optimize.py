@@ -28,6 +28,8 @@ class SearchBox:
     def __post_init__(self) -> None:
         if not len(self.lower) == len(self.upper) == len(self.resolution):
             raise ValueError("lower, upper and resolution must share a length")
+        if not self.lower:
+            raise ValueError("a box needs at least one axis")
         for lo, hi, res in zip(self.lower, self.upper, self.resolution):
             for x in (lo, hi):  # arrays, NaN and complex bounds fail here, before the order
                 check_scalar("bounds", x, "scalars")
@@ -192,6 +194,8 @@ def stationarity_check(
 ) -> float:
     """Largest central-difference gradient component at an interior point."""
     point = np.asarray(point, dtype=float)
+    if point.ndim != 1:
+        raise ValueError(f"point must be one-dimensional, got shape {point.shape}")
     check_scalar("step", step)
     check_range(step, math.ulp(0.0), FLOAT_MAX, "step must be finite and positive, got {!r}")
     slopes = []

@@ -93,13 +93,14 @@ def test_wootters_concurrence_werner_closed_form():
 
 def test_wootters_concurrence_partial_entanglement():
     for _ in range(25):
-        a = RNG.uniform(0.05, 0.95)
-        ket = np.array([math.sqrt(a), 0.0, 0.0, math.sqrt(1 - a)])
-        # pure Schmidt state: concurrence is twice the amplitude product;
-        # the rank-1 spectrum turns eigensolver rounding into sqrt(eps)-size
+        ket = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+        a, b, c, d = ket / np.linalg.norm(ket)
+        # a|00> + b|01> + c|10> + d|11> has concurrence 2 |ad - bc|, and its
+        # density matrix has no zero entry for the spin flip to skip; the
+        # rank-1 spectrum turns eigensolver rounding into sqrt(eps)-size
         # residues in the three vanishing lambdas, hence the loose bound
         got = wootters_concurrence(pure(ket))
-        assert abs(got - 2.0 * math.sqrt(a * (1 - a))) < 1e-7
+        assert abs(got - 2.0 * abs(a * d - b * c)) < 1e-7
 
 
 def test_wootters_concurrence_of_a_stack():
@@ -113,3 +114,5 @@ def test_wootters_concurrence_of_a_stack():
     for (i, j), rho in zip(np.ndindex(2, 3), states):
         lone = wootters_concurrence(rho)
         assert type(lone) is float and got[i, j] == lone
+    # an empty stack, as fidelity and equatorial_state answer one
+    assert wootters_concurrence(np.zeros((0, 4, 4))).shape == (0,)

@@ -1,29 +1,33 @@
-"""The Kraus pipeline keeps its bits: recorded outputs of seeded draws.
+"""The Kraus pipeline keeps its bits: recorded outputs of fixed inputs.
 
-tests/data/pipeline_bits.json holds the inputs of about 200 two-qubit
+tests/data/pipeline_bits.json holds the inputs of 200 two-qubit
 pipeline_state draws, with the sha256 of each final state's bytes and the
 repr of its joint probability, or the message of the PostSelectionError it
 raised. The draws cover channels with p, r in {0, 1}, complex amplitudes,
 strengths above one and joint probabilities just above and below the
-cutoff. It also holds one stacked call each of measure_damp_reverse (under
-the key "kraus_pipeline_state"), apply_protection and bb84_error_rate.
+cutoff, as test_the_record_covers_the_domain asserts. It also holds one
+stacked call each of measure_damp_reverse (under the key
+"kraus_pipeline_state"), apply_protection and bb84_error_rate.
 
 The record holds only where numpy multiplies complex arrays with its fused
 x86-64-v3 (AVX2 + FMA3) loop, numpy's choice on a CPU that has those. That
 loop's complex product differs from Python's in the last bit for 43 842 of
 100 000 random pairs, and a * b from b * a for about a third. With
 NPY_DISABLE_CPU_FEATURES="X86_V4 X86_V3 AVX512_ICL AVX512_SPR", numpy
-takes its unfused loop, whose product equals Python's, and both tests here
-fail. Disabling only X86_V4 and the AVX-512 groups leaves them passing.
+takes its unfused loop, whose product equals Python's, and both bit tests
+here fail. Disabling only X86_V4 and the AVX-512 groups leaves them passing.
 
-Run `PYTHONPATH=src python tests/test_pipeline_bits.py` to rewrite the
-file from the current code. Do so only for a change that is meant to move
-the pipeline's bits: the point of the record is that the routes keep them.
+Run `PYTHONPATH=src python tests/test_pipeline_bits.py` to rewrite every
+outcome in the file from the current code. The inputs are never redrawn: a
+re-record recomputes the outcomes of the recorded inputs, so the rewritten
+file differs from the old one in outcomes alone. Do so only for a change
+that is meant to move the pipeline's bits: the point of the record is that
+the routes keep them.
 """
 
+import functools
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -79,100 +83,55 @@ def array_error_rate(call) -> dict:
     return {"error_rate": [repr(v) for v in error.tolist()]}
 
 
-def test_lone_draws_keep_their_bits():
-    record = json.loads(RECORD.read_text())
-    for draw in record["pipeline_state"]:
-        assert lone_outcome(draw) == draw["outcome"], draw
-
-
-def test_stacked_calls_keep_their_bits():
-    record = json.loads(RECORD.read_text())
-    stack = record["kraus_pipeline_state"]
-    draws = [record["pipeline_state"][i] for i in stack["draws"]]
-    assert stacked_pipeline(draws) == stack["outcome"]
-    for name, run in (("apply_protection", stacked_protection),
-                      ("bb84_error_rate", array_error_rate)):
-        assert run(record[name]) == record[name]["outcome"]
-
-
-# --- recording -------------------------------------------------------------
-
-def _channel(rng, edge: bool) -> list[float]:
-    if not edge:
-        return [float(v) for v in rng.uniform(0.0, 1.0, 2)]
-    return [float(rng.choice([0.0, 1.0])) if rng.uniform() < 0.6 else float(rng.uniform())
-            for _ in range(2)]
-
-
-def _draw(rng, strengths, edge=False) -> dict:
-    alpha_sq = float(rng.uniform())
-    a, b = (complex(math.sqrt(w) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-            for w in (alpha_sq, 1.0 - alpha_sq))
-    return {"alpha": [a.real, a.imag], "beta": [b.real, b.imag],
-            "ch1": _channel(rng, edge), "ch2": _channel(rng, edge), "strengths": strengths}
-
-
-def _joint_prob(draw) -> float:
-    try:
-        return pipeline_state(*lone_args(draw))[1]
-    except PostSelectionError as exc:
-        return float(str(exc).split()[2])
-
-
-def _near_cutoff(rng, factor: float) -> dict | None:
-    """A draw whose four strengths, scaled together, put the joint
-    probability at factor times the cutoff, to within 5 %; one channel
-    has p or r at 0, so the probability falls to 0 as the strengths grow."""
-    base = [float(v) for v in rng.uniform(0.5, 2.0, 4)]
-    draw = _draw(rng, base)
-    draw[str(rng.choice(["ch1", "ch2"]))][int(rng.integers(2))] = 0.0
-    target = factor * MIN_POSTSELECT_PROB
-    lo, hi = 0.0, 12.0  # log10 of the scale
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        draw["strengths"] = [v * 10.0 ** mid for v in base]
-        prob = _joint_prob(draw)
-        if abs(prob / target - 1.0) < 0.05:
-            return draw
-        lo, hi = (mid, hi) if prob > target else (lo, mid)
-    return None
-
-
-def record() -> dict:
-    rng = np.random.default_rng(20131018)
-    draws = [_draw(rng, [float(v) for v in rng.uniform(0.05, 3.0, 4)]) for _ in range(110)]
-    draws += [_draw(rng, [float(v) for v in rng.uniform(0.05, 3.0, 4)], edge=True)
-              for _ in range(40)]
-    draws += [_draw(rng, [float(10.0 ** v) for v in rng.uniform(0.0, 3.0, 4)])
-              for _ in range(25)]
-    near = []
-    while len(near) < 25:
-        draw = _near_cutoff(rng, 1.02 if len(near) % 5 else 0.97)
-        if draw is not None:
-            near.append(draw)
-    draws += near
-    for draw in draws:
-        draw["outcome"] = lone_outcome(draw)
-    kept = [i for i, d in enumerate(draws) if "error" not in d["outcome"]]
-    stack = kept[:48]
-    qubit = {
-        "p": [float(v) for v in rng.uniform(0.0, 1.0, 24)] + [0.0, 1.0, 1.0, 0.0],
-        "r": [float(v) for v in rng.uniform(0.0, 1.0, 24)] + [0.0, 1.0, 0.0, 1.0],
-        "m": [float(v) for v in rng.uniform(0.05, 3.0, 28)],
-        "n": [float(v) for v in rng.uniform(0.05, 3.0, 28)],
-        "phi": [float(v) for v in rng.uniform(0.0, 2.0 * math.pi, 28)],
-    }
-    rates = {k: qubit[k][:-4] for k in ("p", "r", "m", "n")}
+def rerecorded(record: dict) -> dict:
+    """The record with every outcome recomputed from its recorded inputs."""
+    draws = [{**draw, "outcome": lone_outcome(draw)} for draw in record["pipeline_state"]]
+    stack = record["kraus_pipeline_state"]["draws"]
     return {
         "pipeline_state": draws,
         "kraus_pipeline_state": {
-            "draws": stack,
-            "outcome": stacked_pipeline([draws[i] for i in stack]),
-        },
-        "apply_protection": {**qubit, "outcome": stacked_protection(qubit)},
-        "bb84_error_rate": {**rates, "outcome": array_error_rate(rates)},
+            "draws": stack, "outcome": stacked_pipeline([draws[i] for i in stack])},
+        **{name: {**record[name], "outcome": run(record[name])}
+           for name, run in (("apply_protection", stacked_protection),
+                             ("bb84_error_rate", array_error_rate))},
     }
 
 
+@functools.cache
+def record_and_rerecord() -> tuple[dict, dict]:
+    """The committed record, and its outcomes recomputed, once for the tests below."""
+    record = json.loads(RECORD.read_text())
+    return record, rerecorded(record)
+
+
+def test_lone_draws_keep_their_bits():
+    record, fresh = record_and_rerecord()
+    for draw, new in zip(record["pipeline_state"], fresh["pipeline_state"]):
+        assert new == draw, draw
+
+
+def test_stacked_calls_keep_their_bits():
+    record, fresh = record_and_rerecord()
+    for name in ("kraus_pipeline_state", "apply_protection", "bb84_error_rate"):
+        assert fresh[name] == record[name], name
+
+
+def test_the_record_covers_the_domain():
+    record = record_and_rerecord()[1]
+    draws = record["pipeline_state"]
+    assert {0.0, 1.0} <= {v for draw in draws for v in draw["ch1"] + draw["ch2"]}
+    assert any(draw["alpha"][1] and draw["beta"][1] for draw in draws)
+    assert any(s > 1.0 for draw in draws for s in draw["strengths"])
+    # each joint probability over the cutoff: read from the outcome, or from the error's message
+    kept = ["prob" in draw["outcome"] for draw in draws]
+    ratio = [float(draw["outcome"]["prob"] if ok else draw["outcome"]["error"].split()[2])
+             / MIN_POSTSELECT_PROB for draw, ok in zip(draws, kept)]
+    assert any(ok and 1.0 <= x <= 1.05 for ok, x in zip(kept, ratio))
+    assert any(not ok and 0.95 <= x < 1.0 for ok, x in zip(kept, ratio))
+    assert all(kept[i] for i in record["kraus_pipeline_state"]["draws"])
+    call = record["apply_protection"]
+    assert {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)} <= set(zip(call["p"], call["r"]))
+
+
 if __name__ == "__main__":
-    RECORD.write_text(json.dumps(record(), indent=1) + "\n")
+    RECORD.write_text(json.dumps(rerecorded(json.loads(RECORD.read_text())), indent=1) + "\n")

@@ -16,10 +16,11 @@ import decoshield
 from decoshield import (
     EntangledInput, GadParams, PostSelectionError, SearchBox, XStateCoefficients, apply_channel,
     apply_on_qubit, apply_postselected, apply_protection, apply_via_dilation, average_fidelity_six,
-    bb84_error_rate, concurrence_lambda1, concurrence_lambda2, equatorial_state, fidelity,
-    gad_channel, measured_coefficients, optimal_parameters, optimal_reversal,
-    optimal_strengths, pipeline_state, protect_equatorial, protected_state, qkd_error_rate,
-    reversed_state, simplex_maximize, stationarity_check, validate_density, wootters_concurrence,
+    bb84_error_rate, check_trace_preserving, concurrence_lambda1, concurrence_lambda2,
+    equatorial_state, fidelity, gad_channel, measured_coefficients, optimal_parameters,
+    optimal_reversal, optimal_strengths, pipeline_state, protect_equatorial, protected_state,
+    qkd_error_rate, reversed_state, simplex_maximize, stationarity_check, validate_density,
+    wootters_concurrence,
 )
 from decoshield.entangle import optimized_protection
 from decoshield.weakmeas import measure_damp_reverse, require_postselection
@@ -176,10 +177,10 @@ ROWS = [
       for prob, shown in ((0.0, "0.0"), (math.nan, "nan"), (np.array([1, math.nan, 0]), "nan"))),
     void(9.93757819293463e-15, pipeline_state, *FAR, *FAR_VOID),
     void(9.93757819293463e-15, pipeline_state, *FAR, *(np.array([1.0, s, 1.0]) for s in FAR_VOID)),
-    void(1.8624999999999994e-15, apply_protection, GadParams(0.0, 1.0), 0.7, 2e7, RHO),
-    void(1.8624999999999994e-15, apply_protection, GadParams(0.0, 1.0), 0.7,
+    void(1.8624999999999998e-15, apply_protection, GadParams(0.0, 1.0), 0.7, 2e7, RHO),
+    void(1.8624999999999998e-15, apply_protection, GadParams(0.0, 1.0), 0.7,
          np.array([1.0, 2e7, 3e7]), RHO),
-    void(1.8624999999999994e-15, apply_protection, GadParams(np.array([0.5, 0.0]), 1.0), 0.7,
+    void(1.8624999999999998e-15, apply_protection, GadParams(np.array([0.5, 0.0]), 1.0), 0.7,
          2e7, np.stack([RHO, RHO])),
     # the Kraus pipelines name a bad strength as given, a negative reversal
     # strength too (not its product with the other qubit's), and a product
@@ -318,8 +319,8 @@ ROWS = [
         np.diag([0.25, math.inf, 0.25, 0.25]).astype(complex)),
     row("alpha_sq must be a scalar, got shape (1,)", EntangledInput.from_alpha_sq, np.array([0.5])),
     # p = 1, r = 0 is the identity channel: both outcomes keep m^2 + n^2
-    # over two, 1e-16 here; an array call names its first failing entry
-    void(1e-16, apply_protection, IDENTITY, 1e-8, 1e-8, equatorial_state(0.0)),
+    # over two; an array call names its first failing entry
+    void(1.0000000000000001e-16, apply_protection, IDENTITY, 1e-8, 1e-8, equatorial_state(0.0)),
     *(void(1.0000000000000001e-16, fn, IDENTITY, m, 1e-8)
       for fn, m in ((protect_equatorial, 1e-8), (average_fidelity_six, 1e-8),
                     (protect_equatorial, np.array([1.0, 1e-8, 2e-8])))),
@@ -416,6 +417,16 @@ ROWS = [
     # a subnormal p (1 - r + pr), nonzero, whose optimal strengths overflow, lone and stacked
     *(row("p = 1e-310 with r = 0.5: optimal reversal strength overflows", optimal_strengths,
           GadParams(p, 0.5)) for p in (1e-310, np.array([0.5, 1e-310]))),
+    # malformed shapes: a box with no axis, a qubit given as a float, a point
+    # that is not one-dimensional and a channel that is not an operator stack
+    row("a box needs at least one axis", SearchBox, (), (), ()),
+    row("qubit must be 0 or 1, got 1.0", apply_on_qubit, gad_channel(REF), np.kron(RHO, RHO), 1.0),
+    row("point must be one-dimensional, got shape (2, 2)", stationarity_check,
+        lambda x: 0.0, np.zeros((2, 2)), 1e-3),
+    row("expected a (..., k, d, d) stack of operators, got shape (2, 2)", check_trace_preserving,
+        np.eye(2)),
+    # the closed form names the probability that apply_protection names above
+    void(1.8624999999999998e-15, protect_equatorial, GadParams(0.0, 1.0), 0.7, 2e7),
 ]
 
 
@@ -451,7 +462,6 @@ EXEMPT = (
     *((name, "takes only already-validated GadParams") for name in (
         "baseline_fidelity", "g_value", "gad_channel", "lambda2_max", "component_coefficients")),
     ("channel_degraded_state", "takes only validated inputs, at unit strengths"),
-    ("check_trace_preserving", "a defect measure of any operator stack"),
     ("grid_maximize", "takes an already-validated SearchBox; a failing point scores -inf"),
 )
 

@@ -15,6 +15,9 @@ other draws); strengths uniform in [0.05, 2.0]; azimuths uniform in
 [0.05, 0.95] and a uniform phase on each amplitude. Each route then runs
 once, on the family's whole stack. The oracle and scan families visit
 fixed points and ignore the generator; every search they run must converge.
+They evaluate in stacks too, each value with the bits of its lone call: the
+scan runs all its input weights in one call, and each search's grid is one
+call on an open mesh (see _search).
 """
 
 from __future__ import annotations
@@ -32,12 +35,14 @@ from .channels import (
 )
 from .entangle import (
     EntangledInput,
+    _optimal_m,
     channel_degraded_state,
     concurrence_lambda1,
     concurrence_lambda2,
     lambda2_max,
     measured_coefficients,
     optimal_parameters,
+    optimized_protection,
     pipeline_state,
     protected_state,
     reversed_state,
@@ -134,9 +139,18 @@ def _max_gap(gap: float, tol: float) -> tuple[bool, str]:
 
 def _search(objective: Callable[..., float], box: SearchBox) -> SearchResult:
     """Grid, then simplex, search of objective(*coordinates): a (dim,) point
-    as Python floats, the (dim, N) lattice as dim arrays."""
+    as Python floats; the (dim, N) lattice as an open mesh, axis k holding
+    its values along k and length 1 elsewhere, the values broadcast to the
+    lattice and raveled in C order. A closed form then evaluates what
+    depends on one axis once per value of that axis, and each value has the
+    bits it has on the full lattice."""
     def at(pt: np.ndarray) -> float:
-        return objective(*(pt.tolist() if pt.ndim == 1 else pt))
+        if pt.ndim == 1:
+            return objective(*pt.tolist())
+        lattice = pt.reshape(box.dim, *box.resolution)
+        mesh = [lattice[(k, *(slice(None) if j == k else slice(1) for j in range(box.dim)))]
+                for k in range(box.dim)]
+        return np.broadcast_to(objective(*mesh), box.resolution).ravel()
     return simplex_maximize(at, grid_maximize(at, box).argmax, box)
 
 
@@ -272,15 +286,16 @@ def average_optimum_stationary(rng: np.random.Generator, count: int) -> tuple[bo
 
 def success_peak_location(rng: np.random.Generator, count: int) -> tuple[bool, str]:
     """A scan of the optimal success probability over count input weights
-    in (0, 1) peaks at |alpha|^2 = 1/(1 + h), within one scan step."""
+    in (0, 1) peaks at |alpha|^2 = 1/(1 + h), within one scan step. The
+    scan is one stack of inputs at their optimal strengths m, each success
+    probability with the bits of its lone optimal_parameters call."""
     alphas = np.linspace(1.0 / (count + 1), count / (count + 1), count)
-    probs = [
-        optimal_parameters(EntangledInput.from_alpha_sq(float(a)), *REF_PAIR).success_prob
-        for a in alphas
-    ]
+    best = optimal_parameters(BELL, *REF_PAIR)
+    inp = EntangledInput(np.sqrt(alphas), np.sqrt(1.0 - alphas))
+    probs = optimized_protection(inp, *REF_PAIR, _optimal_m(inp, best.h))[3]
     peak = float(alphas[int(np.argmax(probs))])
     step = float(alphas[1] - alphas[0])
-    want = optimal_parameters(BELL, *REF_PAIR).alpha_sq_opt
+    want = best.alpha_sq_opt
     return (
         abs(peak - want) <= step,
         f"scan peak {peak:.4f} vs 1/(1+h) {want:.4f} (tol {step:.4f})",

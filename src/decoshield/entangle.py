@@ -344,6 +344,14 @@ def optimized_protection(inp: EntangledInput, ch1: GadParams, ch2: GadParams, m)
     return n1, n2, lam2, _success_probability(raw, m, 1.0, n1, n2, xp)
 
 
+def _optimal_m(inp: EntangledInput, h: float):
+    """The optimal pre-measurement strength m = sqrt(h) |alpha| / |beta| at
+    the channels' h; an array for a stack of inputs, each entry with the bits
+    of its lone input's."""
+    xp = SCALAR if type(inp.alpha) in (float, complex) else namespace(inp.alpha)[0]
+    return math.sqrt(h) * xp.modulus(inp.alpha) / xp.modulus(inp.beta)
+
+
 def lambda2_max(ch1: GadParams, ch2: GadParams) -> float:
     """Best attainable concurrence argument, independent of the input weights.
 
@@ -410,7 +418,7 @@ def optimal_parameters(
         m_opt, lam2, degenerate = 0.0, lam2_bar, "projective-limit"
     else:
         h = math.sqrt(bc0 / bc1)
-        m_opt = math.sqrt(h) * abs(inp.alpha) / abs(inp.beta)
+        m_opt = _optimal_m(inp, h)
         n1, n2, lam2, success = optimized_protection(inp, ch1, ch2, m_opt)
     return ConcurrenceReport(
         lambda1=lam1, lambda2=lam2, lambda2_max=lam2_bar, m_opt=m_opt, n1_opt=n1,

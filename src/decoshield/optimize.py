@@ -8,6 +8,7 @@ reproducible evaluation counts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,33 +145,37 @@ def simplex_maximize(
     if not box.contains(first):
         raise ValueError("start must lie inside the box")
 
-    evals = 0
+    evals, dim = 0, box.dim
+    bounds = list(zip(box.lower, box.upper))
 
     def vertex(point: list[float]) -> tuple[float, list[float]]:
         nonlocal evals
         evals += 1
-        value = _safe_value(objective, np.array(point)) if box.contains(point) else -math.inf
-        return value, point
+        for x, (lo, hi) in zip(point, bounds):  # box.contains, inline
+            if not lo <= x <= hi:  # a NaN coordinate compares False, so it lies outside
+                return -math.inf, point
+        return _safe_value(objective, np.array(point)), point
 
     simplex = [vertex(first)]
-    for axis, hi in enumerate(box.upper):
-        step = float(0.05 * (hi - box.lower[axis]))  # numpy-scalar bounds would give numpy points
+    for axis, (lo, hi) in enumerate(bounds):
+        step = float(0.05 * (hi - lo))  # numpy-scalar bounds would give numpy points
         point = first.copy()
         # step outward, flipping direction at the wall
         point[axis] += step if point[axis] + step <= hi else -step
         simplex.append(vertex(point))
 
+    by_value = operator.itemgetter(0)
     while True:
         # stable: equal values keep their order, for the vertex returned out of budget too
-        simplex.sort(key=lambda pair: pair[0], reverse=True)
+        simplex.sort(key=by_value, reverse=True)
         (top, best), (low, worst) = simplex[0], simplex[-1]
-        points = [p for _, p in simplex]
-        spread = max(max(x) - min(x) for x in zip(*points))
+        columns = list(zip(*[p for _, p in simplex]))  # one tuple of vertex coordinates per axis
+        spread = max(max(x) - min(x) for x in columns)
         if spread < SIMPLEX_DIAMETER_TOL or evals >= SIMPLEX_MAX_EVALS:
             return SearchResult(np.array(best), top, evals, evals < SIMPLEX_MAX_EVALS)
 
-        # rows added in order, then divided, as numpy's mean over axis 0 does
-        centroid = [ordered_sum(x) / box.dim for x in zip(*points[:-1])]
+        # rows added in order, then divided, as numpy's mean over axis 0 does; the worst left out
+        centroid = [ordered_sum(x[:-1]) / dim for x in columns]
         reflected = vertex(_toward(centroid, worst, 1))
         if reflected[0] > top:
             expanded = vertex(_toward(centroid, worst, 2))

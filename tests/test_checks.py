@@ -1,7 +1,8 @@
 """The check battery fails on a route it cannot measure: a NaN from any
 route, wherever it falls among a family's gaps, fails the family and shows
 as nan in its detail. A random family calls each route once, on its whole
-stack of draws."""
+stack of draws. The scan and the search grids evaluate stacks with the bits
+of the lone calls."""
 
 import collections
 import dataclasses
@@ -11,6 +12,11 @@ import numpy as np
 import pytest
 
 from decoshield import checks
+from decoshield.channels import GadParams
+from decoshield.entangle import EntangledInput, concurrence_lambda2, measured_coefficients
+from decoshield.optimize import SearchBox, grid_maximize
+from decoshield.qubit import protect_equatorial
+from decoshield.weakmeas import PostSelectionError
 
 real_optimal_parameters = checks.optimal_parameters
 real_protected_state = checks.protected_state
@@ -126,3 +132,58 @@ def test_random_families_call_each_route_once_per_stack(monkeypatch):
             seen.append(dict(calls))
         assert seen[0] == seen[1], family.__name__
         assert seen[0], family.__name__  # the wrappers saw the family's routes
+
+
+def test_the_stacked_scan_matches_the_lone_calls(monkeypatch):
+    """success_peak_location's one stacked call gives each of verify's 199
+    weights the success probability of its lone optimal_parameters call."""
+    real = checks.optimized_protection
+    stacked = []
+    monkeypatch.setattr(checks, "optimized_protection",
+                        lambda *args: stacked.append(real(*args)) or stacked[-1])
+    count = {name: n for name, _, n in checks.CHECKS}["success-peak-location"]
+    ok, detail = checks.success_peak_location(np.random.default_rng(0), count)
+    assert ok and count == 199 and len(stacked) == 1, detail
+    alphas = np.linspace(1.0 / (count + 1), count / (count + 1), count)
+    lone = [real_optimal_parameters(EntangledInput.from_alpha_sq(a), *checks.REF_PAIR).success_prob
+            for a in alphas.tolist()]
+    assert stacked[0][3].tobytes() == np.array(lone).tobytes()
+
+
+def _fidelity(params):
+    return lambda m, n: protect_equatorial(params, m, n).fidelity
+
+
+def _concurrence(ch1, ch2):
+    return lambda m, n1, n2: concurrence_lambda2(
+        measured_coefficients(checks.BELL, ch1, ch2, m, 1.0), n1, n2)
+
+
+def test_the_open_mesh_matches_the_full_lattice(monkeypatch):
+    """_search hands the grid an open mesh; its values have the bytes of the
+    objective on the full (dim, N) lattice, for the qubit objective at
+    criterion 3's 100 channels and the pair objective on every PAIR_SETS
+    pair. Without damping, strengths of 1e-8 void the run: there the mesh
+    call raises, and the grid goes point by point to the same result."""
+    ideal = GadParams(1.0, 0.0)
+    cases = [
+        *((_fidelity(params), checks.QUBIT_BOX, False) for params in checks._qubit_points(10)),
+        *((_concurrence(ch1, ch2), checks.PAIR_BOX, False) for ch1, ch2 in checks.PAIR_SETS),
+        (_fidelity(ideal), SearchBox.cube(1e-8, 2.0, 9, 2), True),
+        (_concurrence(ideal, ideal), SearchBox.cube(1e-8, 2.0, 5, 3), True),
+    ]
+    # _search returns what the simplex returns: here the grid's objective
+    monkeypatch.setattr(checks, "simplex_maximize", lambda at, start, box: at)
+    for objective, box, voided in cases:
+        at = checks._search(objective, box)
+        lattice = np.stack([m.ravel() for m in np.meshgrid(*box.axes(), indexing="ij")])
+        if voided:
+            with pytest.raises(PostSelectionError):
+                at(lattice)
+            # the search before the open mesh: the whole lattice, or one point as floats
+            full = lambda pt, f=objective: f(*(pt.tolist() if pt.ndim == 1 else pt))
+            mesh, each = grid_maximize(at, box), grid_maximize(full, box)
+            assert mesh.argmax.tobytes() == each.argmax.tobytes()
+            assert (mesh.value, mesh.evaluations) == (each.value, each.evaluations)
+        else:
+            assert at(lattice).tobytes() == objective(*lattice).tobytes()

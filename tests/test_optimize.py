@@ -111,22 +111,40 @@ def test_grid_lattice_matches_point_by_point():
 
 def test_reference_walks_are_pinned():
     # grid, then simplex from its argmax: the evaluation count and argmax
-    # bytes of each, as recorded with the simplex on numpy arrays
+    # bytes of each, then the number of vertices the walk hands to the
+    # objective; a vertex outside the box scores -inf without a call. The
+    # first two were recorded with the simplex on numpy arrays, the last two
+    # with it on lists of floats, before its step was rewritten
+    fid = _fidelity(GadParams(0.8, 0.3))  # its maximum 0.9334 lies at (0.746, 0.671)
     cases = [
-        (_fidelity(GadParams(0.8, 0.3)), QUBIT_BOX, [
+        (fid, QUBIT_BOX, [
             (1089, "2db29defa706e83ff4fdd478e906e43f"),
             (123, "0079502ec4dce73faecdf430d574e53f"),
-        ]),
+        ], 123),
         (_concurrence(*REF_PAIR), PAIR_BOX, [
             (4913, "5a643bdf4f0dd83fa01a2fdd2406e03fa01a2fdd2406e03f"),
             (196, "eec815a437fbd53fe77ebb629e1de03fc04add40824bdc3f"),
-        ]),
+        ], 196),
+        # the box's n wall cuts below the maximum: the walk starts against it
+        # and slides along it, 76 of its vertices outside
+        (fid, SearchBox((1e-3, 1e-3), (4.0, 0.6), (9, 9)), [
+            (81, "ba490c022b07e03fe7fba9f1d2cde03f"),
+            (174, "9ef8d7ef7bbde53f620a2e333333e33f"),
+        ], 98),
+        # capped below the maximum, the fidelity has a plateau where a
+        # contraction does not beat the worst vertex: the walk shrinks 27 times
+        (lambda x: min(fid(x), 0.93), SearchBox.cube(1e-3, 4.0, 9, 2), [
+            (81, "ba490c022b07e03fba490c022b07e03f"),
+            (121, "2eb29defa706e83fb6a679c7293ae33f"),
+        ], 121),
     ]
-    for objective, box, pinned in cases:
+    for objective, box, pinned, called in cases:
         seed = grid_maximize(objective, box)
-        walk = simplex_maximize(objective, seed.argmax, box)
+        calls = []
+        walk = simplex_maximize(lambda x: calls.append(x) or objective(x), seed.argmax, box)
         assert walk.converged and walk.value >= seed.value
         assert [(r.evaluations, r.argmax.tobytes().hex()) for r in (seed, walk)] == pinned
+        assert len(calls) == called
 
 
 def test_grid_locates_fidelity_optimum():
